@@ -19,6 +19,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 import yaml
 
 from . import __version__, discretize, fiber as fiber_mod, geometry, semigroup, stochastic, suites
@@ -229,6 +231,8 @@ def cmd_sweep(cfg, digest, out, seed, workers):
             "n_fiber": result.n_fiber,
             "sup_errors": {k: v.tolist() for k, v in sup.items()},
             "spatial_error_estimate": result.spatial_error_estimate,
+            "spectral_path": result.spectral_paths,
+            "pre_check_spectral_path": result.pre_check_spectral_path,
             "checks": checks,
         },
     )
@@ -343,13 +347,10 @@ def cmd_resolvent(cfg, digest, out, seed, workers):
     # limit: ground-band resolvent of the base Laplacian
     Qb, wb = semigroup.base_laplacian(grid)
     fb = fiber_mod.extract_fb(grid, spectrum, w_field)
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     gb = spla.spsolve((Qb + alpha * sp.diags(wb)).tocsc(), wb * fb)
     limit = np.outer(gb, phi0).ravel()
     rng = np.random.Generator(np.random.Philox(key=seed))
-    rows, variational_ok = [], True
+    rows, infos, variational_ok = [], [], True
     for eps in eps_list:
         h0 = discretize.renormalize(
             discretize.assemble_operator(grid, "H", eps), spectrum.lambda0
@@ -363,6 +364,7 @@ def cmd_resolvent(cfg, digest, out, seed, workers):
             if semigroup.phi_functional(h0, alpha, w_field, f + d) <= base_phi:
                 variational_ok = False
         rows.append([eps, err])
+        infos.append(info)
     errs = [r[1] for r in rows]
     checks = {
         "strictly_decreasing": bool(all(b < a for a, b in zip(errs, errs[1:]))),
@@ -378,6 +380,9 @@ def cmd_resolvent(cfg, digest, out, seed, workers):
             "seed": seed,
             "alpha": alpha,
             "errors": errs,
+            "residual": [i["residual"] for i in infos],
+            "min_eigenvalue": [i["min_eigenvalue"] for i in infos],
+            "spectral_path": [i["spectral_path"] for i in infos],
             "checks": checks,
         },
     )

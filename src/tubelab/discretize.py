@@ -137,9 +137,11 @@ class DiscreteOperator:
         return float(f @ (self.form @ f))
 
     def eig(self):
-        """Full generalized eigendecomposition (ascending; weighted-orthonormal)."""
-        vals, vecs = scipy.linalg.eigh(self.form.toarray(), np.diag(self.weights))
-        return vals, vecs
+        """All eigenvalues of the weighted pencil, ascending; block-circulant
+        forms are solved block by block (semigroup.pencil_eigenvalues)."""
+        from . import semigroup  # semigroup imports this module
+
+        return semigroup.pencil_eigenvalues(self.form, self.weights, self.grid.n_base)
 
     def to_dict(self, with_spectrum=False, n_eigenvalues=None):
         d = {
@@ -151,7 +153,7 @@ class DiscreteOperator:
             "nnz": int(self.form.nnz),
         }
         if with_spectrum:
-            vals, _ = self.eig()
+            vals = self.eig()
             if n_eigenvalues is not None:
                 vals = vals[:n_eigenvalues]
             d["eigenvalues"] = [float(v) for v in vals]

@@ -1,15 +1,46 @@
 """Heat propagators, resolvents, and the epsilon-collapse convergence study.
 
-Propagators are built from a symmetric eigendecomposition of the weighted
-form pencil, so semigroup laws hold to solver accuracy.  Above a size
-cutoff only the spectrally relevant bottom of the spectrum is kept: a mode
-at distance d above the bottom contributes a factor exp(-t*d/2) <= 1e-18
-over the time grid and is dropped; the cutoff is recorded on the object.
+Every solver here works on a weighted form pencil (Q, diag(w)): the operator
+is w^-1 Q, symmetric in the weighted inner product.  Three spectral paths
+exist, and only the structure and size of the pencil choose between them.
+
+Block path.  A tube whose geometry does not change along the base (the
+circle, a constant curve without torsion, the Sasaki forms of any of them)
+gives a form that is block-circulant in the base index.  With S the cyclic
+base shift (S[i, i+1] = 1) the form is
+
+    Q = kron(I, D) + kron(S, N) + kron(S^T, N^T),   N = N^T,
+
+so Q = kron(I, D) + kron(S + S^T, N).  The real orthonormal Fourier vectors
+of the base, c_k(i) ~ cos(2 pi k i / n_base) and s_k(i) ~ sin(2 pi k i /
+n_base), are eigenvectors of S + S^T with eigenvalue 2 cos(2 pi k / n_base)
+(Davis, Circulant Matrices, 1979).  When the weights also repeat per base
+node, w = kron(1, w_row), the pencil splits into the n_base // 2 + 1 fiber
+pencils
+
+    (B_k, diag(w_row)),   B_k = D + 2 cos(2 pi k / n_base) N,
+
+each of size n_fiber; mode k carries c_k and s_k (one vector for k = 0 and,
+for even n_base, for k = n_base / 2).  `fourier_blocks` admits a pencil
+only when this holds exactly: the weights repeat bitwise and the form equals
+the reassembled block matrix entry for entry.  Nothing else selects the
+path; callers that hold a grid pass its n_base, and the default n_base = 1
+means no base structure.
+
+Dense path.  Other pencils up to DENSE_CUTOFF nodes get one dense
+generalized eigendecomposition, so semigroup laws hold to solver accuracy.
+
+Truncated path.  Above the cutoff only the spectrally relevant bottom of
+the spectrum is kept: a mode at distance d above the bottom contributes a
+factor exp(-t*d/2) <= 1e-18 over times >= t_min and is dropped.  The
+propagator refuses earlier times.  eigsh starts from a fixed vector, so
+reruns repeat bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,21 +54,111 @@ from .errors import CoercivityViolation, DegenerateConditioning, ResolutionError
 DENSE_CUTOFF = 2600
 
 
-class Propagator:
-    """exp(-t * A / 2) for the operator of a weighted form pencil."""
+def _start_vector(n):
+    """Fixed eigsh start vector: reruns repeat and no mode is left out."""
+    return np.random.Generator(np.random.Philox(key=0)).standard_normal(n)
 
-    def __init__(self, form, weights, t_min=0.05, dense_cutoff=DENSE_CUTOFF):
+
+class FourierBlocks:
+    """A block-circulant pencil in the real Fourier basis of the base.
+
+    blocks[k] is B_k of the module docstring.  Fields move between nodes and
+    modes as arrays of shape (n_base // 2 + 1, 2, n_fiber): row [k, 0] holds
+    the c_k coefficients, row [k, 1] the s_k ones (zero where s_k is absent)."""
+
+    def __init__(self, D, N, w_row, n_base):
+        self.n_base = n_base
+        self.w_row = w_row
+        k = np.arange(n_base // 2 + 1)
+        self.blocks = D + 2.0 * np.cos(2.0 * np.pi * k / n_base)[:, None, None] * N
+        # basis[:, k, 0] = c_k, basis[:, k, 1] = s_k, orthonormal columns
+        angle = 2.0 * np.pi * np.outer(np.arange(n_base), k) / n_base
+        basis = np.sqrt(2.0 / n_base) * np.stack([np.cos(angle), np.sin(angle)], axis=2)
+        self.multiplicity = np.full(len(k), 2)
+        lone = [0] if n_base % 2 else [0, n_base // 2]
+        basis[:, lone, 0] /= math.sqrt(2.0)
+        basis[:, lone, 1] = 0.0
+        self.multiplicity[lone] = 1
+        self.basis = basis.reshape(n_base, -1)
+
+    def to_modes(self, f):
+        g = self.basis.T @ np.asarray(f).reshape(self.n_base, -1)
+        return g.reshape(len(self.blocks), 2, -1)
+
+    def from_modes(self, g):
+        return (self.basis @ g.reshape(self.basis.shape[1], -1)).ravel()
+
+    def eigh(self, eigvals_only=False):
+        """Per-block generalized eigenpairs of (B_k, diag(w_row)), stacked;
+        eigenvectors are diag(w_row)-orthonormal."""
+        W = np.diag(self.w_row)
+        pairs = [scipy.linalg.eigh(B, W, eigvals_only=eigvals_only) for B in self.blocks]
+        if eigvals_only:
+            return np.array(pairs)
+        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+    def spectrum(self, block_vals):
+        """All eigenvalues of the full pencil, ascending, with multiplicity."""
+        return np.sort(np.repeat(block_vals, self.multiplicity, axis=0).ravel())
+
+
+def fourier_blocks(form, weights, n_base):
+    """FourierBlocks of the pencil (form, diag(weights)) if it is exactly
+    block-circulant over n_base base nodes with a symmetric neighbour
+    block (module docstring), else None."""
+    weights = np.asarray(weights, dtype=float)
+    if n_base < 3 or len(weights) % n_base:
+        return None
+    nf = len(weights) // n_base
+    w = weights.reshape(n_base, nf)
+    if not np.array_equal(w, np.broadcast_to(w[0], w.shape)):
+        return None
+    Q = sp.csr_matrix(form)
+    D = Q[:nf, :nf].toarray()
+    N = Q[:nf, nf : 2 * nf].toarray()
+    if not np.array_equal(N, N.T):
+        return None
+    S = sp.eye(n_base, k=1) + sp.eye(n_base, k=1 - n_base)
+    rebuilt = sp.kron(sp.identity(n_base), D) + sp.kron(S, N) + sp.kron(S.T, N.T)
+    if (Q != rebuilt).nnz:
+        return None
+    return FourierBlocks(D, N, w[0].copy(), n_base)
+
+
+def pencil_eigenvalues(form, weights, n_base=1):
+    """All eigenvalues of the pencil (form, diag(weights)), ascending."""
+    blocks = fourier_blocks(form, weights, n_base)
+    if blocks is not None:
+        return blocks.spectrum(blocks.eigh(eigvals_only=True))
+    dense = form.toarray() if sp.issparse(form) else np.asarray(form)
+    return scipy.linalg.eigh(dense, np.diag(weights), eigvals_only=True)
+
+
+class Propagator:
+    """exp(-t * A / 2) for the operator of a weighted form pencil.
+
+    `path` names the spectral path taken (module docstring): "block",
+    "dense" or "truncated".  On the block path eigenvalues and eigenvectors
+    are stacked per fiber block (FourierBlocks.eigh)."""
+
+    def __init__(self, form, weights, t_min=0.05, dense_cutoff=DENSE_CUTOFF, n_base=1):
         self.weights = np.asarray(weights, dtype=float)
         n = len(self.weights)
-        self.truncated = False
-        if n <= dense_cutoff:
-            vals, vecs = scipy.linalg.eigh(
+        self.t_min = t_min
+        self.blocks = fourier_blocks(form, self.weights, n_base)
+        if self.blocks is not None:
+            self.path = "block"
+            self.eigenvalues, self.eigenvectors = self.blocks.eigh()
+        elif n <= dense_cutoff:
+            self.path = "dense"
+            self.eigenvalues, self.eigenvectors = scipy.linalg.eigh(
                 np.asarray(form.todense()) if sp.issparse(form) else np.asarray(form),
                 np.diag(self.weights),
             )
         else:
             # keep the bottom of the spectrum; modes further than `span` above
             # the minimum are invisible at times >= t_min in double precision
+            self.path = "truncated"
             span = 2.0 * 41.0 / t_min
             Qc = form.tocsc()
             M = sp.diags(self.weights).tocsc()
@@ -45,29 +166,43 @@ class Propagator:
             diag = Qc.diagonal()
             lower = float(np.min((diag - (rowsum - np.abs(diag))) / self.weights))
             k = min(max(64, n // 50), n - 2)
+            v0 = _start_vector(n)
             while True:
-                vals, vecs = spla.eigsh(Qc, k=k, M=M, sigma=lower - 1.0, which="LM")
+                vals, vecs = spla.eigsh(
+                    Qc, k=k, M=M, sigma=lower - 1.0, which="LM", v0=v0
+                )
                 order = np.argsort(vals)
                 vals, vecs = vals[order], vecs[:, order]
                 if vals[-1] - vals[0] >= span or k >= n - 2:
                     break
                 k = min(2 * k, n - 2)
-            self.truncated = True
-        self.eigenvalues = vals
-        self.eigenvectors = vecs
+            self.eigenvalues, self.eigenvectors = vals, vecs
+
+    @property
+    def truncated(self):
+        return self.path == "truncated"
 
     def apply(self, t, f):
         if t < 0:
             raise ValueError("time must be nonnegative")
+        if self.truncated and t < self.t_min:
+            raise ValueError(
+                f"time {t} below t_min={self.t_min} of a truncated propagator"
+            )
+        decay = np.exp(-0.5 * t * self.eigenvalues)
+        if self.blocks is not None:
+            U = self.eigenvectors
+            coef = (self.blocks.to_modes(f) * self.blocks.w_row) @ U
+            return self.blocks.from_modes((decay[:, None, :] * coef) @ U.transpose(0, 2, 1))
         coef = self.eigenvectors.T @ (self.weights * np.asarray(f))
-        return self.eigenvectors @ (np.exp(-0.5 * t * self.eigenvalues) * coef)
+        return self.eigenvectors @ (decay * coef)
 
 
 def propagate(op, t, f):
     """Apply exp(-t/2 * op); the eigendecomposition is cached on the operator."""
     prop = getattr(op, "_propagator", None)
     if prop is None:
-        prop = Propagator(op.form, op.weights)
+        prop = Propagator(op.form, op.weights, n_base=op.grid.n_base)
         op._propagator = prop
     return prop.apply(t, f)
 
@@ -106,33 +241,60 @@ def phi_functional(op_h0, alpha, w_field, f):
 def resolvent_minimizer(op_h0, alpha, w_field, residual_tol=1e-10):
     """Minimize phi, i.e. solve (H0 + alpha) f = w in the weighted sense.
 
-    Raises CoercivityViolation when the shifted pencil is not positive
-    definite (epsilon outside the coercive range)."""
+    On the block path the minimum eigenvalue is the least over the fiber
+    blocks and each block is solved by its own Cholesky factor; otherwise
+    a dense (or, above DENSE_CUTOFF, shift-invert) eigensolve certifies
+    coercivity before one sparse solve.  The residual is always taken
+    against the assembled sparse matrix.  Raises CoercivityViolation when
+    the shifted pencil is not positive definite (epsilon outside the
+    coercive range)."""
     g = op_h0.grid
     W = sp.diags(g.weights)
     A = (op_h0.form + alpha * W).tocsc()
     n = A.shape[0]
-    if n <= DENSE_CUTOFF:
+    blocks = fourier_blocks(op_h0.form, g.weights, g.n_base)
+    if blocks is not None:
+        path = "block"
+        W_row = np.diag(blocks.w_row)
+        shifted = blocks.blocks + alpha * W_row
+        mineig = min(
+            float(scipy.linalg.eigh(B, W_row, eigvals_only=True, subset_by_index=[0, 0])[0])
+            for B in shifted
+        )
+    elif n <= DENSE_CUTOFF:
+        path = "dense"
         mineig = float(
             scipy.linalg.eigh(
                 A.toarray(), np.diag(g.weights), eigvals_only=True, subset_by_index=[0, 0]
             )[0]
         )
     else:
+        path = "truncated"
         mineig = float(
-            spla.eigsh(A, k=1, M=W.tocsc(), sigma=-1e3, which="LM", return_eigenvectors=False)[0]
+            spla.eigsh(
+                A, k=1, M=W.tocsc(), sigma=-1e3, which="LM",
+                return_eigenvectors=False, v0=_start_vector(n),
+            )[0]
         )
     if mineig <= 0:
         raise CoercivityViolation(
             f"shifted operator indefinite (min eigenvalue {mineig:.3e}); "
             "epsilon is outside the coercive range"
         )
-    f = spla.spsolve(A, g.weights * np.asarray(w_field))
+    rhs = g.weights * np.asarray(w_field)
+    if blocks is not None:
+        modes = blocks.to_modes(rhs)
+        for k, block in enumerate(shifted):
+            factor = scipy.linalg.cho_factor(block)
+            modes[k] = scipy.linalg.cho_solve(factor, modes[k].T).T
+        f = blocks.from_modes(modes)
+    else:
+        f = spla.spsolve(A, rhs)
     resid = (A @ f) / g.weights - np.asarray(w_field)
     rel = g.norm(resid) / max(g.norm(w_field), 1e-300)
     if rel > residual_tol:
         raise ResolutionError(f"resolvent residual {rel:.3e} above {residual_tol}")
-    return f, {"residual": rel, "min_eigenvalue": mineig}
+    return f, {"residual": rel, "min_eigenvalue": mineig, "spectral_path": path}
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +313,13 @@ def conditional_flow_operator(grid, spectrum, eps, T, t, f_base, propagator=None
     if propagator is None:
         h = discretize.assemble_operator(grid, "H", eps)
         h0 = discretize.renormalize(h, lam0)
-        propagator = Propagator(h0.form, h0.weights, t_min=min(0.05, max(t, T - t, 1e-3)))
+        t_min = min([0.05] + [s for s in (t, T - t) if s > 0])
+        propagator = Propagator(h0.form, h0.weights, t_min=t_min, n_base=grid.n_base)
+
+    def flow(s, g):
+        # time zero is the identity, which a truncated propagator cannot apply
+        return g if s == 0 else propagator.apply(s, g)
+
     wnodes = grid.fiber_nodes_w()
     sqrt_rho = np.empty(grid.n)
     for i, x in enumerate(grid.base_x):
@@ -159,8 +327,8 @@ def conditional_flow_operator(grid, spectrum, eps, T, t, f_base, propagator=None
             p = geometry.TubePoint(x, wnodes[j], eps)
             sqrt_rho[i * grid.n_fiber + j] = math.sqrt(geometry.density_rho(grid.model, p))
     f_lift = np.repeat(np.asarray(f_base, dtype=float), grid.n_fiber)
-    num = propagator.apply(t, f_lift * propagator.apply(T - t, sqrt_rho))
-    den = propagator.apply(T, sqrt_rho)
+    num = flow(t, f_lift * flow(T - t, sqrt_rho))
+    den = flow(T, sqrt_rho)
     jc = grid.center_fiber_index()
     num_c = grid.reshape(num)[:, jc]
     den_c = grid.reshape(den)[:, jc]
@@ -188,6 +356,8 @@ class SweepResult:
     n_fiber: int
     spatial_error_estimate: float | None = None
     runtimes: dict = field(default_factory=dict)
+    spectral_paths: list = field(default_factory=list)   # Propagator.path per eps
+    pre_check_spectral_path: str | None = None
 
     def rows(self):
         return [
@@ -219,17 +389,16 @@ def _loglog_fit(eps, err):
 
 
 def _sweep_errors(grid, spectrum, eps_list, t_grid, u_builder, norms):
-    import time
-
     Qb, wb = base_laplacian(grid)
     base_prop = Propagator(Qb, wb)
     lam0 = spectrum.lambda0
-    records, runtimes = [], {}
+    records, runtimes, paths = [], {}, []
     order_map = {"L2": 0, "H1": 1, "H2": 2}
     for eps in eps_list:
         t0 = time.perf_counter()
         h0 = discretize.renormalize(discretize.assemble_operator(grid, "H", eps), lam0)
-        prop = Propagator(h0.form, h0.weights, t_min=float(t_grid[0]))
+        prop = Propagator(h0.form, h0.weights, t_min=float(t_grid[0]), n_base=grid.n_base)
+        paths.append(prop.path)
         u = u_builder(grid, spectrum, eps)
         for t in t_grid:
             diff = prop.apply(t, u) - limit_propagate(grid, spectrum, t, u, base_prop)
@@ -238,7 +407,7 @@ def _sweep_errors(grid, spectrum, eps_list, t_grid, u_builder, norms):
                 rec[f"err_{nm}"] = discretize.sobolev_norm(grid, diff, order_map[nm])
             records.append(rec)
         runtimes[float(eps)] = time.perf_counter() - t0
-    return records, runtimes
+    return records, runtimes, paths
 
 
 def convergence_sweep(
@@ -263,7 +432,9 @@ def convergence_sweep(
         u_builder = lambda g, s, eps: default_sweep_field(g, s)
     grid = discretize.build_grid(model, n_base, n_fiber, n_theta)
     spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-    records, runtimes = _sweep_errors(grid, spectrum, eps_list, t_grid, u_builder, norms)
+    records, runtimes, paths = _sweep_errors(
+        grid, spectrum, eps_list, t_grid, u_builder, norms
+    )
     sup = {
         nm: np.array(
             [
@@ -274,7 +445,7 @@ def convergence_sweep(
         for nm in norms
     }
     p, r2 = _loglog_fit(eps_list, sup["L2"])
-    spatial = None
+    spatial, pre_path = None, None
     if pre_check:
         nb2 = int(round(n_base * pre_check_factor))
         nf2 = int(round(n_fiber * pre_check_factor))
@@ -282,7 +453,7 @@ def convergence_sweep(
             nf2 += 1
         g2 = discretize.build_grid(model, nb2, nf2, n_theta)
         s2 = fiber_mod.fiber_spectrum(g2.fiber, n_modes=6)
-        rec2, _ = _sweep_errors(g2, s2, eps_list[:1], t_grid, u_builder, ("L2",))
+        rec2, _, (pre_path,) = _sweep_errors(g2, s2, eps_list[:1], t_grid, u_builder, ("L2",))
         sup2 = max(r["err_L2"] for r in rec2)
         spatial = abs(float(sup["L2"][0]) - sup2)
         if spatial > float(sup["L2"][0]) / 10.0:
@@ -303,4 +474,6 @@ def convergence_sweep(
         n_fiber,
         spatial,
         runtimes,
+        paths,
+        pre_path,
     )

@@ -192,7 +192,14 @@ def _killed_block(
     alive_rec, theta, rad, logw, alive_count,
 ):
     """Killed, weighted planar Brownian paths of one block, written into the
-    block's output rows; alive_count[step] gains the block's survivors."""
+    block's output rows; alive_count[step] gains the block's survivors.
+
+    Once every path of the block is dead no later step can change a
+    survival count or a weight, so stepping stops there: the record times
+    that follow get alive_rec False and theta/rad frozen at the positions
+    of the step on which the block's last path died.  Dead paths carry no
+    weight in any estimate, and block b's stream is its own, so the other
+    blocks draw exactly what they would have drawn."""
     m = theta.shape[0]
     n_steps = len(alive_count) - 1
     x = np.full(m, R * math.cos(theta0))
@@ -200,15 +207,21 @@ def _killed_block(
     alive = np.ones(m, dtype=bool)
     w = np.zeros(m)
     u_old = -1.0 / (4.0 * (x * x + y * y))
-    rec_idx = np.where(rec_steps == 0)[0]
-    for k in rec_idx:
-        theta[:, k] = np.arctan2(y, x)
-        rad[:, k] = np.hypot(x, y)
-        alive_rec[:, k] = alive
+
+    def record(rec_idx):
+        for k in rec_idx:
+            theta[:, k] = np.arctan2(y, x)
+            rad[:, k] = np.hypot(x, y)
+            alive_rec[:, k] = alive
+
+    record(np.where(rec_steps == 0)[0])
     alive_count[0] += m
     sdt = math.sqrt(dt)
     d_old = np.hypot(x, y) - R
     for step in range(1, n_steps + 1):
+        if not alive.any():
+            record(np.where(rec_steps >= step)[0])
+            break
         # a fixed draw count per step keeps the stream alignment
         # independent of how many paths are still alive
         dx = rng.standard_normal(m) * sdt
@@ -236,11 +249,7 @@ def _killed_block(
             u_old = u_new
         d_old = d_new
         alive_count[step] += int(np.count_nonzero(alive))
-        rec_idx = np.where(rec_steps == step)[0]
-        for k in rec_idx:
-            theta[:, k] = np.arctan2(y, x)
-            rad[:, k] = r_new
-            alive_rec[:, k] = alive
+        record(np.where(rec_steps == step)[0])
     logw[:] = 0.5 * w
 
 

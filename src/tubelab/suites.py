@@ -19,10 +19,7 @@ REL_SLACK = 1e-9
 
 
 def _full_fiber_eigenvalues(fib):
-    if fib.q == 1:
-        Q = fib.dirichlet_form()
-    else:
-        Q = fib.flat_dirichlet_form()
+    Q = discretize._fiber_flat_form(fib)
     return scipy.linalg.eigh(Q.toarray(), np.diag(fib.weights), eigvals_only=True)
 
 
@@ -35,7 +32,7 @@ def composite_spectrum_check(grid, eps, tol=1e-9):
     """Every eigenvalue of the product operator is a fiber level over eps^2
     plus a base level; checked against independent 1-dimensional solves."""
     hsa = discretize.assemble_operator(grid, "HSa", eps)
-    vals2d, _ = hsa.eig()
+    vals2d = hsa.eig()
     fib_vals = _full_fiber_eigenvalues(grid.fiber)
     Qb, wb = semigroup.base_laplacian(grid)
     base_vals = scipy.linalg.eigh(Qb.toarray(), np.diag(wb), eigvals_only=True)
@@ -173,7 +170,9 @@ def sasaki_limit_check(grid, spectrum, eps_list, t_grid, mixing=0.5):
         hsa0 = discretize.renormalize(
             discretize.assemble_operator(grid, "HSa", eps), lam0
         )
-        prop = semigroup.Propagator(hsa0.form, hsa0.weights, t_min=float(np.min(t_grid)))
+        prop = semigroup.Propagator(
+            hsa0.form, hsa0.weights, t_min=float(np.min(t_grid)), n_base=grid.n_base
+        )
         for t in t_grid:
             lhs = grid.norm(
                 prop.apply(t, f)

@@ -130,6 +130,7 @@ class TestSweepCommand:
         ).read_bytes()
         summary = json.loads((out1 / "sweep_summary.json").read_text())
         assert all(summary["checks"].values())
+        assert summary["spectral_path"] == ["block", "block"]
         header = (out1 / "sweep.csv").read_text().splitlines()
         assert header[0].startswith("# tubelab") and "config_hash=" in header[0]
         assert header[1] == "eps,t,err_L2,err_H1,err_H2"
@@ -175,3 +176,5 @@ class TestResolventCommand:
         rep = json.loads((out / "resolvent.json").read_text())
         assert all(rep["checks"].values())
         assert rep["errors"][1] < rep["errors"][0]
+        assert rep["spectral_path"] == ["block", "block"]
+        assert max(rep["residual"]) < 1e-10 and min(rep["min_eigenvalue"]) > 0

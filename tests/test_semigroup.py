@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tubelab as tl
 from tubelab import discretize, fiber as fiber_mod, semigroup
@@ -55,6 +56,19 @@ class TestPropagator:
         for t in (0.1, 0.5, 1.0):
             diff = grid.norm(trunc.apply(t, f) - dense.apply(t, f))
             assert diff < 1e-9 * grid.norm(f)
+
+    def test_truncated_refuses_times_below_t_min(self, circle_model):
+        grid = discretize.build_grid(circle_model, 16, 13)
+        spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+        op = renormalized_op(grid, spectrum, 0.2)
+        prop = semigroup.Propagator(op.form, op.weights, t_min=0.5, dense_cutoff=100)
+        assert prop.path == "truncated"
+        f = semigroup.default_sweep_field(grid, spectrum)
+        for t in (0.0, 0.1):
+            with pytest.raises(ValueError):
+                prop.apply(t, f)
+        again = semigroup.Propagator(op.form, op.weights, t_min=0.5, dense_cutoff=100)
+        assert np.array_equal(prop.apply(0.5, f), again.apply(0.5, f))
 
     def test_propagate_caches(self, circle_grid, circle_spectrum, rng):
         op = renormalized_op(circle_grid, circle_spectrum, 0.25)
@@ -176,3 +190,86 @@ class TestSweep:
     def test_eps_list_must_decrease(self, circle_model):
         with pytest.raises(ValueError):
             semigroup.convergence_sweep(circle_model, 32, 15, [0.1, 0.2])
+
+
+# the three translation-invariant forms of the block tests: (model, n_base,
+# n_fiber, n_theta, operator)
+BLOCK_CASES = {
+    "circle-induced": (tl.CircleInPlane(1.0), 16, 13, 16, "H"),
+    "circle-sasaki": (tl.CircleInPlane(1.0), 16, 13, 16, "HSa"),
+    "curve-codim2": (tl.constant_curve(1.0, 0.0, 2.0 * math.pi), 12, 8, 8, "H"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BLOCK_CASES))
+def block_case(request):
+    model, n_base, n_fiber, n_theta, which = BLOCK_CASES[request.param]
+    grid = discretize.build_grid(model, n_base, n_fiber, n_theta)
+    spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+    return grid, spectrum, renormalized_op(grid, spectrum, 0.1, which=which)
+
+
+def dense_eigenvalues(form, weights):
+    return scipy.linalg.eigh(form.toarray(), np.diag(weights), eigvals_only=True)
+
+
+def assert_spectra_match(vals, ref):
+    assert vals.shape == ref.shape
+    assert np.max(np.abs(vals - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-9
+
+
+class TestBlockCore:
+    """The Fourier-block path against the dense path on small grids."""
+
+    def test_block_structure_detected(self, block_case):
+        grid, _, op = block_case
+        blocks = semigroup.fourier_blocks(op.form, op.weights, grid.n_base)
+        assert blocks is not None
+        assert len(blocks.blocks) == grid.n_base // 2 + 1
+        assert blocks.multiplicity.sum() == grid.n_base
+        # without a base size there is no structure to use
+        assert semigroup.fourier_blocks(op.form, op.weights, 1) is None
+
+    def test_propagator_matches_dense(self, block_case, rng):
+        grid, _, op = block_case
+        block = semigroup.Propagator(op.form, op.weights, n_base=grid.n_base)
+        dense = semigroup.Propagator(op.form, op.weights)
+        assert block.path == "block" and dense.path == "dense"
+        f = rng.standard_normal(grid.n)
+        for t in (0.0, 0.1, 1.0):
+            diff = grid.norm(block.apply(t, f) - dense.apply(t, f))
+            assert diff < 1e-10 * grid.norm(f)
+        assert grid.norm(block.apply(0.0, f) - f) < 1e-10 * grid.norm(f)
+
+    def test_eigenvalues_match_dense(self, block_case):
+        grid, _, op = block_case
+        ref = dense_eigenvalues(op.form, op.weights)
+        assert_spectra_match(semigroup.pencil_eigenvalues(op.form, op.weights, grid.n_base), ref)
+        block = semigroup.Propagator(op.form, op.weights, n_base=grid.n_base)
+        assert_spectra_match(block.blocks.spectrum(block.eigenvalues), ref)
+
+    def test_operator_eig_matches_dense(self, block_case):
+        _, _, op = block_case
+        assert_spectra_match(op.eig(), dense_eigenvalues(op.form, op.weights))
+
+    def test_resolvent_matches_dense(self, block_case, rng):
+        grid, spectrum, op = block_case
+        alpha = spectrum.lambda0 + 1.5
+        w = rng.standard_normal(grid.n)
+        f, info = semigroup.resolvent_minimizer(op, alpha, w)
+        assert info["spectral_path"] == "block"
+        A = op.form.toarray() + alpha * np.diag(op.weights)
+        ref = scipy.linalg.solve(A, op.weights * w, assume_a="pos")
+        assert grid.norm(f - ref) < 1e-10 * grid.norm(ref)
+        mineig = scipy.linalg.eigh(A, np.diag(op.weights), eigvals_only=True)[0]
+        assert abs(info["min_eigenvalue"] - mineig) < 1e-9 * max(abs(mineig), 1.0)
+
+    def test_ellipse_falls_back_to_dense(self, rng):
+        grid = discretize.build_grid(tl.ellipse_curve(1.2, 0.8), 12, 8, 8)
+        spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+        op = renormalized_op(grid, spectrum, 0.1, which="H")
+        assert semigroup.fourier_blocks(op.form, op.weights, grid.n_base) is None
+        prop = semigroup.Propagator(op.form, op.weights, n_base=grid.n_base)
+        assert prop.path == "dense"
+        _, info = semigroup.resolvent_minimizer(op, spectrum.lambda0 + 1.5, rng.standard_normal(grid.n))
+        assert info["spectral_path"] == "dense"

@@ -110,6 +110,26 @@ class TestSampler:
             with pytest.raises(tl.DegenerateConditioning):
                 stochastic.marginal_estimate(ens, np.cos, 0.1)
 
+    def test_dead_block_stops_stepping(self):
+        # survival to t = 0.5 is about exp(-pi^2 t / (8 eps^2)) ~ 1e-27, so every
+        # block dies early; its later records are frozen and flagged dead, and
+        # nothing depends on how long the horizon runs past the last death
+        m = tl.CircleInPlane(1.0)
+        eps = 0.1
+        kw = dict(eps=eps, theta0=0.0, dt=eps**2 / 10, n_paths=600, seed=5,
+                  guided=False, block_size=200)
+        long = stochastic.sample_conditioned(m, T=1.0, t_record=[0.5, 1.0], **kw)
+        short = stochastic.sample_conditioned(m, T=0.5, t_record=[0.5], **kw)
+        assert not long.alive.any() and long.survival_fraction() == 0.0
+        assert np.array_equal(long.theta[:, 0], long.theta[:, 1])
+        assert np.array_equal(long.r[:, 0], long.r[:, 1])
+        assert np.all(np.isfinite(long.theta)) and np.all(np.isfinite(long.log_weight))
+        assert np.array_equal(long.theta[:, 0], short.theta[:, 0])
+        assert np.array_equal(long.log_weight, short.log_weight)
+        n_short = len(short.survival_steps)
+        assert np.array_equal(long.survival_steps[:n_short], short.survival_steps)
+        assert not long.survival_steps[n_short:].any()
+
 
 class TestCrossValidation:
     def test_mc_matches_operator_route(self, feasible_ensemble, circle_grid,
