@@ -6,8 +6,6 @@ is also certified as the strict minimizer of its quadratic functional.
 """
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from tubelab import CircleInPlane, discretize, fiber, semigroup
 
@@ -16,11 +14,7 @@ grid = discretize.build_grid(model, 64, 31)
 spectrum = fiber.fiber_spectrum(grid.fiber, n_modes=6)
 alpha = spectrum.lambda0 + 1.5
 w = semigroup.default_sweep_field(grid, spectrum)
-
-Qb, wb = semigroup.base_laplacian(grid)
-fb = fiber.extract_fb(grid, spectrum, w)
-gb = spla.spsolve((Qb + alpha * sp.diags(wb)).tocsc(), wb * fb)
-limit = np.outer(gb, spectrum.ground_state).ravel()
+limit = semigroup.resolvent_limit(grid, spectrum, alpha, w)
 
 rng = np.random.Generator(np.random.Philox(key=7))
 print(f"alpha = lambda0 + 1.5 = {alpha:.4f}")

@@ -1,7 +1,10 @@
 """Command line driver: validate | sweep | mc | fiber | resolvent.
 
-Configuration is a single YAML file with nested sections; unknown keys are
-rejected.  All result files are deterministic for a fixed config and seed
+Configuration is a single YAML file with nested sections.  load_config
+parses it against SCHEMA: unknown keys, wrong types and out-of-range values
+are rejected, and every default is filled in.  main builds the model and the
+grid once; each subcommand checks that it can run on them before any
+numerics.  All result files are deterministic for a fixed config and seed
 (wall-clock timings go to run.log, which is excluded from that guarantee).
 
 Exit codes: 0 success, 1 property failure, 2 configuration error,
@@ -19,97 +22,192 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 import yaml
 
 from . import __version__, discretize, fiber as fiber_mod, geometry, semigroup, stochastic, suites
 from .errors import ConfigError, TubelabError
-
-SCHEMA = {
-    "seed": None,
-    "model": {"kind", "radius", "kappa0", "tau0", "length", "codim", "curvature"},
-    "grid": {"n_base", "n_fiber", "n_theta"},
-    "sweep": {"eps_list", "t_min", "t_max", "n_t", "pre_check"},
-    "resolvent": {"eps_list", "alpha_offset", "n_perturbations", "delta"},
-    "mc": {"eps_list", "n_paths", "dt_divisor", "horizon", "t_eval", "theta0"},
-    "fiber": {"n_modes"},
-    "validate": {"eps_list", "n_fields"},
-}
-
 
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------
 
 
+def _check(what, ok):
+    """A parser that passes a value through when ok(value) holds."""
+
+    def parse(value):
+        if not ok(value):
+            raise ValueError(f"must be {what}")
+        return value
+
+    return parse
+
+
+def _count(lo):
+    # type() rather than isinstance(): YAML's true/false are not counts
+    return _check(f"an integer >= {lo}", lambda v: type(v) is int and v >= lo)
+
+
+def _real(what, ok=lambda x: True):
+    def parse(value):
+        # strings too: PyYAML reads exponents without a dot ("1e-3") as strings
+        try:
+            x = float(value)
+        except (TypeError, ValueError, OverflowError):
+            x = math.nan
+        if type(value) is bool or not (math.isfinite(x) and ok(x)):
+            raise ValueError(f"must be {what}")
+        return x
+
+    return parse
+
+
+def _reals(what, ok):
+    """A nonempty list of finite numbers, returned as a tuple."""
+    real = _real(what)
+
+    def parse(value):
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"must be {what}")
+        xs = tuple(real(v) for v in value)
+        if not ok(xs):
+            raise ValueError(f"must be {what}")
+        return xs
+
+    return parse
+
+
+SEED = _check("an integer in [0, 2**64)", lambda v: type(v) is int and 0 <= v < 2**64)
+COUNT = _count(1)
+REAL = _real("a finite number")
+POSITIVE = _real("a positive number", lambda x: x > 0)
+EPS_LIST = _reals(
+    "a strictly decreasing list of numbers in (0, 1)",
+    lambda xs: all(0.0 < x < 1.0 for x in xs) and all(b < a for a, b in zip(xs, xs[1:])),
+)
+TIMES = _reals("a list of numbers >= 0", lambda xs: min(xs) >= 0.0)
+
+# Every config key as (parser, default).  A parser checks type and range.
+# A None default means "not given": model.kind and the eps_list of the
+# running subcommand are required; grid.n_base and validate.eps_list have
+# model-dependent defaults (build_grid, cmd_validate).
+SCHEMA = {
+    "seed": (SEED, 12345),
+    "model": {
+        "kind": (
+            _check("circle, curve or synthetic", lambda v: v in ("circle", "curve", "synthetic")),
+            None,
+        ),
+        "radius": (POSITIVE, 1.0),
+        "kappa0": (REAL, 1.0),
+        "tau0": (REAL, 0.0),
+        "length": (POSITIVE, 2.0 * math.pi),
+        "codim": (COUNT, 2),
+        "curvature": (REAL, 0.0),
+    },
+    "grid": {"n_base": (COUNT, None), "n_fiber": (COUNT, 31), "n_theta": (COUNT, 16)},
+    "sweep": {
+        "eps_list": (EPS_LIST, None),
+        "t_min": (POSITIVE, 0.1),
+        "t_max": (POSITIVE, 1.0),
+        "n_t": (COUNT, 10),
+        "pre_check": (_check("true or false", lambda v: type(v) is bool), False),
+    },
+    "resolvent": {
+        "eps_list": (EPS_LIST, None),
+        "alpha_offset": (REAL, 1.5),
+        "n_perturbations": (COUNT, 20),
+        "delta": (POSITIVE, 1e-3),
+    },
+    "mc": {
+        "eps_list": (EPS_LIST, None),
+        "n_paths": (COUNT, 100000),
+        # dt <= eps^2 / dt_divisor; the sampler needs dt <= eps^2 / 10
+        "dt_divisor": (_real("a number >= 10", lambda x: x >= 10.0), 20.0),
+        "horizon": (POSITIVE, 1.0),
+        "t_eval": (TIMES, (0.5,)),
+        "theta0": (REAL, 0.0),
+    },
+    # the report needs the first excited multiplet, so two modes at least
+    "fiber": {"n_modes": (_count(2), 6)},
+    "validate": {"eps_list": (EPS_LIST, None), "n_fields": (COUNT, 100)},
+}
+
+
+def _parse(name, parser, value):
+    try:
+        return parser(value)
+    except ValueError as exc:
+        raise ConfigError(f"{name} {exc}, got {value!r}") from None
+
+
+def _parse_mapping(name, spec, given):
+    """Parse the mapping `given` against `spec`, filling every default."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{name or 'config'} must be a mapping")
+    prefix = f"{name}." if name else ""
+    for key in given:
+        if key not in spec:
+            raise ConfigError(f"unknown config key {prefix}{key}")
+    parsed = {}
+    for key, entry in spec.items():
+        if isinstance(entry, dict):
+            parsed[key] = _parse_mapping(prefix + key, entry, given.get(key, {}))
+        elif key in given:
+            parsed[key] = _parse(prefix + key, entry[0], given[key])
+        else:
+            parsed[key] = entry[1]
+    return parsed
+
+
 def load_config(path):
+    """Read and validate a config file against SCHEMA.
+
+    Returns (cfg, digest): cfg maps "seed" and every section of SCHEMA to
+    its parsed values, defaults filled in; digest is the SHA-256 of the raw
+    bytes.  Raises ConfigError naming the offending key."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        cfg = yaml.safe_load(raw)
+        given = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a mapping of sections")
-    for section, value in cfg.items():
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown config section {section!r}")
-        allowed = SCHEMA[section]
-        if allowed is None:
-            continue
-        if not isinstance(value, dict):
-            raise ConfigError(f"section {section!r} must be a mapping")
-        for key in value:
-            if key not in allowed:
-                raise ConfigError(f"unknown key {section}.{key}")
-    digest = hashlib.sha256(raw).hexdigest()
-    return cfg, digest
+    return _parse_mapping("", SCHEMA, given), hashlib.sha256(raw).hexdigest()
 
 
-def _eps_list(cfg, section, required=True):
-    lst = cfg.get(section, {}).get("eps_list")
-    if lst is None:
-        if required:
-            raise ConfigError(f"{section}.eps_list is required")
-        return None
-    lst = [float(e) for e in lst]
-    if not lst or any(not 0.0 < e < 1.0 for e in lst):
-        raise ConfigError(f"{section}.eps_list values must lie in (0, 1)")
-    if any(b >= a for a, b in zip(lst, lst[1:])):
-        raise ConfigError(f"{section}.eps_list must be strictly decreasing")
-    return lst
+def _required(cfg, section, key):
+    value = cfg[section][key]
+    if value is None:
+        raise ConfigError(f"{section}.{key} is required")
+    return value
 
 
 def build_model(cfg):
-    m = cfg.get("model")
-    if not m or "kind" not in m:
-        raise ConfigError("model.kind is required")
-    kind = m["kind"]
-    if kind == "circle":
-        return geometry.CircleInPlane(float(m.get("radius", 1.0)))
-    if kind == "curve":
-        return geometry.constant_curve(
-            float(m.get("kappa0", 1.0)),
-            float(m.get("tau0", 0.0)),
-            float(m.get("length", 2.0 * math.pi)),
-        )
-    if kind == "synthetic":
-        return geometry.SyntheticFiberModel(
-            int(m.get("codim", 2)), float(m.get("curvature", 0.0))
-        )
-    raise ConfigError(f"unknown model kind {kind!r}")
+    m = cfg["model"]
+    try:
+        if m["kind"] == "circle":
+            return geometry.CircleInPlane(m["radius"])
+        if m["kind"] == "curve":
+            return geometry.constant_curve(m["kappa0"], m["tau0"], m["length"])
+        if m["kind"] == "synthetic":
+            return geometry.SyntheticFiberModel(m["codim"], m["curvature"])
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}") from None
+    raise ConfigError("model.kind is required")
 
 
 def build_grid(cfg, model):
-    g = cfg.get("grid", {})
-    n_base = int(g.get("n_base", 1 if model.dim_base == 0 else 64))
-    n_fiber = int(g.get("n_fiber", 31))
-    n_theta = int(g.get("n_theta", 16))
-    return discretize.build_grid(model, n_base, n_fiber, n_theta)
+    g = cfg["grid"]
+    n_base = g["n_base"]
+    if n_base is None:
+        n_base = 1 if model.dim_base == 0 else 64
+    try:
+        return discretize.build_grid(model, n_base, g["n_fiber"], g["n_theta"])
+    except (ValueError, NotImplementedError) as exc:
+        raise ConfigError(f"grid: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +245,21 @@ def write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(cfg, digest, out, seed, workers):
-    model = build_model(cfg)
-    grid = build_grid(cfg, model)
-    vcfg = cfg.get("validate", {})
-    n_fields = int(vcfg.get("n_fields", 100))
+def cmd_validate(cfg, model, grid, digest, out, seed, workers):
+    synthetic = isinstance(model, geometry.SyntheticFiberModel)
+    # the model-dependent default of validate.eps_list
+    eps_list = cfg["validate"]["eps_list"] or (
+        (0.1,) if synthetic else (0.2, 0.1, 0.05, 0.025)
+    )
+    n_fields = cfg["validate"]["n_fields"]
     spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
     results = {"config_hash": digest, "version": __version__, "seed": seed}
-    if isinstance(model, geometry.SyntheticFiberModel):
-        eps0 = (_eps_list(cfg, "validate", required=False) or [0.1])[0]
-        results["composite_spectrum"] = suites.composite_spectrum_check(grid, eps0)
+    if synthetic:
+        results["composite_spectrum"] = suites.composite_spectrum_check(grid, eps_list[0])
         results["curvature_coupling"] = suites.curvature_coupling_suite(
             model, grid.fiber.n_r, grid.fiber.n_theta, seed, n_fields=min(n_fields, 25)
         )
     else:
-        eps_list = _eps_list(cfg, "validate", required=False) or [0.2, 0.1, 0.05, 0.025]
         fields = discretize.random_fields(grid, n_fields, seed)
         bound = suites.admissible_eps_bound(spectrum)
         adm = [e for e in eps_list if e <= bound]
@@ -183,24 +281,19 @@ def cmd_validate(cfg, digest, out, seed, workers):
     return 0 if ok else 1
 
 
-def cmd_sweep(cfg, digest, out, seed, workers):
-    model = build_model(cfg)
-    scfg = cfg.get("sweep", {})
-    eps_list = _eps_list(cfg, "sweep") or []
-    t_grid = semigroup.default_t_grid(
-        int(scfg.get("n_t", 10)),
-        float(scfg.get("t_min", 0.1)),
-        float(scfg.get("t_max", 1.0)),
-    )
-    gcfg = cfg.get("grid", {})
+def cmd_sweep(cfg, model, grid, digest, out, seed, workers):
+    if model.dim_base == 0:
+        raise ConfigError("sweep needs a base curve; the synthetic model has a point base")
+    eps_list = _required(cfg, "sweep", "eps_list")
+    scfg, gcfg = cfg["sweep"], cfg["grid"]
     result = semigroup.convergence_sweep(
         model,
-        int(gcfg.get("n_base", 64)),
-        int(gcfg.get("n_fiber", 31)),
+        grid.n_base,
+        gcfg["n_fiber"],
         eps_list,
-        t_grid=t_grid,
-        n_theta=int(gcfg.get("n_theta", 16)),
-        pre_check=bool(scfg.get("pre_check", False)),
+        t_grid=semigroup.default_t_grid(scfg["n_t"], scfg["t_min"], scfg["t_max"]),
+        n_theta=gcfg["n_theta"],
+        pre_check=scfg["pre_check"],
     )
     write_csv(
         os.path.join(out, "sweep.csv"),
@@ -243,17 +336,13 @@ def cmd_sweep(cfg, digest, out, seed, workers):
 
 
 def _mc_one_eps(model, grid, spectrum, eps, mcfg, seed):
-    T = float(mcfg.get("horizon", 1.0))
-    t_eval = [float(t) for t in mcfg.get("t_eval", [0.5])]
-    divisor = float(mcfg.get("dt_divisor", 20.0))
-    n_paths = int(mcfg.get("n_paths", 100000))
-    theta0 = float(mcfg.get("theta0", 0.0))
-    n_steps = max(1, int(math.ceil(T / (eps**2 / divisor))))
+    T, t_eval, theta0 = mcfg["horizon"], mcfg["t_eval"], mcfg["theta0"]
+    n_steps = max(1, int(math.ceil(T / (eps**2 / mcfg["dt_divisor"]))))
     dt = T / n_steps
     # the killed sampler: mc is the killed-path cross-check of the operator route
     ens = stochastic.sample_conditioned(
-        model, eps, theta0, T, dt, n_paths, seed, t_record=sorted(set(t_eval + [T])),
-        guided=False,
+        model, eps, theta0, T, dt, mcfg["n_paths"], seed,
+        t_record=sorted(set(t_eval + (T,))), guided=False,
     )
     rows = []
     node = int(np.argmin(np.abs(grid.base_x / model.radius - theta0)))
@@ -269,14 +358,14 @@ def _mc_one_eps(model, grid, spectrum, eps, mcfg, seed):
     return rows
 
 
-def cmd_mc(cfg, digest, out, seed, workers):
-    model = build_model(cfg)
+def cmd_mc(cfg, model, grid, digest, out, seed, workers):
     if not isinstance(model, geometry.CircleInPlane):
         raise ConfigError("mc requires the circle model")
-    grid = build_grid(cfg, model)
+    eps_list = _required(cfg, "mc", "eps_list")
+    mcfg = cfg["mc"]
+    if max(mcfg["t_eval"]) > mcfg["horizon"]:
+        raise ConfigError("mc.t_eval values must lie in [0, mc.horizon]")
     spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-    mcfg = cfg.get("mc", {})
-    eps_list = _eps_list(cfg, "mc")
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         chunks = list(
             pool.map(
@@ -304,11 +393,8 @@ def cmd_mc(cfg, digest, out, seed, workers):
     return 0 if ok else 1
 
 
-def cmd_fiber(cfg, digest, out, seed, workers):
-    model = build_model(cfg)
-    grid = build_grid(cfg, model)
-    n_modes = int(cfg.get("fiber", {}).get("n_modes", 6))
-    spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=n_modes)
+def cmd_fiber(cfg, model, grid, digest, out, seed, workers):
+    spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=cfg["fiber"]["n_modes"])
     payload = {
         "config_hash": digest,
         "version": __version__,
@@ -328,15 +414,13 @@ def cmd_fiber(cfg, digest, out, seed, workers):
     return 0
 
 
-def cmd_resolvent(cfg, digest, out, seed, workers):
-    model = build_model(cfg)
-    grid = build_grid(cfg, model)
+def cmd_resolvent(cfg, model, grid, digest, out, seed, workers):
+    if model.dim_base == 0:
+        raise ConfigError("resolvent needs a base curve; the synthetic model has a point base")
+    eps_list = _required(cfg, "resolvent", "eps_list")
+    rcfg = cfg["resolvent"]
     spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-    rcfg = cfg.get("resolvent", {})
-    eps_list = _eps_list(cfg, "resolvent")
-    alpha = spectrum.lambda0 + float(rcfg.get("alpha_offset", 1.5))
-    n_pert = int(rcfg.get("n_perturbations", 20))
-    delta = float(rcfg.get("delta", 1e-3))
+    alpha = spectrum.lambda0 + rcfg["alpha_offset"]
     radius = model.base_length / (2.0 * math.pi)
     phi0 = spectrum.ground_state
     phi1 = spectrum.eigenfunctions[:, spectrum.multiplets[1][0]]
@@ -344,11 +428,7 @@ def cmd_resolvent(cfg, digest, out, seed, workers):
         np.outer(1.0 + 0.5 * np.cos(grid.base_x / radius), phi0)
         + 0.3 * np.outer(np.sin(grid.base_x / radius), phi1)
     ).ravel()
-    # limit: ground-band resolvent of the base Laplacian
-    Qb, wb = semigroup.base_laplacian(grid)
-    fb = fiber_mod.extract_fb(grid, spectrum, w_field)
-    gb = spla.spsolve((Qb + alpha * sp.diags(wb)).tocsc(), wb * fb)
-    limit = np.outer(gb, phi0).ravel()
+    limit = semigroup.resolvent_limit(grid, spectrum, alpha, w_field)
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows, infos, variational_ok = [], [], True
     for eps in eps_list:
@@ -358,9 +438,9 @@ def cmd_resolvent(cfg, digest, out, seed, workers):
         f, info = semigroup.resolvent_minimizer(h0, alpha, w_field)
         err = grid.norm(f - limit)
         base_phi = semigroup.phi_functional(h0, alpha, w_field, f)
-        for _ in range(n_pert):
+        for _ in range(rcfg["n_perturbations"]):
             d = rng.standard_normal(grid.n)
-            d *= delta / grid.norm(d)
+            d *= rcfg["delta"] / grid.norm(d)
             if semigroup.phi_functional(h0, alpha, w_field, f + d) <= base_phi:
                 variational_ok = False
         rows.append([eps, err])
@@ -410,9 +490,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg, digest = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 12345))
+        seed = cfg["seed"] if args.seed is None else _parse("--seed", SEED, args.seed)
+        model = build_model(cfg)
+        grid = build_grid(cfg, model)
         os.makedirs(args.out, exist_ok=True)
-        return COMMANDS[args.command](cfg, digest, args.out, seed, args.workers)
+        return COMMANDS[args.command](cfg, model, grid, digest, args.out, seed, args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -292,9 +292,19 @@ def resolvent_minimizer(op_h0, alpha, w_field, residual_tol=1e-10):
         f = spla.spsolve(A, rhs)
     resid = (A @ f) / g.weights - np.asarray(w_field)
     rel = g.norm(resid) / max(g.norm(w_field), 1e-300)
-    if rel > residual_tol:
+    if not rel <= residual_tol:  # a NaN residual fails too
         raise ResolutionError(f"resolvent residual {rel:.3e} above {residual_tol}")
     return f, {"residual": rel, "min_eigenvalue": mineig, "spectral_path": path}
+
+
+def resolvent_limit(grid, spectrum, alpha, w_field):
+    """Ground-band limit of the resolvent: the base resolvent
+    (base Laplacian + alpha)^-1 of the projected datum, lifted by the fiber
+    ground state."""
+    Qb, wb = base_laplacian(grid)
+    fb = fiber_mod.extract_fb(grid, spectrum, w_field)
+    gb = spla.spsolve((Qb + alpha * sp.diags(wb)).tocsc(), wb * fb)
+    return np.outer(gb, spectrum.ground_state).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -125,13 +125,7 @@ def test_criterion_6_resolvent_convergence(grid64, spec64, rng):
     alpha = spec64.lambda0 + 1.5
     w = semigroup.default_sweep_field(grid64, spec64)
     # ground-band limit: base resolvent of the projected datum
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    Qb, wb = semigroup.base_laplacian(grid64)
-    fb = fiber_mod.extract_fb(grid64, spec64, w)
-    gb = spla.spsolve((Qb + alpha * sp.diags(wb)).tocsc(), wb * fb)
-    limit = np.outer(gb, spec64.ground_state).ravel()
+    limit = semigroup.resolvent_limit(grid64, spec64, alpha, w)
     errs, variational_ok = [], True
     for eps in (0.2, 0.1, 0.05, 0.025):
         op0 = discretize.renormalize(

@@ -1,8 +1,13 @@
 """End-to-end CLI runs: exit codes, output files, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from tubelab import cli
 
@@ -50,6 +55,96 @@ class TestConfigHandling:
             tmp_path, "c.yaml", BASE + "resolvent:\n  eps_list: [1.2, 0.1]\n"
         )
         assert run(["resolvent", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+SYNTHETIC = "model:\n  kind: synthetic\ngrid:\n  n_fiber: 16\n"
+
+# (subcommand, config): each is a user error that must exit 2 with one line
+BAD_CONFIGS = {
+    "null_section": ("fiber", BASE + "fiber:\n"),
+    "list_section": ("fiber", BASE + "fiber:\n  - 1\n"),
+    "radius_not_a_number": ("fiber", BASE.replace("radius: 1.0", "radius: abc")),
+    "negative_radius": ("fiber", BASE.replace("radius: 1.0", "radius: -1")),
+    "n_fiber_too_small": ("fiber", BASE.replace("n_fiber: 15", "n_fiber: 5")),
+    "n_base_too_small": ("fiber", BASE.replace("n_base: 32", "n_base: 4")),
+    "odd_n_theta": ("fiber", SYNTHETIC + "  n_theta: 15\n"),
+    "twisted_curve": (
+        "fiber", "model:\n  kind: curve\n  tau0: 0.3\ngrid:\n  n_base: 16\n  n_fiber: 8\n"
+    ),
+    "synthetic_codim_3": ("fiber", SYNTHETIC.replace("synthetic\n", "synthetic\n  codim: 3\n")),
+    "scalar_eps_list": ("sweep", BASE + "sweep:\n  eps_list: 0.1\n"),
+    "eps_list_not_numbers": ("sweep", BASE + "sweep:\n  eps_list: [a]\n"),
+    "zero_n_t": ("sweep", BASE + "sweep:\n  eps_list: [0.2, 0.1]\n  n_t: 0\n"),
+    "zero_n_modes": ("fiber", BASE + "fiber:\n  n_modes: 0\n"),
+    "seed_not_an_integer": ("fiber", BASE.replace("seed: 12345", "seed: x")),
+    "sweep_on_synthetic": ("sweep", SYNTHETIC + "sweep:\n  eps_list: [0.2, 0.1]\n"),
+    "t_eval_past_horizon": (
+        "mc", BASE + "mc:\n  eps_list: [0.2]\n  n_paths: 100\n  horizon: 0.1\n  t_eval: [0.5]\n"
+    ),
+    "zero_n_fields": ("validate", BASE + "validate:\n  eps_list: [0.2]\n  n_fields: 0\n"),
+    "resolvent_on_synthetic": ("resolvent", SYNTHETIC + "resolvent:\n  eps_list: [0.2, 0.1]\n"),
+    "zero_n_paths": (
+        "mc", BASE + "mc:\n  eps_list: [0.2]\n  n_paths: 0\n  horizon: 0.1\n  t_eval: [0.05]\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_exits_2_with_one_line(tmp_path, capsys, name):
+    command, text = BAD_CONFIGS[name]
+    cfg = write_cfg(tmp_path, "c.yaml", text)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+# Values the property test writes over config entries, valid and invalid.
+# Integers stay small, so no fiber grid grows beyond 31 x 16 nodes.
+VALUES = st.sampled_from([
+    None, True, "abc", "1e-3", ".nan", -1, 0, 1, 2, 8, 9, 15, 16, 31, 10**400,
+    0.05, 0.3, 1.0, 1.5, [], [0.2, 0.1], [0.1, 0.2], [0.5], {"x": 1},
+    "circle", "curve", "synthetic",
+])
+KEYS = [
+    (section, key)
+    for section, spec in cli.SCHEMA.items() if isinstance(spec, dict)
+    for key in spec
+]
+
+
+@st.composite
+def configs(draw):
+    """A valid config (a model kind plus keys at their defaults), then a few
+    sections, keys or the seed overwritten with arbitrary values."""
+    config = {"model": {"kind": draw(st.sampled_from(["circle", "curve", "synthetic"]))}}
+    for section, key in draw(st.lists(st.sampled_from(KEYS), max_size=4)):
+        default = cli.SCHEMA[section][key][1]
+        if default is not None:
+            config.setdefault(section, {})[key] = (
+                list(default) if isinstance(default, tuple) else default
+            )
+    targets = KEYS + [("fiber", "bogus"), ("seed", None), ("fiber", None), ("bogus", None)]
+    for section, key in draw(st.lists(st.sampled_from(targets), max_size=2)):
+        if key is None:
+            config[section] = draw(VALUES)
+        elif isinstance(config.setdefault(section, {}), dict):
+            config[section][key] = draw(VALUES)
+    return config
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(configs())
+def test_random_configs_exit_cleanly(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/c.yaml"
+        with open(path, "w") as fh:
+            yaml.safe_dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(["fiber", "--config", path, "--out", f"{tmp}/o"])
+    assert code in (0, 1, 2, 3)
+    assert code == 0 or len(err.getvalue().splitlines()) == 1
 
 
 class TestFiberCommand:

@@ -125,6 +125,15 @@ class TestResolvent:
         with pytest.raises(tl.CoercivityViolation):
             semigroup.resolvent_minimizer(op0, -100.0, w)
 
+    def test_nan_residual_raises(self, rng):
+        grid = discretize.build_grid(tl.ellipse_curve(1.2, 0.8), 12, 9, 8)
+        spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+        op0 = renormalized_op(grid, spectrum, 0.1, which="H")
+        w = rng.standard_normal(grid.n)
+        w[grid.n // 2] = np.nan
+        with pytest.raises(tl.ResolutionError):
+            semigroup.resolvent_minimizer(op0, spectrum.lambda0 + 1.5, w)
+
 
 class TestConditionalFlow:
     def test_zero_time_recovers_observable(self, circle_grid, circle_spectrum):
