@@ -31,9 +31,6 @@ from .geometry import (
     density_rho,
     ellipse_curve,
     jacobi_endomorphism,
-    potential_U,
-    potential_U_fd,
-    sampled_curve,
     weingarten,
 )
 from .fiber import (
@@ -43,7 +40,6 @@ from .fiber import (
     extract_fb,
     fiber_spectrum,
     make_fiber_grid,
-    multiplet_projection,
     project_E0,
     rotation_fields,
 )

@@ -252,7 +252,7 @@ def cmd_validate(cfg, model, grid, digest, out, seed, workers):
         (0.1,) if synthetic else (0.2, 0.1, 0.05, 0.025)
     )
     n_fields = cfg["validate"]["n_fields"]
-    spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+    spectrum = fiber_mod.fiber_spectrum(grid.fiber)
     results = {"config_hash": digest, "version": __version__, "seed": seed}
     if synthetic:
         results["composite_spectrum"] = suites.composite_spectrum_check(grid, eps_list[0])
@@ -285,6 +285,8 @@ def cmd_sweep(cfg, model, grid, digest, out, seed, workers):
     if model.dim_base == 0:
         raise ConfigError("sweep needs a base curve; the synthetic model has a point base")
     eps_list = _required(cfg, "sweep", "eps_list")
+    if len(eps_list) < 2:
+        raise ConfigError("sweep.eps_list needs at least two entries to fit an order")
     scfg, gcfg = cfg["sweep"], cfg["grid"]
     result = semigroup.convergence_sweep(
         model,
@@ -365,7 +367,7 @@ def cmd_mc(cfg, model, grid, digest, out, seed, workers):
     mcfg = cfg["mc"]
     if max(mcfg["t_eval"]) > mcfg["horizon"]:
         raise ConfigError("mc.t_eval values must lie in [0, mc.horizon]")
-    spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+    spectrum = fiber_mod.fiber_spectrum(grid.fiber)
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         chunks = list(
             pool.map(
@@ -419,7 +421,7 @@ def cmd_resolvent(cfg, model, grid, digest, out, seed, workers):
         raise ConfigError("resolvent needs a base curve; the synthetic model has a point base")
     eps_list = _required(cfg, "resolvent", "eps_list")
     rcfg = cfg["resolvent"]
-    spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+    spectrum = fiber_mod.fiber_spectrum(grid.fiber)
     alpha = spectrum.lambda0 + rcfg["alpha_offset"]
     radius = model.base_length / (2.0 * math.pi)
     phi0 = spectrum.ground_state
@@ -493,7 +495,16 @@ def main(argv=None):
         seed = cfg["seed"] if args.seed is None else _parse("--seed", SEED, args.seed)
         model = build_model(cfg)
         grid = build_grid(cfg, model)
-        os.makedirs(args.out, exist_ok=True)
+        n_modes = cfg["fiber"]["n_modes"] if args.command == "fiber" else fiber_mod.DEFAULT_MODES
+        if n_modes > grid.fiber.mode_capacity:
+            raise ConfigError(
+                f"grid.n_fiber: the fiber grid resolves {grid.fiber.mode_capacity} modes, "
+                f"{args.command} needs {n_modes}"
+            )
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the output directory: {exc}") from None
         return COMMANDS[args.command](cfg, model, grid, digest, args.out, seed, args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ Form names:
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -143,32 +142,6 @@ class DiscreteOperator:
 
         return semigroup.pencil_eigenvalues(self.form, self.weights, self.grid.n_base)
 
-    def to_dict(self, with_spectrum=False, n_eigenvalues=None):
-        d = {
-            "provenance": self.provenance,
-            "epsilon": self.epsilon,
-            "n": int(self.form.shape[0]),
-            "n_base": int(self.grid.n_base),
-            "n_fiber": int(self.grid.n_fiber),
-            "nnz": int(self.form.nnz),
-        }
-        if with_spectrum:
-            vals = self.eig()
-            if n_eigenvalues is not None:
-                vals = vals[:n_eigenvalues]
-            d["eigenvalues"] = [float(v) for v in vals]
-        return d
-
-    def export_coo(self):
-        """Plain text 'i j value' lines of the form matrix, row-major."""
-        coo = self.form.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        buf = io.StringIO()
-        buf.write(f"# form matrix, {self.provenance}, n={coo.shape[0]}\n")
-        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            buf.write(f"{i} {j} {v:.17g}\n")
-        return buf.getvalue()
-
 
 def _base_difference(grid):
     """Periodic forward-difference matrix on the base, divided by h."""
@@ -198,55 +171,37 @@ def _horizontal_form(grid, coeff):
 
 
 def _induced_coefficients(grid, eps):
-    """Pointwise induced-cometric coefficients on the grid.
+    """Induced-cometric coefficients on the grid, one cometric call each.
 
     Returns (hor, vert_fiber_form):
       hor: (n_base_edges, n_fiber) horizontal coefficients at edge midpoints;
       vert_fiber_form: fiber form matrix with the induced vertical cometric
       (the vertical block is base-independent for every shipped model)."""
     model = grid.model
-    wnodes = grid.fiber_nodes_w()
+
+    def vertical(w):
+        return geometry.cometric(model, geometry.TubePoint(0.0, w, eps)).vertical
+
     # vertical part
     if grid.fiber.q == 1:
-        D, lengths, mids = grid.fiber.edges()
-
-        def vcoeff(ms):
-            out = np.empty(len(ms))
-            for i, s in enumerate(ms):
-                cm = geometry.cometric(model, geometry.TubePoint(0.0, [s], eps))
-                out[i] = cm.vertical[0, 0]
-            return out
-
-        vert = grid.fiber.dirichlet_form(vcoeff)
+        vert = grid.fiber.dirichlet_form(lambda s: vertical(s[:, None])[:, 0, 0])
     else:
-        def vrr(rs):
-            out = np.empty(len(np.atleast_1d(rs)))
-            for i, r in enumerate(np.atleast_1d(rs)):
-                cm = geometry.cometric(model, geometry.TubePoint(0.0, [r, 0.0], eps))
-                # radial direction at angle 0 is e1; rotational symmetry of the
-                # shipped vertical blocks makes the angle irrelevant
-                out[i] = cm.vertical[0, 0]
-            return out
+        def on_axis(rs):
+            # points (r, 0): the radial direction is e1, and the rotational
+            # symmetry of the shipped vertical blocks makes the angle irrelevant
+            v = vertical(np.stack([rs, np.zeros_like(rs)], axis=-1))
+            assert np.all(np.abs(v[:, 0, 1]) < 1e-10 * np.abs(v[:, 0, 0]))
+            return v
 
-        def vtt(rs):
-            rs = np.atleast_1d(rs)
-            out = np.empty(len(rs))
-            for i, r in enumerate(rs):
-                cm = geometry.cometric(model, geometry.TubePoint(0.0, [r, 0.0], eps))
-                assert abs(cm.vertical[0, 1]) < 1e-10 * abs(cm.vertical[0, 0])
-                out[i] = cm.vertical[1, 1] / r**2
-            return out
-
-        vert = grid.fiber.radial_form(vrr) + grid.fiber.angular_form(vtt)
+        radial = grid.fiber.radial_form(lambda rs: on_axis(rs)[:, 0, 0])
+        angular = grid.fiber.angular_form(lambda rs: on_axis(rs)[:, 1, 1] / rs**2)
+        vert = radial + angular
     # horizontal part
     if grid.n_base == 1:
         return None, vert.tocsr()
     xmid = grid.base_x + 0.5 * grid.base_h
-    hor = np.empty((grid.n_base, grid.n_fiber))
-    for i, x in enumerate(xmid):
-        for j in range(grid.n_fiber):
-            cm = geometry.cometric(model, geometry.TubePoint(x, wnodes[j], eps))
-            hor[i, j] = cm.horizontal[0, 0]
+    points = geometry.TubePoint(xmid[:, None], grid.fiber_nodes_w()[None], eps)
+    hor = geometry.cometric(model, points).horizontal[..., 0, 0]
     return hor, vert.tocsr()
 
 

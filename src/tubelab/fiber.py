@@ -22,6 +22,9 @@ import scipy.sparse as sp
 from .errors import ResolutionError
 
 MULTIPLET_REL_TOL = 1e-8
+# modes fiber_spectrum computes unless asked for others; every subcommand
+# but `fiber` uses this many
+DEFAULT_MODES = 6
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +53,11 @@ class IntervalFiberGrid:
     @property
     def n_nodes(self):
         return self.n
+
+    @property
+    def mode_capacity(self):
+        """How many Dirichlet modes the grid resolves."""
+        return self.n // 2
 
     def edges(self):
         """(difference matrix, edge lengths, edge midpoints).
@@ -112,6 +120,11 @@ class PolarFiberGrid:
     @property
     def n_nodes(self):
         return self.n_r * self.n_theta
+
+    @property
+    def mode_capacity(self):
+        """How many Dirichlet modes the grid resolves."""
+        return self.n_nodes // 4
 
     def node_rt(self):
         """(r, theta) per flat node."""
@@ -240,13 +253,12 @@ class FiberSpectrum:
         return ((k + 1) * math.pi / 2.0) ** 2
 
 
-def fiber_spectrum(grid, n_modes=6):
+def fiber_spectrum(grid, n_modes=DEFAULT_MODES):
     """Dense generalized eigensolve of the flat Dirichlet form on a fiber grid."""
     n = grid.n_nodes
-    capacity = n // 2 if grid.q == 1 else n // 4
-    if n_modes > capacity:
+    if n_modes > grid.mode_capacity:
         raise ResolutionError(
-            f"{n_modes} modes requested but the grid resolves only {capacity}"
+            f"{n_modes} modes requested but the grid resolves only {grid.mode_capacity}"
         )
     if grid.q == 1:
         Q = grid.dirichlet_form()
@@ -292,14 +304,6 @@ class Projection:
     def coefficients(self, field, n_base):
         f2 = np.asarray(field).reshape(n_base, -1)
         return f2 @ (self.fiber_weights[:, None] * self.modes)
-
-    def apply(self, field, n_base):
-        return (self.coefficients(field, n_base) @ self.modes.T).ravel()
-
-
-def multiplet_projection(spectrum, k):
-    idx = spectrum.multiplets[k]
-    return Projection(spectrum.eigenfunctions[:, idx], spectrum.grid.weights)
 
 
 def extract_fb(grid, spectrum, field):

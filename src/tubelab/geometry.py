@@ -12,12 +12,18 @@ shrinking tube onto the fixed unit tube.  Conventions:
   identity on the submanifold itself;
 * the normal frame along a curve is parallel (rotation minimizing), which
   kills connection terms in the metric blocks.
+
+Every operation takes arrays of points.  Base coordinates may have any
+shape and fiber coordinates have shape (..., q); the two broadcast against
+each other, and results are stacked over the broadcast leading axes, so a
+whole grid quantity is one call and a single point is the zero-dimensional
+case.  Every check applies to every point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,27 +102,16 @@ class CurveInSpace:
         return np.interp(s, self._s_samples, self._phi_samples)
 
     def curvature_vector(self, s):
-        """Normal-frame components of the curvature vector at arc length s."""
+        """Normal-frame components of the curvature vector at arc length s,
+        shape s.shape + (2,)."""
         phi = self.frame_angle(s)
-        kap = float(self.kappa(np.mod(s, self.length)))
-        return np.array([kap * math.cos(phi), kap * math.sin(phi)])
+        kap = np.asarray(self.kappa(np.mod(s, self.length)), dtype=float)
+        kap = np.broadcast_to(kap, phi.shape)
+        return np.stack([kap * np.cos(phi), kap * np.sin(phi)], axis=-1)
 
 
 def constant_curve(kappa0, tau0, length):
     return CurveInSpace(lambda s: kappa0, lambda s: tau0, length)
-
-
-def sampled_curve(s_nodes, kappa_vals, tau_vals):
-    """Curve from sampled curvature/torsion; values interpolate periodically."""
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    length = float(s_nodes[-1])
-    kap = np.asarray(kappa_vals, dtype=float)
-    tau = np.asarray(tau_vals, dtype=float)
-    return CurveInSpace(
-        lambda s: np.interp(np.mod(s, length), s_nodes, kap),
-        lambda s: np.interp(np.mod(s, length), s_nodes, tau),
-        length,
-    )
 
 
 def ellipse_curve(a, b, n_samples=4096):
@@ -188,10 +183,10 @@ class SyntheticFiberModel:
         return float(self.curvature[1, 0, 1, 0])
 
     def curvature_operator(self, w):
-        """Matrix of V -> R(W, V) W in the normal frame."""
+        """Matrix of V -> R(W, V) W in the normal frame, shape w.shape + (q,)."""
         w = np.asarray(w, dtype=float)
-        # M[beta, alpha] = w_mu w_nu c[mu, alpha, nu, beta]
-        return np.einsum("m,n,manb->ba", w, w, self.curvature)
+        # M[..., beta, alpha] = w_mu w_nu c[mu, alpha, nu, beta]
+        return np.einsum("...m,...n,manb->...ba", w, w, self.curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -201,41 +196,46 @@ class SyntheticFiberModel:
 
 @dataclass(frozen=True)
 class TubePoint:
-    """A point of the rescaled unit tube.
+    """Points of the rescaled unit tube.
 
-    base: arc-length coordinate on the submanifold (ignored for fiber-only
-    models).  w: normal-frame components, |w| <= 1.  epsilon: tube radius.
+    base: arc-length coordinates on the submanifold, any shape (ignored for
+    fiber-only models).  w: normal-frame components, shape (..., q), each
+    with |w| <= 1; base and w broadcast against each other.  epsilon: tube
+    radius.
     """
 
-    base: float
+    base: np.ndarray
     w: np.ndarray
     epsilon: float
 
     def __post_init__(self):
+        object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
         object.__setattr__(self, "w", np.atleast_1d(np.asarray(self.w, dtype=float)))
+        np.broadcast_shapes(self.base.shape, self.w.shape[:-1])  # ValueError if not
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if np.linalg.norm(self.w) > 1.0 + 1e-9:
+        if np.any(np.linalg.norm(self.w, axis=-1) > 1.0 + 1e-9):
             raise ValueError("fiber coordinate outside the unit ball")
 
 
 @dataclass(frozen=True)
 class CometricAt:
-    """Cometric blocks at a tube point in the (tangent, normal) frame,
-    after the fiber rescaling of covectors."""
+    """Cometric blocks in the (tangent, normal) frame, after the fiber
+    rescaling of covectors, stacked over the points: (..., l, l),
+    (..., q, q) and (..., l, q)."""
 
     horizontal: np.ndarray
     vertical: np.ndarray
     cross: np.ndarray
 
     def full(self):
-        l = self.horizontal.shape[0]
-        q = self.vertical.shape[0]
-        g = np.zeros((l + q, l + q))
-        g[:l, :l] = self.horizontal
-        g[l:, l:] = self.vertical
-        g[:l, l:] = self.cross
-        g[l:, :l] = self.cross.T
+        l = self.horizontal.shape[-1]
+        q = self.vertical.shape[-1]
+        g = np.zeros(self.vertical.shape[:-2] + (l + q, l + q))
+        g[..., :l, :l] = self.horizontal
+        g[..., l:, l:] = self.vertical
+        g[..., :l, l:] = self.cross
+        g[..., l:, :l] = np.swapaxes(self.cross, -1, -2)
         return g
 
 
@@ -251,13 +251,13 @@ def weingarten(model, base, w):
     and W the outward unit normal, A_W = [-1/R] (the tube's horizontal metric
     coefficient grows outward as 1 + eps*s/R)."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
+    shape = np.broadcast_shapes(np.shape(base), w.shape[:-1])
     if isinstance(model, CircleInPlane):
-        return np.array([[-w[0] / model.radius]])
+        return np.broadcast_to(-w[..., 0] / model.radius, shape)[..., None, None]
     if isinstance(model, CurveInSpace):
-        k = model.curvature_vector(base)
-        return np.array([[float(k @ w)]])
+        return model.curvature_vector(base)[..., None, :] @ w[..., :, None]
     if isinstance(model, SyntheticFiberModel):
-        return np.zeros((0, 0))
+        return np.zeros(shape + (0, 0))
     raise NotImplementedError(f"unsupported model kind: {type(model).__name__}")
 
 
@@ -266,31 +266,33 @@ def jacobi_endomorphism(model, base, w, eps):
 
     Flat models give the exact closed form; the synthetic model gives the
     second-order truncation with the cubic remainder set to zero.  Raises
-    FocalRadiusExceeded when the endomorphism degenerates."""
+    FocalRadiusExceeded when the endomorphism degenerates at any point."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     if isinstance(model, (CircleInPlane, CurveInSpace)):
         q = model.codim
-        A = np.eye(1 + q)
-        a_w = weingarten(model, base, w)[0, 0]
-        A[0, 0] = 1.0 - eps * a_w
-        if A[0, 0] <= _DEGENERACY_TOL:
+        a_w = weingarten(model, base, w)[..., 0, 0]
+        A = np.broadcast_to(np.eye(1 + q), a_w.shape + (1 + q, 1 + q)).copy()
+        A[..., 0, 0] = 1.0 - eps * a_w
+        if np.any(A[..., 0, 0] <= _DEGENERACY_TOL):
             raise FocalRadiusExceeded(
-                f"horizontal block {A[0, 0]:.3e} degenerate at eps={eps}"
+                f"horizontal block {np.min(A[..., 0, 0]):.3e} degenerate at eps={eps}"
             )
         return A
     if isinstance(model, SyntheticFiberModel):
         q = model.codim
+        shape = np.broadcast_shapes(np.shape(base), w.shape[:-1])
         A = np.eye(q) + (eps**2 / 6.0) * model.curvature_operator(w)
-        if np.min(np.linalg.eigvalsh(0.5 * (A + A.T))) <= _DEGENERACY_TOL:
+        A = np.broadcast_to(A, shape + (q, q))
+        if np.min(np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))) <= _DEGENERACY_TOL:
             raise FocalRadiusExceeded("truncated endomorphism degenerate")
         return A
     raise NotImplementedError(f"unsupported model kind: {type(model).__name__}")
 
 
 def cometric(model, point, which="induced"):
-    """Cometric blocks at a tube point, fiber-rescaled.
+    """Cometric blocks at tube points, fiber-rescaled.
 
     which = "sasaki": identity horizontal block, eps^-2 identity vertical.
     which = "induced": exact inversion of A^T A with the covector rescaling
@@ -299,99 +301,30 @@ def cometric(model, point, which="induced"):
     l = model.dim_base
     q = model.codim
     if which == "sasaki":
-        return CometricAt(np.eye(l), np.eye(q) / eps**2, np.zeros((l, q)))
+        shape = np.broadcast_shapes(point.base.shape, point.w.shape[:-1])
+        return CometricAt(
+            np.broadcast_to(np.eye(l), shape + (l, l)),
+            np.broadcast_to(np.eye(q) / eps**2, shape + (q, q)),
+            np.zeros(shape + (l, q)),
+        )
     if which != "induced":
         raise ValueError("which must be 'sasaki' or 'induced'")
     A = jacobi_endomorphism(model, point.base, point.w, eps)
-    G = A.T @ A
+    G = np.swapaxes(A, -1, -2) @ A
     try:
         Ginv = np.linalg.inv(G)
     except np.linalg.LinAlgError as exc:
         raise FocalRadiusExceeded("tube metric singular") from exc
     scale = np.concatenate([np.ones(l), np.full(q, 1.0 / eps)])
     full = Ginv * np.outer(scale, scale)
-    return CometricAt(full[:l, :l].copy(), full[l:, l:].copy(), full[:l, l:].copy())
+    return CometricAt(full[..., :l, :l], full[..., l:, l:], full[..., :l, l:])
 
 
 def density_rho(model, point):
     """Radon-Nikodym density of the induced volume against the reference
     product volume; equals 1 on the submanifold itself."""
     A = jacobi_endomorphism(model, point.base, point.w, point.epsilon)
-    rho = float(np.linalg.det(A))
-    if rho <= 0:
+    rho = np.linalg.det(A)
+    if not np.all(rho > 0):
         raise FocalRadiusExceeded("volume density not positive")
     return rho
-
-
-def _rho_unrescaled(model, base, v):
-    """Density at physical normal displacement v (no fiber rescaling)."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if isinstance(model, CircleInPlane):
-        return 1.0 + v[0] / model.radius
-    if isinstance(model, CurveInSpace):
-        return 1.0 - float(model.curvature_vector(base) @ v)
-    if isinstance(model, SyntheticFiberModel):
-        raise NotImplementedError("no ambient chart for the synthetic model")
-    raise NotImplementedError(f"unsupported model kind: {type(model).__name__}")
-
-
-def potential_U(model, point):
-    """Ground-state-transform potential U = rho^(1/2) Delta rho^(-1/2).
-
-    Circle: closed form -1/(4 r^2) at physical radius r.  Curve: centered
-    finite differences of the flat ambient Laplacian.  Synthetic model:
-    defined (as zero) only in the curvature-free case, where rho == 1."""
-    if isinstance(model, CircleInPlane):
-        r = model.radius + point.epsilon * point.w[0]
-        if r <= 0:
-            raise FocalRadiusExceeded("point past the focal radius")
-        return -1.0 / (4.0 * r * r)
-    if isinstance(model, CurveInSpace):
-        return potential_U_fd(model, point)
-    if isinstance(model, SyntheticFiberModel):
-        if np.any(model.curvature != 0.0):
-            raise NotImplementedError(
-                "no ambient Laplacian is defined for a curved synthetic fiber model"
-            )
-        return 0.0
-    raise NotImplementedError(f"unsupported model kind: {type(model).__name__}")
-
-
-def potential_U_fd(model, point, h=1e-4):
-    """Finite-difference evaluation of U for flat-ambient curve-like models.
-
-    In unrescaled Fermi coordinates (x, v) the ambient metric is
-    diag(rho^2, id), so for f = rho^(-1/2),
-
-        Delta_usual f = rho^-1 [ d_x(rho^-1 d_x f) + sum_i d_vi(rho d_vi f) ]
-
-    and U = -rho^(1/2) Delta_usual f.  Each flux divergence is a standard
-    variable-coefficient centered stencil with step h."""
-    base = point.base
-    v0 = point.epsilon * point.w
-    q = len(v0)
-
-    def rho(x, v):
-        return _rho_unrescaled(model, x, v)
-
-    def f(x, v):
-        return rho(x, v) ** -0.5
-
-    lap = 0.0
-    # d_x (rho^-1 d_x f)
-    a_p = 1.0 / rho(base + 0.5 * h, v0)
-    a_m = 1.0 / rho(base - 0.5 * h, v0)
-    lap += (
-        a_p * (f(base + h, v0) - f(base, v0)) - a_m * (f(base, v0) - f(base - h, v0))
-    ) / h**2
-    # sum_i d_vi (rho d_vi f)
-    for i in range(q):
-        e = np.zeros(q)
-        e[i] = 1.0
-        b_p = rho(base, v0 + 0.5 * h * e)
-        b_m = rho(base, v0 - 0.5 * h * e)
-        lap += (
-            b_p * (f(base, v0 + h * e) - f(base, v0))
-            - b_m * (f(base, v0) - f(base, v0 - h * e))
-        ) / h**2
-    return -(rho(base, v0) ** 0.5) * lap / rho(base, v0)

@@ -330,12 +330,8 @@ def conditional_flow_operator(grid, spectrum, eps, T, t, f_base, propagator=None
         # time zero is the identity, which a truncated propagator cannot apply
         return g if s == 0 else propagator.apply(s, g)
 
-    wnodes = grid.fiber_nodes_w()
-    sqrt_rho = np.empty(grid.n)
-    for i, x in enumerate(grid.base_x):
-        for j in range(grid.n_fiber):
-            p = geometry.TubePoint(x, wnodes[j], eps)
-            sqrt_rho[i * grid.n_fiber + j] = math.sqrt(geometry.density_rho(grid.model, p))
+    nodes = geometry.TubePoint(grid.base_x[:, None], grid.fiber_nodes_w()[None], eps)
+    sqrt_rho = np.sqrt(geometry.density_rho(grid.model, nodes)).ravel()
     f_lift = np.repeat(np.asarray(f_base, dtype=float), grid.n_fiber)
     num = flow(t, f_lift * flow(T - t, sqrt_rho))
     den = flow(T, sqrt_rho)
@@ -441,7 +437,7 @@ def convergence_sweep(
     if u_builder is None:
         u_builder = lambda g, s, eps: default_sweep_field(g, s)
     grid = discretize.build_grid(model, n_base, n_fiber, n_theta)
-    spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+    spectrum = fiber_mod.fiber_spectrum(grid.fiber)
     records, runtimes, paths = _sweep_errors(
         grid, spectrum, eps_list, t_grid, u_builder, norms
     )
@@ -462,7 +458,7 @@ def convergence_sweep(
         if grid.fiber.q == 1 and nf2 % 2 == 0:
             nf2 += 1
         g2 = discretize.build_grid(model, nb2, nf2, n_theta)
-        s2 = fiber_mod.fiber_spectrum(g2.fiber, n_modes=6)
+        s2 = fiber_mod.fiber_spectrum(g2.fiber)
         rec2, _, (pre_path,) = _sweep_errors(g2, s2, eps_list[:1], t_grid, u_builder, ("L2",))
         sup2 = max(r["err_L2"] for r in rec2)
         spatial = abs(float(sup["L2"][0]) - sup2)

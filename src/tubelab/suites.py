@@ -189,7 +189,7 @@ def curvature_coupling_suite(model, n_fiber, n_theta, seed, n_fields=20):
     """The coupling operator kills the ground band and commutes with the
     fiber Laplacian; both checked on random smoothed fields."""
     grid = discretize.build_grid(model, 1, n_fiber, n_theta)
-    spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+    spectrum = fiber_mod.fiber_spectrum(grid.fiber)
     P = discretize.assemble_operator(grid, "P")
     dv = discretize.assemble_operator(grid, "DeltaV")
     fields = discretize.random_fields(grid, n_fields, seed)

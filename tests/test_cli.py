@@ -86,6 +86,12 @@ BAD_CONFIGS = {
     "zero_n_paths": (
         "mc", BASE + "mc:\n  eps_list: [0.2]\n  n_paths: 0\n  horizon: 0.1\n  t_eval: [0.05]\n"
     ),
+    "n_modes_over_capacity": ("fiber", BASE + "fiber:\n  n_modes: 1000\n"),
+    # 10 interval nodes resolve 5 modes; sweep needs 6
+    "n_fiber_below_sweep_modes": (
+        "sweep", BASE.replace("n_fiber: 15", "n_fiber: 10") + "sweep:\n  eps_list: [0.2, 0.1]\n"
+    ),
+    "one_entry_sweep_eps_list": ("sweep", BASE + "sweep:\n  eps_list: [0.2]\n"),
 }
 
 
@@ -97,6 +103,15 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error:")
     assert "Traceback" not in err
+
+
+def test_uncreatable_out_exits_2_with_one_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.yaml", BASE)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["fiber", "--config", cfg, "--out", str(blocker / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
 
 
 # Values the property test writes over config entries, valid and invalid.

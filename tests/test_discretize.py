@@ -174,25 +174,6 @@ class TestOperators:
         ov2 = float(f2 @ (discretize.assemble_form(g2, "Omega") @ f2))
         assert abs(pv2 / ov2 - 1.0) < abs(pv / ov - 1.0)
 
-    def test_export_coo_roundtrip(self, circle_model):
-        g = discretize.build_grid(circle_model, 8, 9)
-        op = discretize.assemble_operator(g, "DeltaV")
-        lines = op.export_coo().splitlines()
-        assert lines[0].startswith("#")
-        rows, cols, vals = [], [], []
-        for line in lines[1:]:
-            i, j, v = line.split()
-            rows.append(int(i)), cols.append(int(j)), vals.append(float(v))
-        back = sp.csr_matrix((vals, (rows, cols)), shape=op.form.shape)
-        assert np.max(np.abs((back - op.form).toarray())) == 0.0
-
-    def test_to_dict_spectrum(self, circle_model):
-        g = discretize.build_grid(circle_model, 8, 9)
-        d = discretize.assemble_operator(g, "HSa", 0.3).to_dict(
-            with_spectrum=True, n_eigenvalues=3
-        )
-        assert d["provenance"] == "HSa" and len(d["eigenvalues"]) == 3
-
 
 class TestResidualAndNorms:
     def test_residual_bounded_in_eps(self, circle_model):

@@ -118,13 +118,6 @@ class TestSpectrumAndProjections:
         fb = fiber_mod.extract_fb(circle_grid, circle_spectrum, f)
         assert np.max(np.abs(fb - gb)) < 1e-12
 
-    def test_multiplet_projection_idempotent(self, circle_grid, circle_spectrum, rng):
-        proj = fiber_mod.multiplet_projection(circle_spectrum, 1)
-        f = rng.standard_normal(circle_grid.n)
-        pf = proj.apply(f, circle_grid.n_base)
-        ppf = proj.apply(pf, circle_grid.n_base)
-        assert np.max(np.abs(ppf - pf)) < 1e-12 * (1.0 + np.max(np.abs(pf)))
-
     def test_mode_capacity_guard(self):
         g = fiber_mod.IntervalFiberGrid(16)
         with pytest.raises(tl.ResolutionError):

@@ -1,6 +1,10 @@
 """Metric data checked against closed forms and an independent embedding oracle."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -62,17 +66,6 @@ class TestCircle:
         m = tl.CircleInPlane(2.0)
         assert tl.weingarten(m, 0.0, [1.0])[0, 0] == pytest.approx(-0.5)
 
-    def test_potential_closed_form(self):
-        m = tl.CircleInPlane(1.0)
-        assert tl.potential_U(m, tl.TubePoint(0.0, [0.0], 0.1)) == pytest.approx(-0.25)
-        p = tl.TubePoint(0.0, [0.5], 0.2)
-        assert tl.potential_U(m, p) == pytest.approx(-1.0 / (4 * 1.1**2), abs=1e-14)
-
-    def test_potential_fd_agrees(self):
-        m = tl.CircleInPlane(1.0)
-        p = tl.TubePoint(0.4, [0.3], 0.2)
-        assert tl.potential_U_fd(m, p) == pytest.approx(tl.potential_U(m, p), abs=1e-6)
-
 
 class TestCurve:
     def test_reduces_to_circle(self):
@@ -96,27 +89,12 @@ class TestCurve:
         cm = tl.cometric(curve, tl.TubePoint(1.0, [0.3, 0.4], 0.1))
         assert np.allclose(cm.vertical, 100.0 * np.eye(2), atol=1e-10)
 
-    def test_potential_hand_derived(self):
-        # rho = 1 - k.v linear in v gives U = -|k|^2 / (4 rho^2) by hand
-        kappa = 0.7
-        curve = tl.constant_curve(kappa, 0.0, 10.0)
-        p = tl.TubePoint(2.0, [0.3, 0.2], 0.1)
-        rho = 1.0 - kappa * 0.1 * 0.3
-        expect = -(kappa**2) / (4.0 * rho**2)
-        assert tl.potential_U(curve, p) == pytest.approx(expect, abs=1e-6)
-
     def test_torsion_rotates_curvature_vector(self):
         curve = tl.constant_curve(1.0, 0.5, 4 * math.pi)
         assert curve.total_torsion == pytest.approx(2 * math.pi, rel=1e-8)
         k = curve.curvature_vector(math.pi)
         phi = 0.5 * math.pi
         assert k == pytest.approx([math.cos(phi), math.sin(phi)], abs=1e-8)
-
-    def test_sampled_curve_interpolates(self):
-        s = np.linspace(0.0, 6.0, 25)
-        curve = tl.sampled_curve(s, 1.0 + 0.2 * np.sin(s), np.zeros_like(s))
-        assert curve.kappa(s[3]) == pytest.approx(1.0 + 0.2 * math.sin(s[3]))
-        assert curve.total_torsion == 0.0
 
     def test_ellipse_curvature_range(self):
         curve = tl.ellipse_curve(2.0, 1.0)
@@ -160,15 +138,6 @@ class TestSynthetic:
             errs.append(np.max(np.abs(diff + m.curvature_operator(w) / 3.0)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
-    def test_flat_case_potential_zero(self):
-        m = tl.SyntheticFiberModel(2, 0.0)
-        assert tl.potential_U(m, tl.TubePoint(0.0, [0.3, 0.1], 0.1)) == 0.0
-
-    def test_curved_potential_undefined(self):
-        m = tl.SyntheticFiberModel(2, 1.0)
-        with pytest.raises(NotImplementedError):
-            tl.potential_U(m, tl.TubePoint(0.0, [0.3, 0.1], 0.1))
-
 
 def test_jacobi_identity_on_submanifold():
     for model, w in (
@@ -185,3 +154,70 @@ def test_tube_point_validation():
         tl.TubePoint(0.0, [1.5], 0.1)
     with pytest.raises(ValueError):
         tl.TubePoint(0.0, [0.5], -0.1)
+
+
+# One model of each kind the geometry knows, the twisted curve and the
+# ellipse for a base-dependent curvature vector.
+BATCH_MODELS = {
+    "circle": tl.CircleInPlane(1.0),
+    "twisted_curve": tl.constant_curve(1.0, 0.5, 4 * math.pi),
+    "ellipse": tl.ellipse_curve(1.2, 0.8),
+    "synthetic": tl.SyntheticFiberModel(2, 1.5),
+}
+
+
+class TestArrays:
+    @pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+    def test_batch_equals_pointwise(self, name):
+        model = BATCH_MODELS[name]
+        rng = np.random.Generator(np.random.Philox(key=6))
+        base = rng.uniform(0.0, max(model.base_length, 1.0), 5)
+        w = rng.uniform(-0.7, 0.7, (7, model.codim))
+        points = tl.TubePoint(base[:, None], w[None], 0.1)
+        cm = tl.cometric(model, points)
+        rho = tl.density_rho(model, points)
+        l, q = model.dim_base, model.codim
+        assert cm.horizontal.shape == (5, 7, l, l)
+        assert cm.vertical.shape == (5, 7, q, q)
+        assert cm.cross.shape == (5, 7, l, q)
+        assert rho.shape == (5, 7)
+        for i in range(5):
+            for j in range(7):
+                point = tl.TubePoint(base[i], w[j], 0.1)
+                one = tl.cometric(model, point)
+                assert np.array_equal(one.horizontal, cm.horizontal[i, j])
+                assert np.array_equal(one.vertical, cm.vertical[i, j])
+                assert np.array_equal(one.cross, cm.cross[i, j])
+                assert np.array_equal(tl.density_rho(model, point), rho[i, j])
+
+    def test_one_point_outside_the_ball(self):
+        w = np.zeros((4, 2))
+        w[2] = [0.9, 0.6]
+        with pytest.raises(ValueError):
+            tl.TubePoint(np.zeros(4), w, 0.1)
+
+    def test_one_point_past_the_focal_radius(self):
+        curve = tl.constant_curve(3.0, 0.0, 10.0)
+        w = np.zeros((4, 2))
+        points = tl.TubePoint(np.zeros(4), w, 0.5)
+        assert np.array_equal(tl.density_rho(curve, points), np.ones(4))
+        w[2] = [1.0, 0.0]
+        points = tl.TubePoint(np.zeros(4), w, 0.5)
+        with pytest.raises(tl.FocalRadiusExceeded):
+            tl.cometric(curve, points)
+        with pytest.raises(tl.FocalRadiusExceeded):
+            tl.density_rho(curve, points)
+
+
+def test_benchmark_tracer_installs():
+    """perfbench/layers.py wraps package functions looked up by name, so a
+    rename or deletion it relies on fails here rather than in a traced
+    benchmark run.  A subprocess keeps the wrappers out of this session."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import layers; layers.install(layers.Tracer())"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
