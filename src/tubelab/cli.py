@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import time
 
 import numpy as np
 import yaml
@@ -115,7 +115,8 @@ SCHEMA = {
     },
     "resolvent": {
         "eps_list": (EPS_LIST, None),
-        "alpha_offset": (REAL, 1.5),
+        # -Delta_base + alpha_offset on a closed curve is singular for offset <= 0
+        "alpha_offset": (POSITIVE, 1.5),
         "n_perturbations": (COUNT, 20),
         "delta": (POSITIVE, 1e-3),
     },
@@ -337,44 +338,40 @@ def cmd_sweep(cfg, model, grid, digest, out, seed, workers):
     return 0 if all(checks.values()) else 1
 
 
-def _mc_one_eps(model, grid, spectrum, eps, mcfg, seed):
-    T, t_eval, theta0 = mcfg["horizon"], mcfg["t_eval"], mcfg["theta0"]
-    n_steps = max(1, int(math.ceil(T / (eps**2 / mcfg["dt_divisor"]))))
-    dt = T / n_steps
-    # the killed sampler: mc is the killed-path cross-check of the operator route
-    ens = stochastic.sample_conditioned(
-        model, eps, theta0, T, dt, mcfg["n_paths"], seed,
-        t_record=sorted(set(t_eval + (T,))), guided=False,
-    )
-    rows = []
-    node = int(np.argmin(np.abs(grid.base_x / model.radius - theta0)))
-    for t in t_eval:
-        est = stochastic.marginal_estimate(ens, np.cos, t)
-        op_vals = semigroup.conditional_flow_operator(
-            grid, spectrum, eps, T, t, np.cos(grid.base_x / model.radius)
-        )
-        exact = stochastic.circle_heat_oracle(model.radius, theta0, t, [0.0, 1.0])
-        rows.append(
-            [eps, t, est.value, est.std_error, float(op_vals[node]), exact]
-        )
-    return rows
-
-
 def cmd_mc(cfg, model, grid, digest, out, seed, workers):
     if not isinstance(model, geometry.CircleInPlane):
         raise ConfigError("mc requires the circle model")
     eps_list = _required(cfg, "mc", "eps_list")
     mcfg = cfg["mc"]
-    if max(mcfg["t_eval"]) > mcfg["horizon"]:
+    T, t_eval, theta0, n_paths = mcfg["horizon"], mcfg["t_eval"], mcfg["theta0"], mcfg["n_paths"]
+    if max(t_eval) > T:
         raise ConfigError("mc.t_eval values must lie in [0, mc.horizon]")
     spectrum = fiber_mod.fiber_spectrum(grid.fiber)
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        chunks = list(
-            pool.map(
-                lambda e: _mc_one_eps(model, grid, spectrum, e, mcfg, seed), eps_list
-            )
+    node = int(np.argmin(np.abs(grid.base_x / model.radius - theta0)))
+    rows, diagnostics, log_lines = [], [], []
+    for eps in eps_list:
+        n_steps = max(1, int(math.ceil(T / (eps**2 / mcfg["dt_divisor"]))))
+        started = time.perf_counter()
+        # the killed sampler: mc is the killed-path cross-check of the operator route
+        ens = stochastic.sample_conditioned(
+            model, eps, theta0, T, T / n_steps, n_paths, seed,
+            t_record=sorted(set(t_eval + (T,))), guided=False, workers=workers,
         )
-    rows = [row for chunk in chunks for row in chunk]
+        sample_s = time.perf_counter() - started
+        for t in t_eval:
+            est = stochastic.marginal_estimate(ens, np.cos, t)
+            op_vals = semigroup.conditional_flow_operator(
+                grid, spectrum, eps, T, t, np.cos(grid.base_x / model.radius)
+            )
+            exact = stochastic.circle_heat_oracle(model.radius, theta0, t, [0.0, 1.0])
+            rows.append([eps, t, est.value, est.std_error, float(op_vals[node]), exact])
+            diagnostics.append({"ess": est.ess, "n_survived": est.n_survived, "sampler": "killed"})
+        path_steps = n_paths * n_steps
+        log_lines.append(
+            f"eps={eps} sample_s={sample_s:.3f} path_steps={path_steps} "
+            f"path_steps_per_s={path_steps / sample_s:.4g} "
+            f"workers={stochastic.pool_size(n_paths, workers)}\n"
+        )
     write_csv(
         os.path.join(out, "mc.csv"),
         ["eps", "t", "mc_est", "mc_se", "op_route", "exact_limit"],
@@ -390,8 +387,11 @@ def cmd_mc(cfg, model, grid, digest, out, seed, workers):
             "seed": seed,
             "within_3_se_of_operator_route": ok,
             "rows": rows,
+            "diagnostics": diagnostics,
         },
     )
+    with open(os.path.join(out, "run.log"), "w") as fh:
+        fh.writelines(log_lines)
     return 0 if ok else 1
 
 
@@ -493,6 +493,7 @@ def main(argv=None):
     try:
         cfg, digest = load_config(args.config)
         seed = cfg["seed"] if args.seed is None else _parse("--seed", SEED, args.seed)
+        workers = _parse("--workers", COUNT, args.workers)
         model = build_model(cfg)
         grid = build_grid(cfg, model)
         n_modes = cfg["fiber"]["n_modes"] if args.command == "fiber" else fiber_mod.DEFAULT_MODES
@@ -505,7 +506,7 @@ def main(argv=None):
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create the output directory: {exc}") from None
-        return COMMANDS[args.command](cfg, model, grid, digest, args.out, seed, args.workers)
+        return COMMANDS[args.command](cfg, model, grid, digest, args.out, seed, workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -56,13 +56,24 @@ trapezoid integral of r^-2 along the radial steps.  The guided sampler draws
 one normal per path per step plus one per path per record time.
 
 Randomness is counter-based: paths are processed in fixed-size blocks and
-block b draws from Philox(key=(seed, b)), so results are bit-identical for
-any worker count and any block scheduling.
+block b draws from Philox(key=(seed, b)) (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011).
+
+Block parallelism.  The blocks run on a pool of min(workers, n_blocks)
+threads.  numpy releases the interpreter lock inside the Philox draws and
+the elementwise ufuncs on block-sized arrays, so the threads overlap.  A
+block reads only its own stream and writes only its own rows of the output
+arrays and its own survival part, a row of length n_steps + 1; the parts
+are added into the survival curve in block order b = 0, 1, ..., the same
+floating-point sums in the same order as one thread running the blocks one
+after another.  Which thread runs a block, and when, changes no bit of the
+result, so every result is bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,13 +128,15 @@ def sample_conditioned(
     use_potential=True,
     guided=True,
     block_size=BLOCK_SIZE,
+    workers=1,
 ):
     """Sample an ensemble for the conditioned law; see the module docstring.
 
     t_record times are snapped to the nearest step.  With kill=True the
     guided sampler runs unless guided=False selects the killed one.  With
     kill=False the tube plays no role and the paths are plain planar
-    Brownian motion."""
+    Brownian motion.  The path blocks run on min(workers, n_blocks)
+    threads; the result does not depend on workers."""
     if not isinstance(model, CircleInPlane):
         raise NotImplementedError(
             "path sampling ships for the circle model only (space curves would "
@@ -155,14 +168,15 @@ def sample_conditioned(
     rad = np.empty((n_paths, n_rec))
     alive_rec = np.ones((n_paths, n_rec), dtype=bool)
     logw = np.empty(n_paths)
-    survival = np.zeros(n_steps + 1)
 
     n_blocks = (n_paths + block_size - 1) // block_size
-    for b in range(n_blocks):
+
+    def run_block(b):
         lo = b * block_size
         hi = min(lo + block_size, n_paths)
         rng = np.random.Generator(np.random.Philox(key=[seed, b]))
-        out = (theta[lo:hi], rad[lo:hi], logw[lo:hi], survival)
+        part = np.zeros(n_steps + 1)
+        out = (theta[lo:hi], rad[lo:hi], logw[lo:hi], part)
         if guide:
             _guided_block(rng, R, eps, theta0, dt, rec_steps, use_potential, *out)
         else:
@@ -170,6 +184,13 @@ def sample_conditioned(
                 rng, R, eps, theta0, dt, rec_steps, kill, use_potential,
                 alive_rec[lo:hi], *out,
             )
+        return part
+
+    survival = np.zeros(n_steps + 1)
+    with ThreadPoolExecutor(max_workers=pool_size(n_paths, workers, block_size)) as pool:
+        # map yields in block order, whatever order the blocks finish in
+        for part in pool.map(run_block, range(n_blocks)):
+            survival += part
     survived = alive_rec[:, int(np.where(rec_steps == n_steps)[0][0])].copy()
     return PathEnsemble(
         R,
@@ -185,6 +206,11 @@ def sample_conditioned(
         survival / n_paths,
         int(seed),
     )
+
+
+def pool_size(n_paths, workers, block_size=BLOCK_SIZE):
+    """Threads sample_conditioned runs its blocks on: one per block at most."""
+    return min(workers, (n_paths + block_size - 1) // block_size)
 
 
 def _killed_block(

@@ -92,6 +92,13 @@ BAD_CONFIGS = {
         "sweep", BASE.replace("n_fiber: 15", "n_fiber: 10") + "sweep:\n  eps_list: [0.2, 0.1]\n"
     ),
     "one_entry_sweep_eps_list": ("sweep", BASE + "sweep:\n  eps_list: [0.2]\n"),
+    # -Delta_base + alpha_offset is singular on a closed curve for offset <= 0
+    "negative_alpha_offset": (
+        "resolvent", BASE + "resolvent:\n  eps_list: [0.2, 0.1]\n  alpha_offset: -100\n"
+    ),
+    "zero_alpha_offset": (
+        "resolvent", BASE + "resolvent:\n  eps_list: [0.2, 0.1]\n  alpha_offset: 0\n"
+    ),
 }
 
 
@@ -103,6 +110,15 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_exit_2_with_one_line(tmp_path, capsys, workers):
+    cfg = write_cfg(tmp_path, "c.yaml", BASE)
+    assert run(["fiber", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
+    assert not (tmp_path / "o").exists()
 
 
 def test_uncreatable_out_exits_2_with_one_line(tmp_path, capsys):
@@ -249,18 +265,28 @@ class TestSweepCommand:
 
 class TestMcCommand:
     MC = BASE + (
-        "mc:\n  eps_list: [0.2]\n  n_paths: 20000\n  dt_divisor: 20\n"
+        "mc:\n  eps_list: [0.25, 0.2]\n  n_paths: 20000\n  dt_divisor: 20\n"
         "  horizon: 0.1\n  t_eval: [0.05]\n"
     )
 
     def test_worker_count_invariance(self, tmp_path):
+        # 20000 paths make three blocks, so 3 workers run three threads
         cfg = write_cfg(tmp_path, "c.yaml", self.MC)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run(["mc", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
         assert run(["mc", "--config", cfg, "--out", str(out2), "--workers", "3"]) == 0
         assert (out1 / "mc.csv").read_bytes() == (out2 / "mc.csv").read_bytes()
+        assert (out1 / "mc_summary.json").read_bytes() == (out2 / "mc_summary.json").read_bytes()
         summary = json.loads((out1 / "mc_summary.json").read_text())
         assert summary["within_3_se_of_operator_route"] is True
+        diagnostics = summary["diagnostics"]
+        assert len(diagnostics) == len(summary["rows"]) == 2
+        for d in diagnostics:
+            assert d["sampler"] == "killed" and 0 < d["n_survived"] <= 20000
+            assert 0 < d["ess"] <= d["n_survived"]
+        log = (out2 / "run.log").read_text().splitlines()
+        assert [line.split()[0] for line in log] == ["eps=0.25", "eps=0.2"]
+        assert all(line.endswith("workers=3") for line in log)
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.yaml", self.MC)

@@ -1,6 +1,8 @@
 """Killed and guided path samplers, marginal estimator, and both analytic oracles."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -129,6 +131,47 @@ class TestSampler:
         n_short = len(short.survival_steps)
         assert np.array_equal(long.survival_steps[:n_short], short.survival_steps)
         assert not long.survival_steps[n_short:].any()
+
+
+class TestBlockParallelism:
+    # 650 paths in blocks of 200: four blocks, the last one short; five
+    # workers are more than the blocks
+    KW = dict(eps=0.2, theta0=0.0, T=0.05, dt=0.002, n_paths=650, seed=7,
+              t_record=[0.02, 0.05], block_size=200)
+
+    @pytest.mark.parametrize("guided", [False, True])
+    def test_worker_count_invariance(self, guided):
+        m = tl.CircleInPlane(1.0)
+        # a short switch interval interleaves the block threads finely, so
+        # the short last block tends to finish first; summing the survival
+        # parts in completion order instead of block order then changes bits
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [
+                stochastic.sample_conditioned(m, guided=guided, workers=w, **self.KW)
+                for w in (1, 2, 5)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        for ens in runs[1:]:
+            for name in ("theta", "r", "alive", "log_weight", "survival_steps"):
+                assert np.array_equal(getattr(ens, name), getattr(runs[0], name)), name
+
+    def test_pool_capped_at_block_count(self, monkeypatch):
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(stochastic, "ThreadPoolExecutor", Recording)
+        m = tl.CircleInPlane(1.0)
+        stochastic.sample_conditioned(m, workers=10**6, **self.KW)
+        stochastic.sample_conditioned(m, workers=3, **self.KW)
+        assert sizes == [4, 3]
+        assert stochastic.pool_size(650, 10**6, 200) == 4
 
 
 class TestCrossValidation:
