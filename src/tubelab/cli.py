@@ -265,14 +265,11 @@ def cmd_validate(cfg, model, grid, digest, out, seed, workers):
         bound = suites.admissible_eps_bound(spectrum)
         adm = [e for e in eps_list if e <= bound]
         results["composite_spectrum"] = suites.composite_spectrum_check(grid, eps_list[0])
+        values = suites.form_values(grid, spectrum, adm, fields)
         if adm:
-            results["vertical_energy"] = suites.vertical_energy_suite(
-                grid, spectrum, adm, fields
-            )
-            results["metric_perturbation"] = suites.metric_perturbation_suite(
-                grid, spectrum, adm, fields
-            )
-        results["coercivity"] = suites.coercivity_suite(grid, spectrum, eps_list, fields)
+            results["vertical_energy"] = suites.vertical_energy_suite(spectrum, values)
+            results["metric_perturbation"] = suites.metric_perturbation_suite(values)
+        results["coercivity"] = suites.coercivity_suite(spectrum, eps_list, values)
         results["sasaki_limit"] = suites.sasaki_limit_check(
             grid, spectrum, adm or eps_list, semigroup.default_t_grid(5)
         )
@@ -351,25 +348,32 @@ def cmd_mc(cfg, model, grid, digest, out, seed, workers):
     rows, diagnostics, log_lines = [], [], []
     for eps in eps_list:
         n_steps = max(1, int(math.ceil(T / (eps**2 / mcfg["dt_divisor"]))))
+        t_record = sorted(set(t_eval + (T,)))
         started = time.perf_counter()
         # the killed sampler: mc is the killed-path cross-check of the operator route
         ens = stochastic.sample_conditioned(
             model, eps, theta0, T, T / n_steps, n_paths, seed,
-            t_record=sorted(set(t_eval + (T,))), guided=False, workers=workers,
+            t_record=t_record, guided=False, workers=workers,
         )
         sample_s = time.perf_counter() - started
-        for t in t_eval:
+        # each time as the sampler snapped it to its step grid
+        snapped = dict(zip(t_record, ens.t_record.tolist()))
+        for t in (snapped[t] for t in t_eval):
             est = stochastic.marginal_estimate(ens, np.cos, t)
             op_vals = semigroup.conditional_flow_operator(
                 grid, spectrum, eps, T, t, np.cos(grid.base_x / model.radius)
             )
             exact = stochastic.circle_heat_oracle(model.radius, theta0, t, [0.0, 1.0])
             rows.append([eps, t, est.value, est.std_error, float(op_vals[node]), exact])
-            diagnostics.append({"ess": est.ess, "n_survived": est.n_survived, "sampler": "killed"})
+            diagnostics.append({
+                "ess": est.ess, "n_survived": est.n_survived, "sampler": "killed",
+                "survival": float(ens.survival_steps[round(t / ens.dt)]),
+            })
         path_steps = n_paths * n_steps
         log_lines.append(
             f"eps={eps} sample_s={sample_s:.3f} path_steps={path_steps} "
             f"path_steps_per_s={path_steps / sample_s:.4g} "
+            f"live_step_fraction={np.mean(ens.survival_steps):.4g} "
             f"workers={stochastic.pool_size(n_paths, workers)}\n"
         )
     write_csv(

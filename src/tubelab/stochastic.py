@@ -11,7 +11,11 @@ Killed sampler (guided=False).  Paths are planar Brownian motion.  A survival
 flag imposes the tube, with a Brownian-bridge exit correction in the radial
 coordinate, and the log-weight is the trapezoid integral of U/2.  Survival
 to T decays like exp(-pi^2 T / (8 eps^2)): about 4e-14 at T = 1, eps = 0.2,
-where no ensemble of practical size keeps a path.
+where no ensemble of practical size keeps a path.  The bridge test and the
+weight run on the live paths only; a dead path still gets its draws and
+its position updates, so its records hold the position of the free Brownian
+path it follows (until its whole block is dead, see _killed_block), with
+alive False and its log-weight the integral up to the step before it died.
 
 Guided sampler (the default when kill=True).  Doob's h-transform (Pinsky,
 Positive Harmonic Functions and Diffusion, 1995) with
@@ -220,6 +224,13 @@ def _killed_block(
     """Killed, weighted planar Brownian paths of one block, written into the
     block's output rows; alive_count[step] gains the block's survivors.
 
+    Every step draws the whole block and moves every path, dead or alive;
+    the kill test and the weight update run on the live paths only, kept
+    as contiguous arrays that are compacted after each step with a death.
+    A path's weight is written back to the block on the step it dies.
+    Compaction reorders the live paths; every operation on them is
+    elementwise, so the order changes no bit.
+
     Once every path of the block is dead no later step can change a
     survival count or a weight, so stepping stops there: the record times
     that follow get alive_rec False and theta/rad frozen at the positions
@@ -232,7 +243,18 @@ def _killed_block(
     y = np.full(m, R * math.sin(theta0))
     alive = np.ones(m, dtype=bool)
     w = np.zeros(m)
+    # a fixed draw count per step keeps the stream alignment independent
+    # of how many paths are still alive: dx, dy, then one uniform per wall
+    normals = np.empty(2 * m)
+    uniforms = np.empty(2 * m)
+    # the live paths: block index, distance to the outer and inner wall,
+    # potential and weight
+    live = np.arange(m)
+    d = np.hypot(x, y) - R
+    gap_up = np.maximum(eps - d, 0.0)
+    gap_dn = np.maximum(eps + d, 0.0)
     u_old = -1.0 / (4.0 * (x * x + y * y))
+    w_live = np.zeros(m)
 
     def record(rec_idx):
         for k in rec_idx:
@@ -243,39 +265,48 @@ def _killed_block(
     record(np.where(rec_steps == 0)[0])
     alive_count[0] += m
     sdt = math.sqrt(dt)
-    d_old = np.hypot(x, y) - R
     for step in range(1, n_steps + 1):
-        if not alive.any():
+        if len(live) == 0:
             record(np.where(rec_steps >= step)[0])
             break
-        # a fixed draw count per step keeps the stream alignment
-        # independent of how many paths are still alive
-        dx = rng.standard_normal(m) * sdt
-        dy = rng.standard_normal(m) * sdt
-        u1 = rng.random(m)
-        u2 = rng.random(m)
-        x += dx
-        y += dy
-        r_new = np.hypot(x, y)
-        d_new = r_new - R
+        rng.standard_normal(out=normals)
+        rng.random(out=uniforms)
+        normals *= sdt
+        x += normals[:m]
+        y += normals[m:]
+        r = np.hypot(x.take(live), y.take(live))
         if kill:
-            inside = np.abs(d_new) <= eps
-            # bridge correction: probability that the radial excursion
-            # touched a wall between the two endpoints
-            a_up = np.clip(eps - d_old, 0.0, None)
-            b_up = np.clip(eps - d_new, 0.0, None)
-            a_dn = np.clip(eps + d_old, 0.0, None)
-            b_dn = np.clip(eps + d_new, 0.0, None)
-            p_up = np.exp(-2.0 * a_up * b_up / dt)
-            p_dn = np.exp(-2.0 * a_dn * b_dn / dt)
-            alive &= inside & (u1 >= p_up) & (u2 >= p_dn)
+            # bridge correction: probability exp(-2 a b / dt) that the
+            # radial excursion touched a wall between the two endpoints.
+            # A path outside the tube has b = 0, so p = 1 and its uniform
+            # (< 1) kills it: the test holds the inside check too.
+            d = r - R
+            b_up = np.maximum(eps - d, 0.0)
+            b_dn = np.maximum(eps + d, 0.0)
+            keep = uniforms[:m].take(live) >= np.exp(-2.0 * gap_up * b_up / dt)
+            keep &= uniforms[m:].take(live) >= np.exp(-2.0 * gap_dn * b_dn / dt)
+            gap_up, gap_dn = b_up, b_dn
+            died = np.flatnonzero(~keep)
+            if len(died):
+                dead = live[died]
+                alive[dead] = False
+                w[dead] = w_live[died]
+                # compact by moving the survivors past the new length into
+                # the holes below it: the work is per death, not per path
+                n = len(live) - len(died)
+                holes = died[died < n]
+                movers = n + np.flatnonzero(keep[n:])
+                state = (live, r, gap_up, gap_dn, u_old, w_live)
+                for a in state:
+                    a[holes] = a[movers]
+                live, r, gap_up, gap_dn, u_old, w_live = (a[:n] for a in state)
         if use_potential:
-            u_new = -1.0 / (4.0 * r_new * r_new)
-            w += np.where(alive, 0.5 * dt * (u_old + u_new), 0.0)
+            u_new = -1.0 / (4.0 * r * r)
+            w_live += 0.5 * dt * (u_old + u_new)
             u_old = u_new
-        d_old = d_new
-        alive_count[step] += int(np.count_nonzero(alive))
+        alive_count[step] += len(live)
         record(np.where(rec_steps == step)[0])
+    w[live] = w_live
     logw[:] = 0.5 * w
 
 

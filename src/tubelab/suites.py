@@ -42,48 +42,52 @@ def composite_spectrum_check(grid, eps, tol=1e-9):
     return {"eps": eps, "max_rel_error": rel, "ok": bool(rel <= tol)}
 
 
-def _form_values(grid, fields, spectrum, eps):
-    """Per-field values of every form the inequality suites need."""
+def form_values(grid, spectrum, eps_list, fields):
+    """Per-field values of every form the inequality suites need, by eps:
+    {eps: [values of field 0, field 1, ...]}.  The three suites share one
+    evaluation, and the eps-independent values are computed once per field."""
     qv = discretize.assemble_form(grid, "V")
     qh = discretize.assemble_form(grid, "H")
-    qi = discretize.assemble_form(grid, "InducedEps", eps)
-    qs = discretize.assemble_form(grid, "SasakiEps", eps)
     lam0 = spectrum.lambda0
     w = grid.weights
-    out = []
+    fixed = []
     for f in fields:
-        n0sq = float(np.sum(w * f * f))
-        vV = float(f @ (qv @ f))
-        vH = float(f @ (qh @ f))
-        vI = float(f @ (qi @ f))
-        vS = float(f @ (qs @ f))
         e0 = fiber_mod.project_E0(grid, spectrum, f)
-        e0sq = float(np.sum(w * e0 * e0))
-        q0_sa = vS - lam0 / eps**2 * n0sq
-        q0_ind = vI - lam0 / eps**2 * n0sq
-        h1sq = n0sq + vV + vH
-        out.append(
-            dict(
-                n0sq=n0sq, vV=vV, vH=vH, vI=vI, vS=vS, e0sq=e0sq,
-                q0_sa=q0_sa, q0_ind=q0_ind, h1sq=h1sq,
-            )
-        )
+        fixed.append(dict(
+            n0sq=float(np.sum(w * f * f)),
+            vV=float(f @ (qv @ f)),
+            vH=float(f @ (qh @ f)),
+            e0sq=float(np.sum(w * e0 * e0)),
+        ))
+    out = {}
+    for eps in eps_list:
+        qi = discretize.assemble_form(grid, "InducedEps", eps)
+        qs = discretize.assemble_form(grid, "SasakiEps", eps)
+        out[eps] = vals = []
+        for f, v in zip(fields, fixed):
+            vI = float(f @ (qi @ f))
+            vS = float(f @ (qs @ f))
+            vals.append(dict(
+                v, vI=vI, vS=vS,
+                q0_sa=vS - lam0 / eps**2 * v["n0sq"],
+                q0_ind=vI - lam0 / eps**2 * v["n0sq"],
+                h1sq=v["n0sq"] + v["vV"] + v["vH"],
+            ))
     return out
 
 
-def vertical_energy_suite(grid, spectrum, eps_list, fields):
+def vertical_energy_suite(spectrum, values):
     """Discrete vertical-energy bounds against the renormalized form:
     (a) q_V(f) <= k * (eps * q0(f) + |E0 f|^2) with k = max(1, lambda0);
     (b) q_Sa,1(f) <= q0(f) + lambda0 |E0 f|^2,
-    both for eps up to 1 - lambda0/lambda1."""
+    both for eps up to 1 - lambda0/lambda1.  values is form_values(...)."""
     lam0 = spectrum.lambda0
     k_sa = max(1.0, lam0)
     bound = admissible_eps_bound(spectrum)
     violations, worst_a, worst_b = 0, -np.inf, -np.inf
-    for eps in eps_list:
+    for eps, vals in values.items():
         if eps > bound:
             raise ValueError(f"eps={eps} above the admissible bound {bound:.4f}")
-        vals = _form_values(grid, fields, spectrum, eps)
         for v in vals:
             rhs_a = k_sa * (eps * v["q0_sa"] + v["e0sq"])
             rhs_b = v["q0_sa"] + lam0 * v["e0sq"]
@@ -102,30 +106,31 @@ def vertical_energy_suite(grid, spectrum, eps_list, fields):
         "violations": violations,
         "worst_margin_a": worst_a,
         "worst_margin_b": worst_b,
-        "n_fields": len(fields),
+        "n_fields": len(vals),
         "ok": violations == 0,
     }
 
 
-def metric_perturbation_suite(grid, spectrum, eps_list, fields):
-    """One constant, fit at the coarsest eps, bounds the induced-minus-Sasaki
-    form error |l_eps(f)| <= k_l * eps * (q0(f) + |f|_H1^2) across the sweep."""
+def metric_perturbation_suite(values):
+    """One constant, fit at the coarsest eps (the first of form_values(...)),
+    bounds the induced-minus-Sasaki form error
+    |l_eps(f)| <= k_l * eps * (q0(f) + |f|_H1^2) across the sweep."""
     ratios = {}
-    for eps in eps_list:
-        vals = _form_values(grid, fields, spectrum, eps)
+    for eps, vals in values.items():
         r = [
             abs(v["vI"] - v["vS"]) / (eps * (v["q0_sa"] + v["h1sq"]))
             for v in vals
         ]
         ratios[eps] = float(np.max(r))
-    k_l = ratios[eps_list[0]]
-    ok = all(ratios[e] <= k_l * (1.0 + REL_SLACK) for e in eps_list)
+    k_l = next(iter(ratios.values()))
+    ok = all(ratio <= k_l * (1.0 + REL_SLACK) for ratio in ratios.values())
     return {"k_l": k_l, "max_ratio_per_eps": ratios, "ok": bool(ok)}
 
 
-def coercivity_suite(grid, spectrum, eps_list, fields, alpha=None):
+def coercivity_suite(spectrum, eps_list, values, alpha=None):
     """Uniform lower bound of the shifted renormalized form against the H1
-    norm; reports the worst constant over the sweep."""
+    norm; reports the worst constant over the sweep.  values is
+    form_values(...) over at least the admissible eps of eps_list."""
     lam0 = spectrum.lambda0
     alpha = lam0 + 1.5 if alpha is None else alpha
     bound = admissible_eps_bound(spectrum)
@@ -134,8 +139,7 @@ def coercivity_suite(grid, spectrum, eps_list, fields, alpha=None):
     for eps in eps_list:
         if eps > bound:
             continue
-        vals = _form_values(grid, fields, spectrum, eps)
-        for v in vals:
+        for v in values[eps]:
             c_min = min(c_min, (v["q0_ind"] + alpha * v["n0sq"]) / v["h1sq"])
     return {
         "alpha": alpha,

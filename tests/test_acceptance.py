@@ -88,9 +88,10 @@ def test_criterion_3_excited_mode_decay_bound(grid64, spec64):
 def test_criterion_4_inequality_suites(grid64, spec64):
     eps_list = [0.2, 0.1, 0.05, 0.025]
     fields = discretize.random_fields(grid64, 100, 12345)
-    ve = suites.vertical_energy_suite(grid64, spec64, eps_list, fields)
-    mp = suites.metric_perturbation_suite(grid64, spec64, eps_list, fields)
-    co = suites.coercivity_suite(grid64, spec64, eps_list, fields)
+    values = suites.form_values(grid64, spec64, eps_list, fields)
+    ve = suites.vertical_energy_suite(spec64, values)
+    mp = suites.metric_perturbation_suite(values)
+    co = suites.coercivity_suite(spec64, eps_list, values)
     ok = ve["ok"] and mp["ok"] and co["ok"] and ve["violations"] == 0
     assert verdict(
         4, ok,

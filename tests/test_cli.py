@@ -284,9 +284,33 @@ class TestMcCommand:
         for d in diagnostics:
             assert d["sampler"] == "killed" and 0 < d["n_survived"] <= 20000
             assert 0 < d["ess"] <= d["n_survived"]
+            # survival at t_eval = 0.05 is at least the survival to the horizon
+            assert d["n_survived"] / 20000 <= d["survival"] < 1.0
         log = (out2 / "run.log").read_text().splitlines()
         assert [line.split()[0] for line in log] == ["eps=0.25", "eps=0.2"]
         assert all(line.endswith("workers=3") for line in log)
+        for line in log:
+            fields = dict(item.split("=") for item in line.split())
+            assert 0.0 < float(fields["live_step_fraction"]) < 1.0
+
+    def test_off_step_time_snapped(self, tmp_path):
+        # eps = 0.3 runs ceil(0.1 / (0.09 / 20)) = 23 steps of 0.1 / 23, so
+        # t = 0.05 is no whole number of steps; mc reports the time the
+        # sampler snapped it to
+        cfg = write_cfg(
+            tmp_path, "c.yaml",
+            BASE + "mc:\n  eps_list: [0.3]\n  n_paths: 5000\n  horizon: 0.1\n"
+            "  t_eval: [0.05]\n",
+        )
+        out = tmp_path / "o"
+        assert run(["mc", "--config", cfg, "--out", str(out)]) == 0
+        dt = 0.1 / 23
+        snapped = round(0.05 / dt) * dt
+        assert snapped != 0.05
+        rows = json.loads((out / "mc_summary.json").read_text())["rows"]
+        assert [row[1] for row in rows] == [snapped]
+        csv_t = (out / "mc.csv").read_text().splitlines()[2].split(",")[1]
+        assert csv_t == cli._fmt(snapped)
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.yaml", self.MC)

@@ -133,6 +133,90 @@ class TestSampler:
         assert not long.survival_steps[n_short:].any()
 
 
+def killed_reference(R, eps, theta0, T, dt, n_paths, seed, t_record, kill,
+                     use_potential, block_size):
+    """The killed sampler as a plain full-array stepper: every step runs the
+    kill test and the weight update on every path of the block, dead or
+    alive, until the whole block is dead; records after that hold the
+    positions of the step on which the block's last path died."""
+    n_steps = round(T / dt)
+    rec = np.round(np.asarray(t_record) / dt).astype(int)
+    theta = np.empty((n_paths, len(rec)))
+    rad = np.empty((n_paths, len(rec)))
+    alive_rec = np.empty((n_paths, len(rec)), dtype=bool)
+    logw = np.empty(n_paths)
+    count = np.zeros(n_steps + 1)
+    for lo in range(0, n_paths, block_size):
+        m = min(block_size, n_paths - lo)
+        rows = slice(lo, lo + m)
+        rng = np.random.Generator(np.random.Philox(key=[seed, lo // block_size]))
+        x = np.full(m, R * math.cos(theta0))
+        y = np.full(m, R * math.sin(theta0))
+        alive = np.ones(m, dtype=bool)
+        w = np.zeros(m)
+        d_old = np.hypot(x, y) - R
+        u_old = -1.0 / (4.0 * (x * x + y * y))
+        for step in range(n_steps + 1):
+            if step > 0 and alive.any():
+                dx = rng.standard_normal(m) * math.sqrt(dt)
+                dy = rng.standard_normal(m) * math.sqrt(dt)
+                u1 = rng.random(m)
+                u2 = rng.random(m)
+                x += dx
+                y += dy
+                r_new = np.hypot(x, y)
+                d_new = r_new - R
+                if kill:
+                    inside = np.abs(d_new) <= eps
+                    p_up = np.exp(-2.0 * np.clip(eps - d_old, 0.0, None)
+                                  * np.clip(eps - d_new, 0.0, None) / dt)
+                    p_dn = np.exp(-2.0 * np.clip(eps + d_old, 0.0, None)
+                                  * np.clip(eps + d_new, 0.0, None) / dt)
+                    alive &= inside & (u1 >= p_up) & (u2 >= p_dn)
+                if use_potential:
+                    u_new = -1.0 / (4.0 * r_new * r_new)
+                    w += np.where(alive, 0.5 * dt * (u_old + u_new), 0.0)
+                    u_old = u_new
+                d_old = d_new
+            count[step] += np.count_nonzero(alive)
+            for k in np.flatnonzero(rec == step):
+                theta[rows, k] = np.arctan2(y, x)
+                rad[rows, k] = np.hypot(x, y)
+                alive_rec[rows, k] = alive
+        logw[rows] = 0.5 * w
+    return dict(
+        theta=theta, r=rad, alive=alive_rec, survived=alive_rec[:, rec == n_steps][:, 0],
+        log_weight=logw, survival_steps=count / n_paths,
+    )
+
+
+class TestKilledReference:
+    # eps = 0.1 to T = 0.5: survival is about exp(-pi^2 T / (8 eps^2)) ~ 1e-27,
+    # so every block dies out before T; t = 0.02 is recorded while part of
+    # each block lives, t = 0.3 and 0.5 after the blocks stopped.  650 paths
+    # in blocks of 200, the last one short.
+    KW = dict(eps=0.1, theta0=0.4, T=0.5, dt=0.001, n_paths=650, seed=11,
+              t_record=[0.0, 0.02, 0.3, 0.5], block_size=200)
+
+    @pytest.mark.parametrize("kill", [True, False])
+    @pytest.mark.parametrize("use_potential", [True, False])
+    def test_matches_full_array_stepper(self, kill, use_potential):
+        ens = stochastic.sample_conditioned(
+            tl.CircleInPlane(1.0), guided=False, kill=kill,
+            use_potential=use_potential, **self.KW,
+        )
+        want = killed_reference(1.0, kill=kill, use_potential=use_potential, **self.KW)
+        for name, value in want.items():
+            assert np.array_equal(getattr(ens, name), value), name
+        if kill:
+            # deaths before the first record after 0, none alive at T
+            assert 0 < ens.alive[:, 1].sum() < self.KW["n_paths"]
+            assert not ens.alive[:, 2:].any()
+            assert ens.survival_steps[-1] == 0.0
+        else:
+            assert ens.alive.all()
+
+
 class TestBlockParallelism:
     # 650 paths in blocks of 200: four blocks, the last one short; five
     # workers are more than the blocks
