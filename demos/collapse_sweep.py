@@ -8,15 +8,16 @@ second order in the radius.
 
 import numpy as np
 
-from tubelab import CircleInPlane, semigroup
+from tubelab import CircleInPlane, discretize, fiber, semigroup
 
-res = semigroup.convergence_sweep(
-    CircleInPlane(1.0), 64, 31, [0.2, 0.1, 0.05, 0.025]
-)
+grid = discretize.build_grid(CircleInPlane(1.0), 64, 31)
+spectrum = fiber.fiber_spectrum(grid.fiber)
+eps_list = [0.2, 0.1, 0.05, 0.025]
+res = semigroup.convergence_sweep(grid, spectrum, eps_list)
 
 print("circle R=1, grid 64 x 31, t in [0.1, 1.0]")
 print(f"{'eps':>8} {'sup L2':>10} {'sup H1':>10} {'sup H2':>10}")
-for i, eps in enumerate(res.eps_list):
+for i, eps in enumerate(eps_list):
     print(
         f"{eps:>8.3f} {res.sup_errors['L2'][i]:>10.2e} "
         f"{res.sup_errors['H1'][i]:>10.2e} {res.sup_errors['H2'][i]:>10.2e}"

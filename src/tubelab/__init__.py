@@ -62,7 +62,6 @@ from .semigroup import (
     convergence_sweep,
     limit_propagate,
     phi_functional,
-    propagate,
     resolvent_minimizer,
 )
 from .stochastic import (

@@ -2,8 +2,10 @@
 
 Configuration is a single YAML file with nested sections.  load_config
 parses it against SCHEMA: unknown keys, wrong types and out-of-range values
-are rejected, and every default is filled in.  main builds the model and the
-grid once; each subcommand checks that it can run on them before any
+are rejected, and every default is filled in.  main builds the model, the
+grid and the fiber spectrum once and passes the grid (whose model is
+grid.model) and the spectrum to the subcommand; nothing below rebuilds
+them.  Each subcommand checks that it can run on them before its own
 numerics.  All result files are deterministic for a fixed config and seed
 (wall-clock timings go to run.log, which is excluded from that guarantee).
 
@@ -200,8 +202,9 @@ def build_model(cfg):
     raise ConfigError("model.kind is required")
 
 
-def build_grid(cfg, model):
-    g = cfg["grid"]
+def build_grid(cfg):
+    """The grid of the config's model; its model is grid.model."""
+    model, g = build_model(cfg), cfg["grid"]
     n_base = g["n_base"]
     if n_base is None:
         n_base = 1 if model.dim_base == 0 else 64
@@ -246,19 +249,18 @@ def write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(cfg, model, grid, digest, out, seed, workers):
-    synthetic = isinstance(model, geometry.SyntheticFiberModel)
+def cmd_validate(cfg, grid, spectrum, digest, out, seed, workers):
+    synthetic = isinstance(grid.model, geometry.SyntheticFiberModel)
     # the model-dependent default of validate.eps_list
     eps_list = cfg["validate"]["eps_list"] or (
         (0.1,) if synthetic else (0.2, 0.1, 0.05, 0.025)
     )
     n_fields = cfg["validate"]["n_fields"]
-    spectrum = fiber_mod.fiber_spectrum(grid.fiber)
     results = {"config_hash": digest, "version": __version__, "seed": seed}
     if synthetic:
         results["composite_spectrum"] = suites.composite_spectrum_check(grid, eps_list[0])
         results["curvature_coupling"] = suites.curvature_coupling_suite(
-            model, grid.fiber.n_r, grid.fiber.n_theta, seed, n_fields=min(n_fields, 25)
+            grid, spectrum, seed, min(n_fields, 25)
         )
     else:
         fields = discretize.random_fields(grid, n_fields, seed)
@@ -279,33 +281,22 @@ def cmd_validate(cfg, model, grid, digest, out, seed, workers):
     return 0 if ok else 1
 
 
-def cmd_sweep(cfg, model, grid, digest, out, seed, workers):
-    if model.dim_base == 0:
+def cmd_sweep(cfg, grid, spectrum, digest, out, seed, workers):
+    if grid.model.dim_base == 0:
         raise ConfigError("sweep needs a base curve; the synthetic model has a point base")
     eps_list = _required(cfg, "sweep", "eps_list")
     if len(eps_list) < 2:
         raise ConfigError("sweep.eps_list needs at least two entries to fit an order")
-    scfg, gcfg = cfg["sweep"], cfg["grid"]
-    result = semigroup.convergence_sweep(
-        model,
-        grid.n_base,
-        gcfg["n_fiber"],
-        eps_list,
-        t_grid=semigroup.default_t_grid(scfg["n_t"], scfg["t_min"], scfg["t_max"]),
-        n_theta=gcfg["n_theta"],
-        pre_check=scfg["pre_check"],
-    )
-    write_csv(
-        os.path.join(out, "sweep.csv"),
-        ["eps", "t", "err_L2", "err_H1", "err_H2"],
-        result.rows(),
-        digest,
-    )
+    scfg = cfg["sweep"]
+    if scfg["t_min"] > scfg["t_max"]:
+        raise ConfigError("sweep.t_min must not exceed sweep.t_max")
+    t_grid = semigroup.default_t_grid(scfg["n_t"], scfg["t_min"], scfg["t_max"])
+    result = semigroup.convergence_sweep(grid, spectrum, eps_list, t_grid, scfg["pre_check"])
+    columns = ["eps", "t"] + [f"err_{nm}" for nm in semigroup.NORMS]
+    write_csv(os.path.join(out, "sweep.csv"), columns, result.rows(), digest)
     sup = result.sup_errors
     checks = {
-        "strictly_decreasing_L2": bool(np.all(np.diff(sup["L2"]) < 0)),
-        "strictly_decreasing_H1": bool(np.all(np.diff(sup["H1"]) < 0)),
-        "strictly_decreasing_H2": bool(np.all(np.diff(sup["H2"]) < 0)),
+        **{f"strictly_decreasing_{nm}": bool(np.all(np.diff(v) < 0)) for nm, v in sup.items()},
         "order_at_least_0.8": bool(result.fitted_order >= 0.8),
         "r2_at_least_0.95": bool(result.r_squared >= 0.95),
         "final_L2_at_most_1e-2": bool(sup["L2"][-1] <= 1e-2),
@@ -316,12 +307,12 @@ def cmd_sweep(cfg, model, grid, digest, out, seed, workers):
             "config_hash": digest,
             "version": __version__,
             "seed": seed,
-            "eps_list": result.eps_list,
+            "eps_list": eps_list,
             "fitted_order": result.fitted_order,
             "r_squared": result.r_squared,
-            "lambda0": result.lambda0,
-            "n_base": result.n_base,
-            "n_fiber": result.n_fiber,
+            "lambda0": spectrum.lambda0,
+            "n_base": grid.n_base,
+            "n_fiber": cfg["grid"]["n_fiber"],
             "sup_errors": {k: v.tolist() for k, v in sup.items()},
             "spatial_error_estimate": result.spatial_error_estimate,
             "spectral_path": result.spectral_paths,
@@ -335,7 +326,8 @@ def cmd_sweep(cfg, model, grid, digest, out, seed, workers):
     return 0 if all(checks.values()) else 1
 
 
-def cmd_mc(cfg, model, grid, digest, out, seed, workers):
+def cmd_mc(cfg, grid, spectrum, digest, out, seed, workers):
+    model = grid.model
     if not isinstance(model, geometry.CircleInPlane):
         raise ConfigError("mc requires the circle model")
     eps_list = _required(cfg, "mc", "eps_list")
@@ -343,7 +335,6 @@ def cmd_mc(cfg, model, grid, digest, out, seed, workers):
     T, t_eval, theta0, n_paths = mcfg["horizon"], mcfg["t_eval"], mcfg["theta0"], mcfg["n_paths"]
     if max(t_eval) > T:
         raise ConfigError("mc.t_eval values must lie in [0, mc.horizon]")
-    spectrum = fiber_mod.fiber_spectrum(grid.fiber)
     node = int(np.argmin(np.abs(grid.base_x / model.radius - theta0)))
     rows, diagnostics, log_lines = [], [], []
     for eps in eps_list:
@@ -399,8 +390,7 @@ def cmd_mc(cfg, model, grid, digest, out, seed, workers):
     return 0 if ok else 1
 
 
-def cmd_fiber(cfg, model, grid, digest, out, seed, workers):
-    spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=cfg["fiber"]["n_modes"])
+def cmd_fiber(cfg, grid, spectrum, digest, out, seed, workers):
     payload = {
         "config_hash": digest,
         "version": __version__,
@@ -420,14 +410,13 @@ def cmd_fiber(cfg, model, grid, digest, out, seed, workers):
     return 0
 
 
-def cmd_resolvent(cfg, model, grid, digest, out, seed, workers):
-    if model.dim_base == 0:
+def cmd_resolvent(cfg, grid, spectrum, digest, out, seed, workers):
+    if grid.model.dim_base == 0:
         raise ConfigError("resolvent needs a base curve; the synthetic model has a point base")
     eps_list = _required(cfg, "resolvent", "eps_list")
     rcfg = cfg["resolvent"]
-    spectrum = fiber_mod.fiber_spectrum(grid.fiber)
     alpha = spectrum.lambda0 + rcfg["alpha_offset"]
-    radius = model.base_length / (2.0 * math.pi)
+    radius = grid.model.base_length / (2.0 * math.pi)
     phi0 = spectrum.ground_state
     phi1 = spectrum.eigenfunctions[:, spectrum.multiplets[1][0]]
     w_field = (
@@ -498,19 +487,19 @@ def main(argv=None):
         cfg, digest = load_config(args.config)
         seed = cfg["seed"] if args.seed is None else _parse("--seed", SEED, args.seed)
         workers = _parse("--workers", COUNT, args.workers)
-        model = build_model(cfg)
-        grid = build_grid(cfg, model)
+        grid = build_grid(cfg)
         n_modes = cfg["fiber"]["n_modes"] if args.command == "fiber" else fiber_mod.DEFAULT_MODES
         if n_modes > grid.fiber.mode_capacity:
             raise ConfigError(
                 f"grid.n_fiber: the fiber grid resolves {grid.fiber.mode_capacity} modes, "
                 f"{args.command} needs {n_modes}"
             )
+        spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create the output directory: {exc}") from None
-        return COMMANDS[args.command](cfg, model, grid, digest, args.out, seed, workers)
+        return COMMANDS[args.command](cfg, grid, spectrum, digest, args.out, seed, workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -30,6 +30,8 @@ from . import geometry
 from .errors import ResolutionError
 
 FORM_NAMES = ("V", "H", "SasakiEps", "InducedEps", "Omega")
+# refinement of the grid-error pre-check (refined_grid)
+REFINE_FACTOR = 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +107,19 @@ def build_grid(model, n_base, n_fiber, n_theta=16):
     fib = fiber_mod.make_fiber_grid(model.codim, n_fiber, n_theta)
     weights = np.kron(np.full(n_base, h), fib.weights)
     return ProductGrid(model, n_base, base_x, h, np.full(n_base, h), fib, weights)
+
+
+def refined_grid(grid):
+    """The grid of the same model, REFINE_FACTOR times finer along the base
+    and in the fiber size parameter (interval nodes or radial rings), each
+    count rounded.  An interval fiber keeps an odd node count, so a node
+    stays at s = 0 (center_fiber_index)."""
+    fib = grid.fiber
+    n_base = int(round(grid.n_base * REFINE_FACTOR))
+    if fib.q == 1:
+        n = int(round(fib.n * REFINE_FACTOR))
+        return build_grid(grid.model, n_base, n if n % 2 else n + 1)
+    return build_grid(grid.model, n_base, int(round(fib.n_r * REFINE_FACTOR)), fib.n_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +286,12 @@ def assemble_operator(grid, which, eps=None):
     raise ValueError(f"unknown operator {which!r}")
 
 
-def renormalize(op, lam0, eps=None):
-    """Subtract the fiber ground energy: form - (lam0/eps^2) * weights."""
-    eps = op.epsilon if eps is None else eps
+def renormalize(op, lam0):
+    """Subtract the fiber ground energy at the operator's epsilon:
+    form - (lam0/eps^2) * weights."""
+    eps = op.epsilon
     if eps is None:
-        raise ValueError("operator carries no epsilon; pass one explicitly")
+        raise ValueError("operator carries no epsilon")
     Q = (op.form - (lam0 / eps**2) * sp.diags(op.weights)).tocsr()
     return DiscreteOperator(op.grid, Q, op.provenance + "0", eps)
 

@@ -16,6 +16,10 @@ import scipy.linalg
 from . import discretize, fiber as fiber_mod, semigroup
 
 REL_SLACK = 1e-9
+# the coercivity suite tests the form shifted by lambda0 + COERCIVITY_OFFSET
+COERCIVITY_OFFSET = 1.5
+# weight of the first excited fiber mode in the Sasaki-limit probe field
+EXCITED_MIXING = 0.5
 
 
 def _full_fiber_eigenvalues(fib):
@@ -127,12 +131,11 @@ def metric_perturbation_suite(values):
     return {"k_l": k_l, "max_ratio_per_eps": ratios, "ok": bool(ok)}
 
 
-def coercivity_suite(spectrum, eps_list, values, alpha=None):
+def coercivity_suite(spectrum, eps_list, values):
     """Uniform lower bound of the shifted renormalized form against the H1
     norm; reports the worst constant over the sweep.  values is
     form_values(...) over at least the admissible eps of eps_list."""
-    lam0 = spectrum.lambda0
-    alpha = lam0 + 1.5 if alpha is None else alpha
+    alpha = spectrum.lambda0 + COERCIVITY_OFFSET
     bound = admissible_eps_bound(spectrum)
     inadmissible = [e for e in eps_list if e > bound]
     c_min = np.inf
@@ -150,11 +153,12 @@ def coercivity_suite(spectrum, eps_list, values, alpha=None):
     }
 
 
-def sasaki_limit_check(grid, spectrum, eps_list, t_grid, mixing=0.5):
+def sasaki_limit_check(grid, spectrum, eps_list, t_grid):
     """Hard semigroup bound: the distance from the product-metric flow to the
     projected base flow is at most exp(-t (lambda1-lambda0)/(2 eps^2)).
 
-    The probe field mixes the ground fiber state with a first excited one.
+    The probe field mixes the ground fiber state with a first excited one,
+    weighted by EXCITED_MIXING.
     The comparison carries an absolute allowance of 1e-8 * |f| because the
     bound underflows for small eps while the eigensolver leaves roundoff of
     that order in the propagated field."""
@@ -163,7 +167,7 @@ def sasaki_limit_check(grid, spectrum, eps_list, t_grid, mixing=0.5):
     phi1 = spectrum.eigenfunctions[:, spectrum.multiplets[1][0]]
     radius = grid.model.base_length / (2.0 * math.pi)
     g0 = 1.0 + 0.5 * np.cos(grid.base_x / radius)
-    g1 = mixing * (1.0 + np.cos(grid.base_x / radius))
+    g1 = EXCITED_MIXING * (1.0 + np.cos(grid.base_x / radius))
     f = (np.outer(g0, phi0) + np.outer(g1, phi1)).ravel()
     nf = grid.norm(f)
     Qb, wb = semigroup.base_laplacian(grid)
@@ -189,11 +193,10 @@ def sasaki_limit_check(grid, spectrum, eps_list, t_grid, mixing=0.5):
     return {"ok": bool(ok), "worst_margin": worst}
 
 
-def curvature_coupling_suite(model, n_fiber, n_theta, seed, n_fields=20):
+def curvature_coupling_suite(grid, spectrum, seed, n_fields):
     """The coupling operator kills the ground band and commutes with the
-    fiber Laplacian; both checked on random smoothed fields."""
-    grid = discretize.build_grid(model, 1, n_fiber, n_theta)
-    spectrum = fiber_mod.fiber_spectrum(grid.fiber)
+    fiber Laplacian; both checked on n_fields random smoothed fields of a
+    disc-fiber grid."""
     P = discretize.assemble_operator(grid, "P")
     dv = discretize.assemble_operator(grid, "DeltaV")
     fields = discretize.random_fields(grid, n_fields, seed)
@@ -204,7 +207,7 @@ def curvature_coupling_suite(model, n_fiber, n_theta, seed, n_fields=20):
         comm = dv.apply(P.apply(f)) - P.apply(dv.apply(f))
         r_comm = max(r_comm, grid.norm(comm) / discretize.sobolev_norm(grid, f, 2))
     return {
-        "n_fiber": n_fiber,
+        "n_fiber": grid.fiber.n_r,
         "proj_ratio": r_proj,
         "commutator_ratio": r_comm,
         "ok": bool(r_proj <= 1e-6 and r_comm <= 1e-4),

@@ -101,10 +101,8 @@ def test_criterion_4_inequality_suites(grid64, spec64):
     )
 
 
-def test_criterion_5_collapse_sweep(circle_model):
-    res = semigroup.convergence_sweep(
-        circle_model, 64, 31, [0.2, 0.1, 0.05, 0.025], pre_check=True
-    )
+def test_criterion_5_collapse_sweep(grid64, spec64):
+    res = semigroup.convergence_sweep(grid64, spec64, [0.2, 0.1, 0.05, 0.025], pre_check=True)
     sup = res.sup_errors
     dec = all(bool(np.all(np.diff(sup[nm]) < 0)) for nm in ("L2", "H1", "H2"))
     ok = (
@@ -151,8 +149,13 @@ def test_criterion_6_resolvent_convergence(grid64, spec64, rng):
 
 def test_criterion_7_curvature_coupling():
     model = tl.SyntheticFiberModel(2, 1.5)
-    coarse = suites.curvature_coupling_suite(model, 63, 16, 12345)
-    fine = suites.curvature_coupling_suite(model, 127, 16, 12345)
+
+    def suite(n_fiber):
+        grid = discretize.build_grid(model, 1, n_fiber, 16)
+        spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+        return suites.curvature_coupling_suite(grid, spectrum, 12345, 20)
+
+    coarse, fine = suite(63), suite(127)
     # both ratios vanish identically by the circulant structure; refinement
     # must not break that (non-increase up to roundoff)
     ok = (

@@ -9,7 +9,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from tubelab import cli
+from tubelab import cli, discretize, fiber
 
 BASE = """\
 seed: 12345
@@ -92,6 +92,9 @@ BAD_CONFIGS = {
         "sweep", BASE.replace("n_fiber: 15", "n_fiber: 10") + "sweep:\n  eps_list: [0.2, 0.1]\n"
     ),
     "one_entry_sweep_eps_list": ("sweep", BASE + "sweep:\n  eps_list: [0.2]\n"),
+    "sweep_t_min_above_t_max": (
+        "sweep", BASE + "sweep:\n  eps_list: [0.2, 0.1]\n  t_min: 0.6\n  t_max: 0.2\n"
+    ),
     # -Delta_base + alpha_offset is singular on a closed curve for offset <= 0
     "negative_alpha_offset": (
         "resolvent", BASE + "resolvent:\n  eps_list: [0.2, 0.1]\n  alpha_offset: -100\n"
@@ -338,3 +341,53 @@ class TestResolventCommand:
         assert rep["errors"][1] < rep["errors"][0]
         assert rep["spectral_path"] == ["block", "block"]
         assert max(rep["residual"]) < 1e-10 and min(rep["min_eigenvalue"]) > 0
+
+    def test_small_eps_on_readme_grid(self, tmp_path):
+        # at eps = 0.0125 the relative residual is about 1.2e-10, roundoff
+        # times the eps^-2 conditioning; the backward error stays at roundoff
+        text = BASE.replace("n_base: 32", "n_base: 64").replace("n_fiber: 15", "n_fiber: 31")
+        cfg = write_cfg(
+            tmp_path, "c.yaml",
+            text + "resolvent:\n  eps_list: [0.2, 0.1, 0.05, 0.025, 0.0125]\n",
+        )
+        out = tmp_path / "o"
+        assert run(["resolvent", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "resolvent.json").read_text())
+        assert all(rep["checks"].values())
+        assert rep["residual"][-1] > 1e-10
+
+
+# name -> (subcommand, config): every subcommand, and sweep with its
+# pre-check, which builds one refined grid and its spectrum on top
+BUILD_ONCE_RUNS = {
+    "fiber": ("fiber", BASE),
+    "validate": ("validate", BASE + "validate:\n  eps_list: [0.2]\n  n_fields: 5\n"),
+    "validate_synthetic": ("validate", SYNTHETIC + "validate:\n  n_fields: 5\n"),
+    "sweep": ("sweep", BASE + "sweep:\n  eps_list: [0.2, 0.1]\n  n_t: 2\n"),
+    "sweep_pre_check": (
+        "sweep", BASE + "sweep:\n  eps_list: [0.2, 0.1]\n  n_t: 2\n  pre_check: true\n"
+    ),
+    "resolvent": ("resolvent", BASE + "resolvent:\n  eps_list: [0.2]\n  n_perturbations: 1\n"),
+    "mc": (
+        "mc", BASE + "mc:\n  eps_list: [0.2]\n  n_paths: 5000\n  horizon: 0.1\n  t_eval: [0.05]\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_ONCE_RUNS))
+def test_one_grid_and_one_spectrum_per_run(tmp_path, monkeypatch, name):
+    calls = {"grid": 0, "spectrum": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(discretize, "build_grid", counted("grid", discretize.build_grid))
+    monkeypatch.setattr(fiber, "fiber_spectrum", counted("spectrum", fiber.fiber_spectrum))
+    command, text = BUILD_ONCE_RUNS[name]
+    cfg = write_cfg(tmp_path, "c.yaml", text)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    builds = 2 if name == "sweep_pre_check" else 1
+    assert calls == {"grid": builds, "spectrum": builds}

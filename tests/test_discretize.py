@@ -36,6 +36,16 @@ class TestGrid:
         with pytest.raises(NotImplementedError):
             discretize.build_grid(twisted, 16, 15)
 
+    def test_refined_grid(self, circle_model):
+        # 15 * 1.5 = 22.5 rounds to 22, made odd so a node stays at s = 0
+        fine = discretize.refined_grid(discretize.build_grid(circle_model, 32, 15))
+        assert (fine.model, fine.n_base, fine.fiber.n) == (circle_model, 48, 23)
+        fine.center_fiber_index()
+        # a disc fiber scales its rings and keeps its angles
+        curve = tl.constant_curve(1.0, 0.0, 2 * math.pi)
+        fine = discretize.refined_grid(discretize.build_grid(curve, 16, 8, 8))
+        assert (fine.n_base, fine.fiber.n_r, fine.fiber.n_theta) == (24, 12, 8)
+
 
 class TestForms:
     def test_sasaki_is_scaled_sum(self, circle_grid):

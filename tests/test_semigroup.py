@@ -44,39 +44,26 @@ class TestPropagator:
             prop.apply(-0.1, np.zeros(circle_grid.n))
 
     def test_truncated_matches_dense(self, circle_model):
-        # above the dense cutoff only the spectral bottom is kept; on a smooth
-        # field over the time grid that is indistinguishable from the full solve
+        # 96 x 31 = 2976 nodes, above the dense cutoff: only the spectral
+        # bottom is kept; on a smooth field over the time grid that is
+        # indistinguishable from the full solve, computed here with eigh
         grid = discretize.build_grid(circle_model, 96, 31)
         spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
         op = renormalized_op(grid, spectrum, 0.1)
-        trunc = semigroup.Propagator(op.form, op.weights, t_min=0.1)
-        dense = semigroup.Propagator(op.form, op.weights, dense_cutoff=10**9)
-        assert trunc.truncated and not dense.truncated
-        f = semigroup.default_sweep_field(grid, spectrum)
-        for t in (0.1, 0.5, 1.0):
-            diff = grid.norm(trunc.apply(t, f) - dense.apply(t, f))
-            assert diff < 1e-9 * grid.norm(f)
-
-    def test_truncated_refuses_times_below_t_min(self, circle_model):
-        grid = discretize.build_grid(circle_model, 16, 13)
-        spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-        op = renormalized_op(grid, spectrum, 0.2)
-        prop = semigroup.Propagator(op.form, op.weights, t_min=0.5, dense_cutoff=100)
+        prop = semigroup.Propagator(op.form, op.weights, t_min=0.1)
         assert prop.path == "truncated"
+        vals, vecs = scipy.linalg.eigh(op.form.toarray(), np.diag(op.weights))
         f = semigroup.default_sweep_field(grid, spectrum)
-        for t in (0.0, 0.1):
+        coef = vecs.T @ (op.weights * f)
+        for t in (0.1, 0.5, 1.0):
+            dense = vecs @ (np.exp(-0.5 * t * vals) * coef)
+            assert grid.norm(prop.apply(t, f) - dense) < 1e-9 * grid.norm(f)
+        # the dropped modes are visible before t_min
+        for t in (0.0, 0.05):
             with pytest.raises(ValueError):
                 prop.apply(t, f)
-        again = semigroup.Propagator(op.form, op.weights, t_min=0.5, dense_cutoff=100)
-        assert np.array_equal(prop.apply(0.5, f), again.apply(0.5, f))
-
-    def test_propagate_caches(self, circle_grid, circle_spectrum, rng):
-        op = renormalized_op(circle_grid, circle_spectrum, 0.25)
-        f = rng.standard_normal(circle_grid.n)
-        a = semigroup.propagate(op, 0.4, f)
-        assert hasattr(op, "_propagator")
-        b = semigroup.propagate(op, 0.4, f)
-        assert np.array_equal(a, b)
+        again = semigroup.Propagator(op.form, op.weights, t_min=0.1)
+        assert np.array_equal(prop.apply(0.1, f), again.apply(0.1, f))
 
 
 class TestLimitSemigroup:
@@ -126,13 +113,16 @@ class TestResolvent:
             semigroup.resolvent_minimizer(op0, -100.0, w)
 
     def test_nan_residual_raises(self, rng):
-        grid = discretize.build_grid(tl.ellipse_curve(1.2, 0.8), 12, 9, 8)
-        spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-        op0 = renormalized_op(grid, spectrum, 0.1, which="H")
-        w = rng.standard_normal(grid.n)
-        w[grid.n // 2] = np.nan
-        with pytest.raises(tl.ResolutionError):
-            semigroup.resolvent_minimizer(op0, spectrum.lambda0 + 1.5, w)
+        # the ellipse takes the dense path, the untwisted curve the block path
+        for model in (tl.ellipse_curve(1.2, 0.8), tl.constant_curve(1.0, 0.0, 2.0 * math.pi)):
+            grid = discretize.build_grid(model, 12, 9, 8)
+            spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+            op0 = renormalized_op(grid, spectrum, 0.1, which="H")
+            for bad in (np.nan, np.inf):
+                w = rng.standard_normal(grid.n)
+                w[grid.n // 2] = bad
+                with pytest.raises(tl.ResolutionError):
+                    semigroup.resolvent_minimizer(op0, spectrum.lambda0 + 1.5, w)
 
 
 class TestConditionalFlow:
@@ -173,32 +163,33 @@ class TestConditionalFlow:
 
 
 class TestSweep:
-    def test_small_sweep_decreases(self, circle_model):
-        res = semigroup.convergence_sweep(
-            circle_model, 32, 15, [0.2, 0.1], t_grid=np.linspace(0.2, 0.6, 3)
-        )
-        for nm in res.norms:
-            sup = res.sup_errors[nm]
+    @pytest.fixture(scope="class")
+    def grid32(self, circle_model):
+        grid = discretize.build_grid(circle_model, 32, 15)
+        return grid, fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+
+    def test_small_sweep_decreases(self, grid32):
+        res = semigroup.convergence_sweep(*grid32, [0.2, 0.1], t_grid=np.linspace(0.2, 0.6, 3))
+        for sup in res.sup_errors.values():
             assert np.all(np.diff(sup) < 0)
+        assert set(res.sup_errors) == {"L2", "H1", "H2"}
         assert len(res.records) == 6
         assert set(res.records[0]) == {"eps", "t", "err_L2", "err_H1", "err_H2"}
         assert res.rows()[0][0] == 0.2
+        assert res.spectral_paths == ["block", "block"]
+        assert res.spatial_error_estimate is None
 
-    def test_pre_check_reports_spatial_estimate(self, circle_model):
+    def test_pre_check_reports_spatial_estimate(self, grid32):
         res = semigroup.convergence_sweep(
-            circle_model,
-            32,
-            15,
-            [0.2, 0.1],
-            t_grid=np.linspace(0.2, 0.6, 3),
-            pre_check=True,
+            *grid32, [0.2, 0.1], t_grid=np.linspace(0.2, 0.6, 3), pre_check=True
         )
         assert res.spatial_error_estimate is not None
         assert res.spatial_error_estimate <= res.sup_errors["L2"][0] / 10.0
+        assert res.pre_check_spectral_path == "block"
 
-    def test_eps_list_must_decrease(self, circle_model):
+    def test_eps_list_must_decrease(self, grid32):
         with pytest.raises(ValueError):
-            semigroup.convergence_sweep(circle_model, 32, 15, [0.1, 0.2])
+            semigroup.convergence_sweep(*grid32, [0.1, 0.2])
 
 
 # the three translation-invariant forms of the block tests: (model, n_base,
