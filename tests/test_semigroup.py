@@ -58,12 +58,22 @@ class TestPropagator:
         for t in (0.1, 0.5, 1.0):
             dense = vecs @ (np.exp(-0.5 * t * vals) * coef)
             assert grid.norm(prop.apply(t, f) - dense) < 1e-9 * grid.norm(f)
-        # the dropped modes are visible before t_min
-        for t in (0.0, 0.05):
+
+    def test_truncated_refuses_times_below_t_min(self, circle_model):
+        # the dropped modes are visible before t_min; 96 x 31 nodes is the
+        # smallest circle grid in the suite above the dense cutoff
+        grid = discretize.build_grid(circle_model, 96, 31)
+        assert grid.n > semigroup.DENSE_CUTOFF
+        spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+        op = renormalized_op(grid, spectrum, 0.2)
+        prop = semigroup.Propagator(op.form, op.weights, t_min=0.5)
+        assert prop.path == "truncated"
+        f = semigroup.default_sweep_field(grid, spectrum)
+        for t in (0.0, 0.1):
             with pytest.raises(ValueError):
                 prop.apply(t, f)
-        again = semigroup.Propagator(op.form, op.weights, t_min=0.1)
-        assert np.array_equal(prop.apply(0.1, f), again.apply(0.1, f))
+        again = semigroup.Propagator(op.form, op.weights, t_min=0.5)
+        assert np.array_equal(prop.apply(0.5, f), again.apply(0.5, f))
 
 
 class TestLimitSemigroup:
