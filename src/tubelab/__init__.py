@@ -41,7 +41,6 @@ from .fiber import (
     fiber_spectrum,
     make_fiber_grid,
     project_E0,
-    rotation_fields,
 )
 from .discretize import (
     DiscreteOperator,

@@ -27,7 +27,7 @@ import numpy as np
 import yaml
 
 from . import __version__, discretize, fiber as fiber_mod, geometry, semigroup, stochastic, suites
-from .errors import ConfigError, TubelabError
+from .errors import ConfigError, ResolutionError, TubelabError
 
 # ---------------------------------------------------------------------------
 # config handling
@@ -188,6 +188,26 @@ def _required(cfg, section, key):
     return value
 
 
+def _eps_list(cfg, command):
+    """The running subcommand's eps list, () for fiber; validate's default
+    depends on the model kind."""
+    if command == "fiber":
+        return ()
+    if command == "validate" and cfg["validate"]["eps_list"] is None:
+        return (0.1,) if cfg["model"]["kind"] == "synthetic" else (0.2, 0.1, 0.05, 0.025)
+    return _required(cfg, command, "eps_list")
+
+
+def _check_tube_radius(cfg, eps_list):
+    """Every tube radius must stay below the focal radius of the base curve,
+    where the tube's Fermi chart degenerates."""
+    m, eps = cfg["model"], max(eps_list, default=0.0)
+    if m["kind"] == "circle" and eps >= m["radius"]:
+        raise ConfigError(f"model.radius {m['radius']:g} must exceed every eps, got {eps:g}")
+    if m["kind"] == "curve" and eps * abs(m["kappa0"]) >= 1.0:
+        raise ConfigError(f"model.kappa0: eps * |kappa0| must stay below 1, got eps {eps:g}")
+
+
 def build_model(cfg):
     m = cfg["model"]
     try:
@@ -251,10 +271,7 @@ def write_json(path, obj):
 
 def cmd_validate(cfg, grid, spectrum, digest, out, seed, workers):
     synthetic = isinstance(grid.model, geometry.SyntheticFiberModel)
-    # the model-dependent default of validate.eps_list
-    eps_list = cfg["validate"]["eps_list"] or (
-        (0.1,) if synthetic else (0.2, 0.1, 0.05, 0.025)
-    )
+    eps_list = _eps_list(cfg, "validate")
     n_fields = cfg["validate"]["n_fields"]
     results = {"config_hash": digest, "version": __version__, "seed": seed}
     if synthetic:
@@ -335,6 +352,10 @@ def cmd_mc(cfg, grid, spectrum, digest, out, seed, workers):
     T, t_eval, theta0, n_paths = mcfg["horizon"], mcfg["t_eval"], mcfg["theta0"], mcfg["n_paths"]
     if max(t_eval) > T:
         raise ConfigError("mc.t_eval values must lie in [0, mc.horizon]")
+    try:
+        grid.fiber.center_index()  # the operator route reads the fiber center
+    except ResolutionError as exc:
+        raise ConfigError(f"grid.n_fiber: {exc}") from None
     node = int(np.argmin(np.abs(grid.base_x / model.radius - theta0)))
     rows, diagnostics, log_lines = [], [], []
     for eps in eps_list:
@@ -399,13 +420,8 @@ def cmd_fiber(cfg, grid, spectrum, digest, out, seed, workers):
         "multiplets": spectrum.multiplets,
         "lambda0": spectrum.lambda0,
         "lambda1": spectrum.lambda1,
+        **spectrum.references(),
     }
-    if spectrum.q == 1:
-        payload["analytic"] = [
-            spectrum.analytic_eigenvalue(k) for k in range(len(spectrum.eigenvalues))
-        ]
-    else:
-        payload["bessel_oracle_lambda0"] = fiber_mod.bessel_j0_first_zero() ** 2
     write_json(os.path.join(out, "fiber.json"), payload)
     return 0
 
@@ -487,6 +503,7 @@ def main(argv=None):
         cfg, digest = load_config(args.config)
         seed = cfg["seed"] if args.seed is None else _parse("--seed", SEED, args.seed)
         workers = _parse("--workers", COUNT, args.workers)
+        _check_tube_radius(cfg, _eps_list(cfg, args.command))
         grid = build_grid(cfg)
         n_modes = cfg["fiber"]["n_modes"] if args.command == "fiber" else fiber_mod.DEFAULT_MODES
         if n_modes > grid.fiber.mode_capacity:

@@ -5,14 +5,16 @@ weight; all quadratic forms are assembled by quadrature of cometric
 contractions of one-sided differences, so every operator is symmetric and
 (semi)definite in the weighted inner product by construction, not by
 post-hoc symmetrization.  Fields are flat arrays of length
-n_base * n_fiber, base-major.
+n_base * n_fiber, base-major.  Every fiber block is the fiber grid's own
+vertical_form, so nothing here branches on the fiber type.
 
 Form names:
   V           flat fiber Dirichlet energy (no epsilon)
   H           horizontal energy with unit coefficient (no epsilon)
   SasakiEps   eps^-2 V + H, exact at the matrix level
   InducedEps  exact induced cometric of the model at radius eps
-  Omega       curvature coupling term (nonzero only for curved fiber models)
+  Omega       curvature coupling term, -c/3 times the fiber rotation energy
+              (nonzero only for the curved synthetic model)
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import scipy.sparse.linalg as spla
 
 from . import fiber as fiber_mod
 from . import geometry
-from .errors import ResolutionError
 
 FORM_NAMES = ("V", "H", "SasakiEps", "InducedEps", "Omega")
 # refinement of the grid-error pre-check (refined_grid)
@@ -67,21 +68,6 @@ class ProductGrid:
     def norm(self, f):
         return math.sqrt(max(self.inner(f, f), 0.0))
 
-    def center_fiber_index(self):
-        """Index of the fiber node at the submanifold itself (codim 1 only)."""
-        if self.fiber.q != 1:
-            raise NotImplementedError("center node only defined on interval fibers")
-        j = int(np.argmin(np.abs(self.fiber.s)))
-        if abs(self.fiber.s[j]) > 1e-12:
-            raise ResolutionError("no fiber node at s = 0; use an odd node count")
-        return j
-
-    def fiber_nodes_w(self):
-        """Normal-frame coordinates of the fiber nodes, shape (n_fiber, q)."""
-        if self.fiber.q == 1:
-            return self.fiber.s[:, None]
-        return self.fiber.node_w()
-
 
 def build_grid(model, n_base, n_fiber, n_theta=16):
     """Build the tensor grid for a model; the base is periodic arc length."""
@@ -111,15 +97,9 @@ def build_grid(model, n_base, n_fiber, n_theta=16):
 
 def refined_grid(grid):
     """The grid of the same model, REFINE_FACTOR times finer along the base
-    and in the fiber size parameter (interval nodes or radial rings), each
-    count rounded.  An interval fiber keeps an odd node count, so a node
-    stays at s = 0 (center_fiber_index)."""
-    fib = grid.fiber
+    and in the fiber (fiber.refined_size), each count rounded."""
     n_base = int(round(grid.n_base * REFINE_FACTOR))
-    if fib.q == 1:
-        n = int(round(fib.n * REFINE_FACTOR))
-        return build_grid(grid.model, n_base, n if n % 2 else n + 1)
-    return build_grid(grid.model, n_base, int(round(fib.n_r * REFINE_FACTOR)), fib.n_theta)
+    return build_grid(grid.model, n_base, *grid.fiber.refined_size(REFINE_FACTOR))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +116,6 @@ class DiscreteOperator:
 
     grid: ProductGrid
     form: sp.csr_matrix
-    provenance: str
     epsilon: float | None = None
 
     @property
@@ -167,12 +146,6 @@ def _base_difference(grid):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _fiber_flat_form(fib):
-    if fib.q == 1:
-        return fib.dirichlet_form()
-    return fib.flat_dirichlet_form()
-
-
 def _horizontal_form(grid, coeff):
     """Horizontal energy with coefficient g(x_edge_mid, fiber node).
 
@@ -185,39 +158,11 @@ def _horizontal_form(grid, coeff):
     return (D.T @ sp.diags(c) @ D).tocsr()
 
 
-def _induced_coefficients(grid, eps):
-    """Induced-cometric coefficients on the grid, one cometric call each.
-
-    Returns (hor, vert_fiber_form):
-      hor: (n_base_edges, n_fiber) horizontal coefficients at edge midpoints;
-      vert_fiber_form: fiber form matrix with the induced vertical cometric
-      (the vertical block is base-independent for every shipped model)."""
-    model = grid.model
-
-    def vertical(w):
-        return geometry.cometric(model, geometry.TubePoint(0.0, w, eps)).vertical
-
-    # vertical part
-    if grid.fiber.q == 1:
-        vert = grid.fiber.dirichlet_form(lambda s: vertical(s[:, None])[:, 0, 0])
-    else:
-        def on_axis(rs):
-            # points (r, 0): the radial direction is e1, and the rotational
-            # symmetry of the shipped vertical blocks makes the angle irrelevant
-            v = vertical(np.stack([rs, np.zeros_like(rs)], axis=-1))
-            assert np.all(np.abs(v[:, 0, 1]) < 1e-10 * np.abs(v[:, 0, 0]))
-            return v
-
-        radial = grid.fiber.radial_form(lambda rs: on_axis(rs)[:, 0, 0])
-        angular = grid.fiber.angular_form(lambda rs: on_axis(rs)[:, 1, 1] / rs**2)
-        vert = radial + angular
-    # horizontal part
-    if grid.n_base == 1:
-        return None, vert.tocsr()
-    xmid = grid.base_x + 0.5 * grid.base_h
-    points = geometry.TubePoint(xmid[:, None], grid.fiber_nodes_w()[None], eps)
-    hor = geometry.cometric(model, points).horizontal[..., 0, 0]
-    return hor, vert.tocsr()
+def _rotation_cometric(w):
+    """Z Z^T for the rotation field Z = (-w2, w1) of a disc fiber: its
+    vertical form is the angular energy integral (d_theta f)^2."""
+    z = np.stack([-w[..., 1], w[..., 0]], axis=-1)
+    return z[..., :, None] * z[..., None, :]
 
 
 def assemble_form(grid, which, eps=None):
@@ -230,17 +175,23 @@ def assemble_form(grid, which, eps=None):
     if key in grid.cache:
         return grid.cache[key]
     if which == "V":
-        Q = sp.kron(
-            sp.diags(grid.base_w), _fiber_flat_form(grid.fiber), format="csr"
-        )
+        Q = sp.kron(sp.diags(grid.base_w), grid.fiber.vertical_form(), format="csr")
     elif which == "H":
         Q = _horizontal_form(grid, np.ones((grid.n_base, grid.n_fiber)))
     elif which == "SasakiEps":
         Q = (assemble_form(grid, "V") / eps**2 + assemble_form(grid, "H")).tocsr()
     elif which == "InducedEps":
-        hor, vert = _induced_coefficients(grid, eps)
+        # one cometric call per block; the vertical block is base-independent
+        # for every shipped model
+        model = grid.model
+        vert = grid.fiber.vertical_form(
+            lambda w: geometry.cometric(model, geometry.TubePoint(0.0, w, eps)).vertical
+        )
         Q = sp.kron(sp.diags(grid.base_w), vert, format="csr")
-        if hor is not None:
+        if grid.n_base > 1:
+            xmid = grid.base_x + 0.5 * grid.base_h
+            points = geometry.TubePoint(xmid[:, None], grid.fiber.node_w()[None], eps)
+            hor = geometry.cometric(model, points).horizontal[..., 0, 0]
             Q = (Q + _horizontal_form(grid, hor)).tocsr()
     elif which == "Omega":
         model = grid.model
@@ -248,9 +199,9 @@ def assemble_form(grid, which, eps=None):
             isinstance(model, geometry.SyntheticFiberModel)
             and np.any(model.curvature != 0.0)
         ):
+            rot = grid.fiber.vertical_form(_rotation_cometric)
             c = model.pair_component
-            ang = grid.fiber.angular_form(lambda r: np.ones_like(np.atleast_1d(r)))
-            Q = (-c / 3.0) * sp.kron(sp.diags(grid.base_w), ang, format="csr")
+            Q = (-c / 3.0) * sp.kron(sp.diags(grid.base_w), rot, format="csr")
         else:
             # flat-ambient models have no curvature coupling
             Q = sp.csr_matrix((grid.n, grid.n))
@@ -263,26 +214,26 @@ def assemble_operator(grid, which, eps=None):
 
     DeltaV, DeltaH: flat fiber and horizontal Laplacians (commute exactly);
     HSa(eps), H(eps): Sasaki and induced tube operators; P: curvature
-    coupling operator built from the rotation fields."""
+    coupling operator built from the fiber rotation generator."""
     if which == "DeltaV":
-        return DiscreteOperator(grid, assemble_form(grid, "V"), "DeltaV")
+        return DiscreteOperator(grid, assemble_form(grid, "V"))
     if which == "DeltaH":
-        return DiscreteOperator(grid, assemble_form(grid, "H"), "DeltaH")
+        return DiscreteOperator(grid, assemble_form(grid, "H"))
     if which == "HSa":
-        return DiscreteOperator(grid, assemble_form(grid, "SasakiEps", eps), "HSa", eps)
+        return DiscreteOperator(grid, assemble_form(grid, "SasakiEps", eps), eps)
     if which == "H":
-        return DiscreteOperator(grid, assemble_form(grid, "InducedEps", eps), "H", eps)
+        return DiscreteOperator(grid, assemble_form(grid, "InducedEps", eps), eps)
     if which == "P":
         model = grid.model
         if not isinstance(model, geometry.SyntheticFiberModel):
-            return DiscreteOperator(grid, sp.csr_matrix((grid.n, grid.n)), "P")
-        zs = fiber_mod.rotation_fields(grid.fiber)
+            return DiscreteOperator(grid, sp.csr_matrix((grid.n, grid.n)))
         c = model.pair_component
-        Zfull = sp.kron(sp.identity(grid.n_base, format="csr"), zs[0], format="csr")
+        Z = grid.fiber.rotation_generator()
+        Zfull = sp.kron(sp.identity(grid.n_base, format="csr"), Z, format="csr")
         Pmat = (c / 3.0) * (Zfull @ Zfull)
         Q = (sp.diags(grid.weights) @ Pmat).tocsr()
         Q = ((Q + Q.T) * 0.5).tocsr()  # symmetric up to roundoff already
-        return DiscreteOperator(grid, Q, "P")
+        return DiscreteOperator(grid, Q)
     raise ValueError(f"unknown operator {which!r}")
 
 
@@ -293,7 +244,7 @@ def renormalize(op, lam0):
     if eps is None:
         raise ValueError("operator carries no epsilon")
     Q = (op.form - (lam0 / eps**2) * sp.diags(op.weights)).tocsr()
-    return DiscreteOperator(op.grid, Q, op.provenance + "0", eps)
+    return DiscreteOperator(op.grid, Q, eps)
 
 
 def residual_r_eps(grid, eps):
@@ -303,7 +254,7 @@ def residual_r_eps(grid, eps):
         - assemble_form(grid, "SasakiEps", eps)
         - assemble_form(grid, "Omega")
     ) / eps
-    return DiscreteOperator(grid, Q.tocsr(), "residual", eps)
+    return DiscreteOperator(grid, Q.tocsr(), eps)
 
 
 def h1_form(grid):

@@ -5,9 +5,15 @@ codimension 2 fibers are the unit disc on a tensor polar grid whose radial
 nodes are cell-centered, so the axis r = 0 needs no special stencil: the
 conservative flux form simply has no flux through the origin.
 
-Quadratic forms are assembled edge-wise (coefficient times squared one-sided
-difference), which makes every operator symmetric and positive semidefinite
-in the grid's weighted inner product by construction.
+Both grids share one interface: vertical_form(vertical) is the Dirichlet
+form of a vertical cometric (flat without one), node_w the normal-frame
+coordinates of the nodes, center_index the node on the submanifold,
+refined_size a finer grid's constructor arguments and symmetrize_ground the
+ground state's symmetrization.  Outside this module nothing branches on the
+fiber type.  A form is assembled from 1-D difference matrices (sp.diags,
+sp.kron) as coefficient times squared one-sided difference summed over the
+edges, which makes every operator symmetric and positive semidefinite in the
+grid's weighted inner product by construction.
 """
 
 from __future__ import annotations
@@ -30,6 +36,17 @@ DEFAULT_MODES = 6
 # ---------------------------------------------------------------------------
 # fiber grids
 # ---------------------------------------------------------------------------
+
+
+def _flat(w):
+    """The flat vertical cometric: the identity at every fiber point."""
+    q = w.shape[-1]
+    return np.broadcast_to(np.eye(q), w.shape + (q,))
+
+
+def _edge_form(D, weight):
+    """Form matrix of sum over edges e of weight_e * (D f)_e^2."""
+    return (D.T @ sp.diags(weight) @ D).tocsr()
 
 
 class IntervalFiberGrid:
@@ -59,34 +76,41 @@ class IntervalFiberGrid:
         """How many Dirichlet modes the grid resolves."""
         return self.n // 2
 
-    def edges(self):
-        """(difference matrix, edge lengths, edge midpoints).
+    def node_w(self):
+        """Normal-frame coordinates per node, shape (n, 1)."""
+        return self.s[:, None]
 
-        Rows are oriented differences already divided by the edge length;
-        the first and last rows are the half-length Dirichlet wall edges."""
+    def center_index(self):
+        """Index of the node at s = 0, on the submanifold itself."""
+        j = int(np.argmin(np.abs(self.s)))
+        if abs(self.s[j]) > 1e-12:
+            raise ResolutionError("no fiber node at s = 0; use an odd node count")
+        return j
+
+    def refined_size(self, factor):
+        """Constructor arguments of the grid factor times finer; the node
+        count stays odd, so a node stays at s = 0."""
+        n = int(round(self.n * factor))
+        return (n if n % 2 else n + 1,)
+
+    def symmetrize_ground(self, ground):
+        """The interval has no symmetry to impose."""
+        return ground
+
+    def vertical_form(self, vertical=None):
+        """Form matrix of integral g(s) (f')^2 ds, with g the vertical
+        cometric (fiber points (..., 1) -> (..., 1, 1)) at the edge
+        midpoints; flat (g = 1) without one.
+
+        The edges join neighbouring nodes, plus a half-length edge from each
+        extreme node to its wall; differences are divided by edge length."""
         n, h = self.n, self.h
-        rows, cols, vals = [], [], []
-        mids = np.empty(n + 1)
         lens = np.full(n + 1, h)
         lens[0] = lens[-1] = 0.5 * h
-        # left wall edge: (f_0 - 0)/(h/2)
-        rows.append(0), cols.append(0), vals.append(2.0 / h)
-        mids[0] = -1.0 + 0.25 * h
-        for j in range(n - 1):
-            rows += [j + 1, j + 1]
-            cols += [j, j + 1]
-            vals += [-1.0 / h, 1.0 / h]
-            mids[j + 1] = self.s[j] + 0.5 * h
-        rows.append(n), cols.append(n - 1), vals.append(-2.0 / h)
-        mids[n] = 1.0 - 0.25 * h
-        D = sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n))
-        return D, lens, mids
-
-    def dirichlet_form(self, coeff=None):
-        """Form matrix of integral coeff(s) * (f')^2 ds; coeff defaults to 1."""
-        D, lengths, mids = self.edges()
-        c = np.ones(self.n + 1) if coeff is None else np.asarray(coeff(mids), dtype=float)
-        return (D.T @ sp.diags(c * lengths) @ D).tocsr()
+        D = sp.diags([-1.0 / lens[1:], 1.0 / lens[:-1]], [-1, 0], shape=(n + 1, n))
+        mids = np.concatenate([[-1.0 + 0.25 * h], self.s[:-1] + 0.5 * h, [1.0 - 0.25 * h]])
+        g = (vertical or _flat)(mids[:, None])[:, 0, 0]
+        return _edge_form(D, g * lens)
 
 
 class PolarFiberGrid:
@@ -133,64 +157,60 @@ class PolarFiberGrid:
         return r, t
 
     def node_w(self):
-        """Cartesian fiber coordinates per flat node."""
+        """Cartesian fiber coordinates per flat node, shape (n_nodes, 2)."""
         r, t = self.node_rt()
         return np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
 
-    def radial_form(self, coeff=None):
-        """Form matrix of integral coeff(r) * (d_r f)^2 r dr dtheta.
+    def center_index(self):
+        raise NotImplementedError("the disc grid's radial nodes are cell-centered: no center node")
 
-        Edges join consecutive rings plus the Dirichlet edge to r = 1;
-        there is no flux through r = 0."""
-        nr, nt, h = self.n_r, self.n_theta, self.h_r
-        idx = np.arange(nr * nt).reshape(nr, nt)
-        rows, cols, vals, emid, elen = [], [], [], [], []
-        edge = 0
-        for i in range(nr - 1):
-            rm = (i + 1) * h  # midpoint radius between rings i and i+1
-            for j in range(nt):
-                rows += [edge, edge]
-                cols += [idx[i, j], idx[i + 1, j]]
-                vals += [-1.0 / h, 1.0 / h]
-                emid.append(rm)
-                elen.append(h * rm * self.dtheta)
-                edge += 1
-        # boundary edge: last ring to r = 1, gap h
-        rb = 1.0 - 0.5 * h
-        for j in range(nt):
-            rows.append(edge)
-            cols.append(idx[nr - 1, j])
-            vals.append(-1.0 / h)
-            emid.append(rb)
-            elen.append(h * rb * self.dtheta)
-            edge += 1
-        D = sp.csr_matrix((vals, (rows, cols)), shape=(edge, nr * nt))
-        emid = np.array(emid)
-        c = np.ones(edge) if coeff is None else np.asarray(coeff(emid), dtype=float)
-        return (D.T @ sp.diags(c * np.array(elen)) @ D).tocsr()
+    def refined_size(self, factor):
+        """Constructor arguments of the grid factor times finer in its rings;
+        the angles are kept."""
+        return int(round(self.n_r * factor)), self.n_theta
 
-    def angular_form(self, coeff):
-        """Form matrix of integral coeff(r) * (d_theta f)^2 r dr dtheta."""
-        nr, nt = self.n_r, self.n_theta
-        idx = np.arange(nr * nt).reshape(nr, nt)
-        rows, cols, vals, cvals = [], [], [], []
-        edge = 0
-        cr = np.asarray(coeff(self.r), dtype=float)
-        for i in range(nr):
-            cell = self.h_r * self.r[i] * self.dtheta
-            for j in range(nt):
-                jp = (j + 1) % nt
-                rows += [edge, edge]
-                cols += [idx[i, j], idx[i, jp]]
-                vals += [-1.0 / self.dtheta, 1.0 / self.dtheta]
-                cvals.append(cell * cr[i])
-                edge += 1
-        D = sp.csr_matrix((vals, (rows, cols)), shape=(edge, nr * nt))
-        return (D.T @ sp.diags(np.array(cvals)) @ D).tocsr()
+    def symmetrize_ground(self, ground):
+        """The ground state averaged over the angular index and renormalized:
+        an exactly radial profile makes the rotation generator annihilate it
+        exactly."""
+        prof = ground.reshape(self.n_r, self.n_theta).mean(axis=1)
+        ground = np.repeat(prof, self.n_theta)
+        return ground / math.sqrt(np.sum(self.weights * ground**2))
 
-    def flat_dirichlet_form(self):
-        """Flat Laplacian energy: (d_r f)^2 + r^-2 (d_theta f)^2."""
-        return (self.radial_form() + self.angular_form(lambda r: 1.0 / r**2)).tocsr()
+    def vertical_form(self, vertical=None):
+        """Form matrix of integral g_rr (d_r f)^2 + g_tt r^-2 (d_theta f)^2
+        r dr dtheta, with g the vertical cometric (fiber points (..., 2) ->
+        (..., 2, 2)) on the axis theta = 0: g_rr at the radial edges, g_tt at
+        the rings; flat (g = identity) without one.
+
+        Radial edges join consecutive rings, plus the Dirichlet edge from the
+        last ring to r = 1 (gap h_r each); there is no flux through r = 0.
+        Angular edges join angular neighbours on each ring, periodically.
+        Sampling on the axis stands for every angle, which needs a cometric
+        diagonal in polar coordinates there (rotationally symmetric)."""
+        nr, nt, h, dt = self.n_r, self.n_theta, self.h_r, self.dtheta
+        vertical = vertical or _flat
+        r_edge = np.append(np.arange(1, nr) * h, 1.0 - 0.5 * h)
+        g_edge, g_ring = (
+            vertical(np.stack([r, np.zeros_like(r)], axis=-1)) for r in (r_edge, self.r)
+        )
+        for g in (g_edge, g_ring):
+            if np.any(np.abs(g[:, 0, 1]) > 1e-10 * np.abs(g[:, 0, 0])):
+                raise NotImplementedError(
+                    "the disc grid needs a rotationally symmetric vertical cometric"
+                )
+        D_r = sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(nr, nr))
+        D_t = sp.diags([-1.0 / dt, 1.0 / dt, 1.0 / dt], [0, 1, 1 - nt], shape=(nt, nt))
+        # edge weight g * (h * r * dt), grouped so: the tests' edge-by-edge
+        # reference, and every result file, rest on these bits
+        radial = _edge_form(
+            sp.kron(D_r, sp.identity(nt)), np.repeat(g_edge[:, 0, 0] * (h * r_edge * dt), nt)
+        )
+        angular = _edge_form(
+            sp.kron(sp.identity(nr), D_t),
+            np.repeat(g_ring[:, 1, 1] / self.r**2 * (h * self.r * dt), nt),
+        )
+        return (radial + angular).tocsr()
 
     def rotation_generator(self):
         """Centered-difference matrix of the rotation derivation -d_theta.
@@ -252,6 +272,14 @@ class FiberSpectrum:
             raise NotImplementedError("closed-form spectrum only for codim 1")
         return ((k + 1) * math.pi / 2.0) ** 2
 
+    def references(self):
+        """Continuum references: every eigenvalue on the interval, the ground
+        energy (the first zero of J0, squared) on the disc."""
+        if self.q == 1:
+            n = len(self.eigenvalues)
+            return {"analytic": [self.analytic_eigenvalue(k) for k in range(n)]}
+        return {"bessel_oracle_lambda0": bessel_j0_first_zero() ** 2}
+
 
 def fiber_spectrum(grid, n_modes=DEFAULT_MODES):
     """Dense generalized eigensolve of the flat Dirichlet form on a fiber grid."""
@@ -260,12 +288,8 @@ def fiber_spectrum(grid, n_modes=DEFAULT_MODES):
         raise ResolutionError(
             f"{n_modes} modes requested but the grid resolves only {grid.mode_capacity}"
         )
-    if grid.q == 1:
-        Q = grid.dirichlet_form()
-    else:
-        Q = grid.flat_dirichlet_form()
     W = np.diag(grid.weights)
-    vals, vecs = scipy.linalg.eigh(Q.toarray(), W)
+    vals, vecs = scipy.linalg.eigh(grid.vertical_form().toarray(), W)
     # extend the cut so multiplets are never split
     k = n_modes
     while k < n and vals[k] - vals[k - 1] <= MULTIPLET_REL_TOL * abs(vals[k]):
@@ -279,12 +303,7 @@ def fiber_spectrum(grid, n_modes=DEFAULT_MODES):
     ground = vecs[:, 0].copy()
     if np.sum(grid.weights * ground) < 0:
         ground = -ground
-    if grid.q == 2:
-        # symmetrize over the angular index: the ground state is radial, and an
-        # exactly radial profile makes the rotation fields annihilate it exactly
-        prof = ground.reshape(grid.n_r, grid.n_theta).mean(axis=1)
-        ground = np.repeat(prof, grid.n_theta)
-        ground /= math.sqrt(np.sum(grid.weights * ground**2))
+    ground = grid.symmetrize_ground(ground)
     vecs[:, 0] = ground
     return FiberSpectrum(grid.q, grid, vals, vecs, multiplets, ground)
 
@@ -316,15 +335,6 @@ def project_E0(grid, spectrum, field):
     """Fiberwise rank-one projection onto the ground state."""
     fb = extract_fb(grid, spectrum, field)
     return np.outer(fb, spectrum.ground_state).ravel()
-
-
-def rotation_fields(grid_fiber):
-    """Discrete rotation derivations of the fiber, one per frame pair.
-
-    Empty in codimension 1 (no rotations of a 1-dimensional fiber)."""
-    if grid_fiber.q == 1:
-        return []
-    return [grid_fiber.rotation_generator()]
 
 
 # ---------------------------------------------------------------------------

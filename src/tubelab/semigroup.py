@@ -350,12 +350,12 @@ def conditional_flow_operator(grid, spectrum, eps, T, t, f_base, propagator=None
         # time zero is the identity, which a truncated propagator cannot apply
         return g if s == 0 else propagator.apply(s, g)
 
-    nodes = geometry.TubePoint(grid.base_x[:, None], grid.fiber_nodes_w()[None], eps)
+    nodes = geometry.TubePoint(grid.base_x[:, None], grid.fiber.node_w()[None], eps)
     sqrt_rho = np.sqrt(geometry.density_rho(grid.model, nodes)).ravel()
     f_lift = np.repeat(np.asarray(f_base, dtype=float), grid.n_fiber)
     num = flow(t, f_lift * flow(T - t, sqrt_rho))
     den = flow(T, sqrt_rho)
-    jc = grid.center_fiber_index()
+    jc = grid.fiber.center_index()
     num_c = grid.reshape(num)[:, jc]
     den_c = grid.reshape(den)[:, jc]
     if np.any(np.abs(den_c) < 1e-12):

@@ -23,7 +23,7 @@ EXCITED_MIXING = 0.5
 
 
 def _full_fiber_eigenvalues(fib):
-    Q = discretize._fiber_flat_form(fib)
+    Q = fib.vertical_form()
     return scipy.linalg.eigh(Q.toarray(), np.diag(fib.weights), eigvals_only=True)
 
 

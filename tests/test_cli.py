@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
@@ -102,6 +104,27 @@ BAD_CONFIGS = {
     "zero_alpha_offset": (
         "resolvent", BASE + "resolvent:\n  eps_list: [0.2, 0.1]\n  alpha_offset: 0\n"
     ),
+    # the operator route reads the fiber center, which an even interval grid lacks
+    "even_n_fiber_for_mc": (
+        "mc", BASE.replace("n_fiber: 15", "n_fiber: 16") + "mc:\n  eps_list: [0.2]\n"
+        "  n_paths: 100\n  horizon: 0.1\n  t_eval: [0.05]\n"
+    ),
+    # a tube radius at or past the focal radius of the base curve
+    **{
+        f"eps_past_radius_{command}": (
+            command, BASE.replace("radius: 1.0", "radius: 0.5") + f"{command}:\n"
+            "  eps_list: [0.6, 0.1]\n"
+        )
+        for command in ("validate", "sweep", "resolvent", "mc")
+    },
+    "eps_at_radius": (
+        "sweep", BASE.replace("radius: 1.0", "radius: 0.2") + "sweep:\n  eps_list: [0.2, 0.1]\n"
+    ),
+    "validate_default_eps_past_radius": ("validate", BASE.replace("radius: 1.0", "radius: 0.1")),
+    "eps_past_curve_focal_radius": (
+        "resolvent", "model:\n  kind: curve\n  kappa0: 6\ngrid:\n  n_base: 16\n  n_fiber: 8\n"
+        "  n_theta: 8\nresolvent:\n  eps_list: [0.2, 0.1]\n"
+    ),
 }
 
 
@@ -113,6 +136,7 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error:")
     assert "Traceback" not in err
+    assert not any((tmp_path / "o").glob("*")), "no result file on a config error"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -131,6 +155,18 @@ def test_uncreatable_out_exits_2_with_one_line(tmp_path, capsys):
     assert run(["fiber", "--config", cfg, "--out", str(blocker / "o")]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error:")
+
+
+def test_readme_config_table_names_every_schema_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [line for line in readme.splitlines() if line.startswith("| `")]
+    documented = {name for row in rows for name in re.findall(r"`([\w.]+)`", row.split("|")[1])}
+    schema = {
+        f"{section}.{key}" if isinstance(spec, dict) else section
+        for section, spec in cli.SCHEMA.items()
+        for key in (spec if isinstance(spec, dict) else [None])
+    }
+    assert documented == schema
 
 
 # Values the property test writes over config entries, valid and invalid.

@@ -19,13 +19,13 @@ class TestGrid:
         assert np.sum(synthetic_grid.weights) == pytest.approx(math.pi, abs=1e-12)
 
     def test_center_fiber_index(self, circle_grid):
-        j = circle_grid.center_fiber_index()
+        j = circle_grid.fiber.center_index()
         assert abs(circle_grid.fiber.s[j]) < 1e-14
 
     def test_center_fiber_index_needs_odd_count(self, circle_model):
         g = discretize.build_grid(circle_model, 16, 16)
         with pytest.raises(tl.ResolutionError):
-            g.center_fiber_index()
+            g.fiber.center_index()
 
     def test_build_errors(self, circle_model, synthetic_model):
         with pytest.raises(ValueError):
@@ -40,7 +40,7 @@ class TestGrid:
         # 15 * 1.5 = 22.5 rounds to 22, made odd so a node stays at s = 0
         fine = discretize.refined_grid(discretize.build_grid(circle_model, 32, 15))
         assert (fine.model, fine.n_base, fine.fiber.n) == (circle_model, 48, 23)
-        fine.center_fiber_index()
+        fine.fiber.center_index()
         # a disc fiber scales its rings and keeps its angles
         curve = tl.constant_curve(1.0, 0.0, 2 * math.pi)
         fine = discretize.refined_grid(discretize.build_grid(curve, 16, 8, 8))

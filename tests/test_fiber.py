@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import tubelab as tl
 from tubelab import fiber as fiber_mod
@@ -47,8 +48,8 @@ class TestIntervalGrid:
         # constant coefficient 2 doubles the form
         g = fiber_mod.IntervalFiberGrid(31)
         f = np.sin(math.pi * g.s)
-        q1 = float(f @ (g.dirichlet_form() @ f))
-        q2 = float(f @ (g.dirichlet_form(lambda m: 2.0 * np.ones_like(m)) @ f))
+        q1 = float(f @ (g.vertical_form() @ f))
+        q2 = float(f @ (g.vertical_form(lambda w: np.full(w.shape + (1,), 2.0)) @ f))
         assert q2 == pytest.approx(2.0 * q1, rel=1e-12)
 
     def test_minimum_size(self):
@@ -90,10 +91,97 @@ class TestPolarGrid:
             r, _ = g.node_rt()
             assert np.max(np.abs(Z @ (r**2))) == 0.0
 
-    def test_rotation_fields_shape(self):
-        assert fiber_mod.rotation_fields(fiber_mod.IntervalFiberGrid(16)) == []
-        zs = fiber_mod.rotation_fields(fiber_mod.PolarFiberGrid(16))
-        assert len(zs) == 1
+    def test_asymmetric_cometric_refused(self):
+        g = fiber_mod.PolarFiberGrid(8)
+        sheared = np.array([[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(NotImplementedError):
+            g.vertical_form(lambda w: np.broadcast_to(sheared, w.shape + (2,)))
+
+    def test_no_center_node(self):
+        with pytest.raises(NotImplementedError):
+            fiber_mod.PolarFiberGrid(8).center_index()
+
+
+def _edge_sum(n, edges):
+    """Dense form matrix of sum over edges of weight * (difference)^2; each
+    edge is (weight, [(node, difference coefficient), ...])."""
+    Q = np.zeros((n, n))
+    for weight, terms in edges:
+        for a, da in terms:
+            for b, db in terms:
+                Q[a, b] += da * weight * db
+    return Q
+
+
+def interval_reference(g, vertical):
+    """Edge-by-edge vertical form of an interval grid: the two half-length
+    wall edges and the n - 1 inner edges, coefficient at each midpoint."""
+    n, h = g.n, g.h
+
+    def coeff(s):
+        return vertical(np.array([s]))[0, 0]
+
+    edges = [(coeff(-1.0 + 0.25 * h) * (0.5 * h), [(0, 2.0 / h)])]
+    for j in range(n - 1):
+        edges.append((coeff(g.s[j] + 0.5 * h) * h, [(j, -1.0 / h), (j + 1, 1.0 / h)]))
+    edges.append((coeff(1.0 - 0.25 * h) * (0.5 * h), [(n - 1, -2.0 / h)]))
+    return _edge_sum(n, edges)
+
+
+def polar_reference(g, vertical):
+    """Edge-by-edge vertical form of a polar grid: radial edges between
+    rings and to the wall, angular edges around each ring, the cometric
+    sampled on the axis theta = 0."""
+    nr, nt, h, dt = g.n_r, g.n_theta, g.h_r, g.dtheta
+
+    def node(i, j):
+        return i * nt + j
+
+    radial = []
+    for i in range(nr):
+        rm = (i + 1) * h if i < nr - 1 else 1.0 - 0.5 * h
+        weight = vertical(np.array([rm, 0.0]))[0, 0] * (h * rm * dt)
+        for j in range(nt):
+            terms = [(node(i, j), -1.0 / h)]
+            if i < nr - 1:
+                terms.append((node(i + 1, j), 1.0 / h))
+            radial.append((weight, terms))
+    angular = []
+    for i in range(nr):
+        r = g.r[i]
+        weight = vertical(np.array([r, 0.0]))[1, 1] / (r * r) * (h * r * dt)
+        for j in range(nt):
+            angular.append((weight, [(node(i, j), -1.0 / dt), (node(i, (j + 1) % nt), 1.0 / dt)]))
+    return _edge_sum(g.n_nodes, radial) + _edge_sum(g.n_nodes, angular)
+
+
+def identity(w):
+    return np.broadcast_to(np.eye(w.shape[-1]), w.shape + (w.shape[-1],))
+
+
+def bumped(w):
+    # a + b w w^T with a, b functions of |w|: rotationally symmetric, and
+    # different along the radius and around it
+    rr = w[..., 0] * w[..., 0] + w[..., -1] * w[..., -1]
+    a = (1.0 + 0.5 * rr + 0.2 * w[..., 0])[..., None, None] * np.eye(w.shape[-1])
+    return a + 0.3 * w[..., :, None] * w[..., None, :]
+
+
+@pytest.mark.parametrize("vertical", [None, bumped], ids=["flat", "bumped"])
+@pytest.mark.parametrize(
+    "grid, reference",
+    [
+        (fiber_mod.IntervalFiberGrid(9), interval_reference),
+        (fiber_mod.IntervalFiberGrid(16), interval_reference),
+        (fiber_mod.PolarFiberGrid(8, 8), polar_reference),
+        (fiber_mod.PolarFiberGrid(9, 12), polar_reference),
+    ],
+    ids=["interval9", "interval16", "disc8x8", "disc9x12"],
+)
+def test_vertical_form_matches_edge_by_edge_assembly(grid, reference, vertical):
+    A = grid.vertical_form(vertical)
+    B = sp.csr_matrix(reference(grid, vertical or identity))
+    assert A.shape == B.shape and (A != B).nnz == 0
 
 
 class TestSpectrumAndProjections:
