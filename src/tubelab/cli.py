@@ -2,12 +2,18 @@
 
 Configuration is a single YAML file with nested sections.  load_config
 parses it against SCHEMA: unknown keys, wrong types and out-of-range values
-are rejected, and every default is filled in.  main builds the model, the
-grid and the fiber spectrum once and passes the grid (whose model is
-grid.model) and the spectrum to the subcommand; nothing below rebuilds
-them.  Each subcommand checks that it can run on them before its own
-numerics.  All result files are deterministic for a fixed config and seed
-(wall-clock timings go to run.log, which is excluded from that guarantee).
+are rejected, and every default is filled in.  main resolves the running
+subcommand's eps list and builds the model, the grid and the fiber spectrum
+once; it passes the eps list, the grid (whose model is grid.model) and the
+spectrum to the subcommand, and nothing below rebuilds them.  Each
+subcommand checks that it can run on them before its own numerics.
+
+A subcommand touches no file: it returns a Result naming its result files,
+its verdict and its run.log lines.  main alone writes them, stamping
+config_hash, version and seed into every JSON file, and turns the verdict
+into the exit code; an error raised before that leaves no result file.  All
+result files are deterministic for a fixed config and seed (wall-clock
+timings go to run.log, which is excluded from that guarantee).
 
 Exit codes: 0 success, 1 property failure, 2 configuration error,
 3 numerical failure.
@@ -22,6 +28,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -92,7 +99,7 @@ TIMES = _reals("a list of numbers >= 0", lambda xs: min(xs) >= 0.0)
 # Every config key as (parser, default).  A parser checks type and range.
 # A None default means "not given": model.kind and the eps_list of the
 # running subcommand are required; grid.n_base and validate.eps_list have
-# model-dependent defaults (build_grid, cmd_validate).
+# model-dependent defaults (build_grid, _eps_list).
 SCHEMA = {
     "seed": (SEED, 12345),
     "model": {
@@ -181,21 +188,17 @@ def load_config(path):
     return _parse_mapping("", SCHEMA, given), hashlib.sha256(raw).hexdigest()
 
 
-def _required(cfg, section, key):
-    value = cfg[section][key]
-    if value is None:
-        raise ConfigError(f"{section}.{key} is required")
-    return value
-
-
 def _eps_list(cfg, command):
     """The running subcommand's eps list, () for fiber; validate's default
     depends on the model kind."""
     if command == "fiber":
         return ()
-    if command == "validate" and cfg["validate"]["eps_list"] is None:
+    eps_list = cfg[command]["eps_list"]
+    if eps_list is None and command == "validate":
         return (0.1,) if cfg["model"]["kind"] == "synthetic" else (0.2, 0.1, 0.05, 0.025)
-    return _required(cfg, command, "eps_list")
+    if eps_list is None:
+        raise ConfigError(f"{command}.eps_list is required")
+    return eps_list
 
 
 def _check_tube_radius(cfg, eps_list):
@@ -269,13 +272,21 @@ def write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(cfg, grid, spectrum, digest, out, seed, workers):
-    synthetic = isinstance(grid.model, geometry.SyntheticFiberModel)
-    eps_list = _eps_list(cfg, "validate")
+@dataclass
+class Result:
+    """What a subcommand returns: files maps each result file name to its
+    JSON payload, or to (columns, rows) for a .csv; ok is the verdict; log
+    holds the run.log lines."""
+
+    files: dict
+    ok: bool = True
+    log: list = field(default_factory=list)
+
+
+def cmd_validate(cfg, grid, spectrum, eps_list, seed, workers):
     n_fields = cfg["validate"]["n_fields"]
-    results = {"config_hash": digest, "version": __version__, "seed": seed}
-    if synthetic:
-        results["composite_spectrum"] = suites.composite_spectrum_check(grid, eps_list[0])
+    results = {"composite_spectrum": suites.composite_spectrum_check(grid, eps_list[0])}
+    if isinstance(grid.model, geometry.SyntheticFiberModel):
         results["curvature_coupling"] = suites.curvature_coupling_suite(
             grid, spectrum, seed, min(n_fields, 25)
         )
@@ -283,7 +294,6 @@ def cmd_validate(cfg, grid, spectrum, digest, out, seed, workers):
         fields = discretize.random_fields(grid, n_fields, seed)
         bound = suites.admissible_eps_bound(spectrum)
         adm = [e for e in eps_list if e <= bound]
-        results["composite_spectrum"] = suites.composite_spectrum_check(grid, eps_list[0])
         values = suites.form_values(grid, spectrum, adm, fields)
         if adm:
             results["vertical_energy"] = suites.vertical_energy_suite(spectrum, values)
@@ -292,16 +302,13 @@ def cmd_validate(cfg, grid, spectrum, digest, out, seed, workers):
         results["sasaki_limit"] = suites.sasaki_limit_check(
             grid, spectrum, adm or eps_list, semigroup.default_t_grid(5)
         )
-    ok = all(v.get("ok", True) for v in results.values() if isinstance(v, dict))
-    results["ok"] = ok
-    write_json(os.path.join(out, "validate.json"), results)
-    return 0 if ok else 1
+    results["ok"] = ok = all(v["ok"] for v in results.values())
+    return Result({"validate.json": results}, ok)
 
 
-def cmd_sweep(cfg, grid, spectrum, digest, out, seed, workers):
+def cmd_sweep(cfg, grid, spectrum, eps_list, seed, workers):
     if grid.model.dim_base == 0:
         raise ConfigError("sweep needs a base curve; the synthetic model has a point base")
-    eps_list = _required(cfg, "sweep", "eps_list")
     if len(eps_list) < 2:
         raise ConfigError("sweep.eps_list needs at least two entries to fit an order")
     scfg = cfg["sweep"]
@@ -310,7 +317,6 @@ def cmd_sweep(cfg, grid, spectrum, digest, out, seed, workers):
     t_grid = semigroup.default_t_grid(scfg["n_t"], scfg["t_min"], scfg["t_max"])
     result = semigroup.convergence_sweep(grid, spectrum, eps_list, t_grid, scfg["pre_check"])
     columns = ["eps", "t"] + [f"err_{nm}" for nm in semigroup.NORMS]
-    write_csv(os.path.join(out, "sweep.csv"), columns, result.rows(), digest)
     sup = result.sup_errors
     checks = {
         **{f"strictly_decreasing_{nm}": bool(np.all(np.diff(v) < 0)) for nm, v in sup.items()},
@@ -318,36 +324,30 @@ def cmd_sweep(cfg, grid, spectrum, digest, out, seed, workers):
         "r2_at_least_0.95": bool(result.r_squared >= 0.95),
         "final_L2_at_most_1e-2": bool(sup["L2"][-1] <= 1e-2),
     }
-    write_json(
-        os.path.join(out, "sweep_summary.json"),
-        {
-            "config_hash": digest,
-            "version": __version__,
-            "seed": seed,
-            "eps_list": eps_list,
-            "fitted_order": result.fitted_order,
-            "r_squared": result.r_squared,
-            "lambda0": spectrum.lambda0,
-            "n_base": grid.n_base,
-            "n_fiber": cfg["grid"]["n_fiber"],
-            "sup_errors": {k: v.tolist() for k, v in sup.items()},
-            "spatial_error_estimate": result.spatial_error_estimate,
-            "spectral_path": result.spectral_paths,
-            "pre_check_spectral_path": result.pre_check_spectral_path,
-            "checks": checks,
-        },
+    summary = {
+        "eps_list": eps_list,
+        "fitted_order": result.fitted_order,
+        "r_squared": result.r_squared,
+        "lambda0": spectrum.lambda0,
+        "n_base": grid.n_base,
+        "n_fiber": cfg["grid"]["n_fiber"],
+        "sup_errors": {k: v.tolist() for k, v in sup.items()},
+        "spatial_error_estimate": result.spatial_error_estimate,
+        "spectral_path": result.spectral_paths,
+        "pre_check_spectral_path": result.pre_check_spectral_path,
+        "checks": checks,
+    }
+    return Result(
+        {"sweep.csv": (columns, result.rows()), "sweep_summary.json": summary},
+        all(checks.values()),
+        [f"eps={eps} runtime_s={rt:.3f}" for eps, rt in result.runtimes.items()],
     )
-    with open(os.path.join(out, "run.log"), "w") as fh:
-        for eps, rt in result.runtimes.items():
-            fh.write(f"eps={eps} runtime_s={rt:.3f}\n")
-    return 0 if all(checks.values()) else 1
 
 
-def cmd_mc(cfg, grid, spectrum, digest, out, seed, workers):
+def cmd_mc(cfg, grid, spectrum, eps_list, seed, workers):
     model = grid.model
     if not isinstance(model, geometry.CircleInPlane):
         raise ConfigError("mc requires the circle model")
-    eps_list = _required(cfg, "mc", "eps_list")
     mcfg = cfg["mc"]
     T, t_eval, theta0, n_paths = mcfg["horizon"], mcfg["t_eval"], mcfg["theta0"], mcfg["n_paths"]
     if max(t_eval) > T:
@@ -357,7 +357,7 @@ def cmd_mc(cfg, grid, spectrum, digest, out, seed, workers):
     except ResolutionError as exc:
         raise ConfigError(f"grid.n_fiber: {exc}") from None
     node = int(np.argmin(np.abs(grid.base_x / model.radius - theta0)))
-    rows, diagnostics, log_lines = [], [], []
+    rows, diagnostics, log = [], [], []
     for eps in eps_list:
         n_steps = max(1, int(math.ceil(T / (eps**2 / mcfg["dt_divisor"]))))
         t_record = sorted(set(t_eval + (T,)))
@@ -382,39 +382,20 @@ def cmd_mc(cfg, grid, spectrum, digest, out, seed, workers):
                 "survival": float(ens.survival_steps[round(t / ens.dt)]),
             })
         path_steps = n_paths * n_steps
-        log_lines.append(
+        log.append(
             f"eps={eps} sample_s={sample_s:.3f} path_steps={path_steps} "
             f"path_steps_per_s={path_steps / sample_s:.4g} "
             f"live_step_fraction={np.mean(ens.survival_steps):.4g} "
-            f"workers={stochastic.pool_size(n_paths, workers)}\n"
+            f"workers={stochastic.pool_size(n_paths, workers)}"
         )
-    write_csv(
-        os.path.join(out, "mc.csv"),
-        ["eps", "t", "mc_est", "mc_se", "op_route", "exact_limit"],
-        rows,
-        digest,
-    )
     ok = all(abs(r[2] - r[4]) <= 3.0 * r[3] for r in rows)
-    write_json(
-        os.path.join(out, "mc_summary.json"),
-        {
-            "config_hash": digest,
-            "version": __version__,
-            "seed": seed,
-            "within_3_se_of_operator_route": ok,
-            "rows": rows,
-            "diagnostics": diagnostics,
-        },
-    )
-    with open(os.path.join(out, "run.log"), "w") as fh:
-        fh.writelines(log_lines)
-    return 0 if ok else 1
+    columns = ["eps", "t", "mc_est", "mc_se", "op_route", "exact_limit"]
+    summary = {"within_3_se_of_operator_route": ok, "rows": rows, "diagnostics": diagnostics}
+    return Result({"mc.csv": (columns, rows), "mc_summary.json": summary}, ok, log)
 
 
-def cmd_fiber(cfg, grid, spectrum, digest, out, seed, workers):
+def cmd_fiber(cfg, grid, spectrum, eps_list, seed, workers):
     payload = {
-        "config_hash": digest,
-        "version": __version__,
         "codim": spectrum.q,
         "eigenvalues": spectrum.eigenvalues.tolist(),
         "multiplets": spectrum.multiplets,
@@ -422,62 +403,35 @@ def cmd_fiber(cfg, grid, spectrum, digest, out, seed, workers):
         "lambda1": spectrum.lambda1,
         **spectrum.references(),
     }
-    write_json(os.path.join(out, "fiber.json"), payload)
-    return 0
+    return Result({"fiber.json": payload})
 
 
-def cmd_resolvent(cfg, grid, spectrum, digest, out, seed, workers):
+def cmd_resolvent(cfg, grid, spectrum, eps_list, seed, workers):
     if grid.model.dim_base == 0:
         raise ConfigError("resolvent needs a base curve; the synthetic model has a point base")
-    eps_list = _required(cfg, "resolvent", "eps_list")
     rcfg = cfg["resolvent"]
     alpha = spectrum.lambda0 + rcfg["alpha_offset"]
-    radius = grid.model.base_length / (2.0 * math.pi)
-    phi0 = spectrum.ground_state
+    theta = grid.base_angle
     phi1 = spectrum.eigenfunctions[:, spectrum.multiplets[1][0]]
     w_field = (
-        np.outer(1.0 + 0.5 * np.cos(grid.base_x / radius), phi0)
-        + 0.3 * np.outer(np.sin(grid.base_x / radius), phi1)
+        np.outer(1.0 + 0.5 * np.cos(theta), spectrum.ground_state)
+        + 0.3 * np.outer(np.sin(theta), phi1)
     ).ravel()
-    limit = semigroup.resolvent_limit(grid, spectrum, alpha, w_field)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    rows, infos, variational_ok = [], [], True
-    for eps in eps_list:
-        h0 = discretize.renormalize(
-            discretize.assemble_operator(grid, "H", eps), spectrum.lambda0
-        )
-        f, info = semigroup.resolvent_minimizer(h0, alpha, w_field)
-        err = grid.norm(f - limit)
-        base_phi = semigroup.phi_functional(h0, alpha, w_field, f)
-        for _ in range(rcfg["n_perturbations"]):
-            d = rng.standard_normal(grid.n)
-            d *= rcfg["delta"] / grid.norm(d)
-            if semigroup.phi_functional(h0, alpha, w_field, f + d) <= base_phi:
-                variational_ok = False
-        rows.append([eps, err])
-        infos.append(info)
-    errs = [r[1] for r in rows]
+    errs, infos, variational_ok = semigroup.resolvent_study(
+        grid, spectrum, eps_list, alpha, w_field, rng, rcfg["n_perturbations"], rcfg["delta"]
+    )
     checks = {
         "strictly_decreasing": bool(all(b < a for a, b in zip(errs, errs[1:]))),
         "final_error_at_most_1e-2": bool(errs[-1] <= 1e-2),
         "variational_minimum": variational_ok,
     }
-    write_csv(os.path.join(out, "resolvent.csv"), ["eps", "err_L2"], rows, digest)
-    write_json(
-        os.path.join(out, "resolvent.json"),
-        {
-            "config_hash": digest,
-            "version": __version__,
-            "seed": seed,
-            "alpha": alpha,
-            "errors": errs,
-            "residual": [i["residual"] for i in infos],
-            "min_eigenvalue": [i["min_eigenvalue"] for i in infos],
-            "spectral_path": [i["spectral_path"] for i in infos],
-            "checks": checks,
-        },
-    )
-    return 0 if all(checks.values()) else 1
+    summary = {"alpha": alpha, "errors": errs, "checks": checks}
+    for key in ("residual", "backward_error", "min_eigenvalue", "spectral_path"):
+        summary[key] = [info[key] for info in infos]
+    rows = [[eps, err] for eps, err in zip(eps_list, errs)]
+    files = {"resolvent.csv": (["eps", "err_L2"], rows), "resolvent.json": summary}
+    return Result(files, all(checks.values()))
 
 
 COMMANDS = {
@@ -503,7 +457,8 @@ def main(argv=None):
         cfg, digest = load_config(args.config)
         seed = cfg["seed"] if args.seed is None else _parse("--seed", SEED, args.seed)
         workers = _parse("--workers", COUNT, args.workers)
-        _check_tube_radius(cfg, _eps_list(cfg, args.command))
+        eps_list = _eps_list(cfg, args.command)
+        _check_tube_radius(cfg, eps_list)
         grid = build_grid(cfg)
         n_modes = cfg["fiber"]["n_modes"] if args.command == "fiber" else fiber_mod.DEFAULT_MODES
         if n_modes > grid.fiber.mode_capacity:
@@ -516,7 +471,7 @@ def main(argv=None):
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create the output directory: {exc}") from None
-        return COMMANDS[args.command](cfg, grid, spectrum, digest, args.out, seed, workers)
+        result = COMMANDS[args.command](cfg, grid, spectrum, eps_list, seed, workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -526,6 +481,17 @@ def main(argv=None):
     except np.linalg.LinAlgError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    stamp = {"config_hash": digest, "version": __version__, "seed": seed}
+    for name, payload in result.files.items():
+        path = os.path.join(args.out, name)
+        if name.endswith(".csv"):
+            write_csv(path, *payload, digest)
+        else:
+            write_json(path, {**payload, **stamp})
+    if result.log:
+        with open(os.path.join(args.out, "run.log"), "w") as fh:
+            fh.writelines(line + "\n" for line in result.log)
+    return 0 if result.ok else 1
 
 
 if __name__ == "__main__":

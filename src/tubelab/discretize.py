@@ -59,6 +59,11 @@ class ProductGrid:
     def n(self):
         return self.n_base * self.n_fiber
 
+    @property
+    def base_angle(self):
+        """The base nodes as angles in [0, 2 pi) around the closed base curve."""
+        return self.base_x / (self.model.base_length / (2.0 * math.pi))
+
     def reshape(self, f):
         return np.asarray(f).reshape(self.n_base, self.n_fiber)
 

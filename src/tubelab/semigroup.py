@@ -257,8 +257,9 @@ def resolvent_minimizer(op_h0, alpha, w_field):
     coercivity before one sparse solve.  The solve is accepted when the
     normwise backward error of A f = b, with A = form + alpha diag(w) the
     assembled sparse matrix and b = w * w_field, is at most
-    BACKWARD_ERROR_BOUND; info reports the weighted relative "residual",
-    which is not checked.  Raises CoercivityViolation when the shifted
+    BACKWARD_ERROR_BOUND; info reports it as "backward_error" (0.0 for a
+    zero datum) next to the weighted relative "residual", which is not
+    checked.  Raises CoercivityViolation when the shifted
     pencil is not positive definite (epsilon outside the coercive range),
     ResolutionError when the backward error is above the bound or not
     finite."""
@@ -314,7 +315,9 @@ def resolvent_minimizer(op_h0, alpha, w_field):
             f"resolvent backward error {r / scale:.3e} above {BACKWARD_ERROR_BOUND:.3e} "
             f"({BACKWARD_ERROR_BOUND / UNIT_ROUNDOFF:.0f} u)"
         )
-    return f, {"residual": rel, "min_eigenvalue": mineig, "spectral_path": path}
+    info = {"residual": rel, "min_eigenvalue": mineig, "spectral_path": path}
+    info["backward_error"] = float(r / scale) if scale else 0.0
+    return f, info
 
 
 def resolvent_limit(grid, spectrum, alpha, w_field):
@@ -325,6 +328,29 @@ def resolvent_limit(grid, spectrum, alpha, w_field):
     fb = fiber_mod.extract_fb(grid, spectrum, w_field)
     gb = spla.spsolve((Qb + alpha * sp.diags(wb)).tocsc(), wb * fb)
     return np.outer(gb, spectrum.ground_state).ravel()
+
+
+def resolvent_study(grid, spectrum, eps_list, alpha, w_field, rng, n_perturbations, delta):
+    """Resolvent collapse study: per eps, the L2 distance from the solution f
+    of (H0(eps) + alpha) f = w_field to resolvent_limit, and a test of f as
+    the minimizer of phi_functional against n_perturbations random
+    perturbations of norm delta drawn from rng.  Returns (errors, infos,
+    variational_ok): the errors and resolvent_minimizer infos per eps, and
+    whether no perturbation lowered phi."""
+    limit = resolvent_limit(grid, spectrum, alpha, w_field)
+    errors, infos, variational_ok = [], [], True
+    for eps in eps_list:
+        h0 = discretize.renormalize(discretize.assemble_operator(grid, "H", eps), spectrum.lambda0)
+        f, info = resolvent_minimizer(h0, alpha, w_field)
+        base_phi = phi_functional(h0, alpha, w_field, f)
+        for _ in range(n_perturbations):
+            d = rng.standard_normal(grid.n)
+            d *= delta / grid.norm(d)
+            if phi_functional(h0, alpha, w_field, f + d) <= base_phi:
+                variational_ok = False
+        errors.append(grid.norm(f - limit))
+        infos.append(info)
+    return errors, infos, variational_ok
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +419,7 @@ def default_t_grid(n=10, t_min=0.1, t_max=1.0):
 
 def default_sweep_field(grid, spectrum):
     """phi0 times (1 + cos(theta)/2) on the base circle."""
-    radius = grid.model.base_length / (2.0 * math.pi)
-    fb = 1.0 + 0.5 * np.cos(grid.base_x / radius)
+    fb = 1.0 + 0.5 * np.cos(grid.base_angle)
     return np.outer(fb, spectrum.ground_state).ravel()
 
 

@@ -165,9 +165,8 @@ def sasaki_limit_check(grid, spectrum, eps_list, t_grid):
     lam0, lam1 = spectrum.lambda0, spectrum.lambda1
     phi0 = spectrum.ground_state
     phi1 = spectrum.eigenfunctions[:, spectrum.multiplets[1][0]]
-    radius = grid.model.base_length / (2.0 * math.pi)
-    g0 = 1.0 + 0.5 * np.cos(grid.base_x / radius)
-    g1 = EXCITED_MIXING * (1.0 + np.cos(grid.base_x / radius))
+    g0 = 1.0 + 0.5 * np.cos(grid.base_angle)
+    g1 = EXCITED_MIXING * (1.0 + np.cos(grid.base_angle))
     f = (np.outer(g0, phi0) + np.outer(g1, phi1)).ravel()
     nf = grid.norm(f)
     Qb, wb = semigroup.base_laplacian(grid)

@@ -72,7 +72,7 @@ def test_criterion_3_excited_mode_decay_bound(grid64, spec64):
         op0 = discretize.renormalize(
             discretize.assemble_operator(grid64, "HSa", eps), lam0
         )
-        prop = semigroup.Propagator(op0.form, op0.weights, t_min=0.1)
+        prop = semigroup.Propagator(op0.form, op0.weights, t_min=0.1, n_base=grid64.n_base)
         for t in semigroup.default_t_grid():
             lhs = grid64.norm(
                 prop.apply(t, f)
@@ -123,21 +123,11 @@ def test_criterion_5_collapse_sweep(grid64, spec64):
 def test_criterion_6_resolvent_convergence(grid64, spec64, rng):
     alpha = spec64.lambda0 + 1.5
     w = semigroup.default_sweep_field(grid64, spec64)
-    # ground-band limit: base resolvent of the projected datum
-    limit = semigroup.resolvent_limit(grid64, spec64, alpha, w)
-    errs, variational_ok = [], True
-    for eps in (0.2, 0.1, 0.05, 0.025):
-        op0 = discretize.renormalize(
-            discretize.assemble_operator(grid64, "H", eps), spec64.lambda0
-        )
-        f, _ = semigroup.resolvent_minimizer(op0, alpha, w)
-        errs.append(grid64.norm(f - limit))
-        base = semigroup.phi_functional(op0, alpha, w, f)
-        for _ in range(20):
-            d = rng.standard_normal(grid64.n)
-            d *= 1e-3 / grid64.norm(d)
-            if semigroup.phi_functional(op0, alpha, w, f + d) <= base:
-                variational_ok = False
+    # errors against the ground-band limit, the base resolvent of the
+    # projected datum, and a 20-perturbation minimum check at each eps
+    errs, _, variational_ok = semigroup.resolvent_study(
+        grid64, spec64, (0.2, 0.1, 0.05, 0.025), alpha, w, rng, 20, 1e-3
+    )
     dec = all(b < a for a, b in zip(errs, errs[1:]))
     ok = dec and errs[-1] <= 1e-2 and variational_ok
     assert verdict(

@@ -11,7 +11,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from tubelab import cli, discretize, fiber
+from tubelab import cli, discretize, fiber, semigroup
+from tubelab.errors import ResolutionError
 
 BASE = """\
 seed: 12345
@@ -146,6 +147,26 @@ def test_nonpositive_workers_exit_2_with_one_line(tmp_path, capsys, workers):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error:")
     assert not (tmp_path / "o").exists()
+
+
+def test_numerical_error_exits_3_and_writes_no_file(tmp_path, capsys, monkeypatch):
+    solve = semigroup.resolvent_minimizer
+    calls = []
+
+    def fail_second(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ResolutionError("injected failure")
+        return solve(*args)
+
+    monkeypatch.setattr(semigroup, "resolvent_minimizer", fail_second)
+    cfg = write_cfg(tmp_path, "c.yaml", BASE + "resolvent:\n  eps_list: [0.2, 0.1]\n")
+    out = tmp_path / "o"
+    assert run(["resolvent", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("numerical error:")
+    assert len(calls) == 2
+    assert out.is_dir() and not any(out.iterdir()), "no result file on a numerical error"
 
 
 def test_uncreatable_out_exits_2_with_one_line(tmp_path, capsys):
@@ -377,6 +398,7 @@ class TestResolventCommand:
         assert rep["errors"][1] < rep["errors"][0]
         assert rep["spectral_path"] == ["block", "block"]
         assert max(rep["residual"]) < 1e-10 and min(rep["min_eigenvalue"]) > 0
+        assert max(rep["backward_error"]) <= semigroup.BACKWARD_ERROR_BOUND
 
     def test_small_eps_on_readme_grid(self, tmp_path):
         # at eps = 0.0125 the relative residual is about 1.2e-10, roundoff
