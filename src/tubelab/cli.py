@@ -356,7 +356,6 @@ def cmd_mc(cfg, grid, spectrum, eps_list, seed, workers):
         grid.fiber.center_index()  # the operator route reads the fiber center
     except ResolutionError as exc:
         raise ConfigError(f"grid.n_fiber: {exc}") from None
-    node = int(np.argmin(np.abs(grid.base_x / model.radius - theta0)))
     rows, diagnostics, log = [], [], []
     for eps in eps_list:
         n_steps = max(1, int(math.ceil(T / (eps**2 / mcfg["dt_divisor"]))))
@@ -372,11 +371,13 @@ def cmd_mc(cfg, grid, spectrum, eps_list, seed, workers):
         snapped = dict(zip(t_record, ens.t_record.tolist()))
         for t in (snapped[t] for t in t_eval):
             est = stochastic.marginal_estimate(ens, np.cos, t)
+            # the circle is rotation invariant: the route for cos started at
+            # theta0 is the route for cos(. + theta0) started at node 0
             op_vals = semigroup.conditional_flow_operator(
-                grid, spectrum, eps, T, t, np.cos(grid.base_x / model.radius)
+                grid, spectrum, eps, T, t, np.cos(grid.base_x / model.radius + theta0)
             )
             exact = stochastic.circle_heat_oracle(model.radius, theta0, t, [0.0, 1.0])
-            rows.append([eps, t, est.value, est.std_error, float(op_vals[node]), exact])
+            rows.append([eps, t, est.value, est.std_error, float(op_vals[0]), exact])
             diagnostics.append({
                 "ess": est.ess, "n_survived": est.n_survived, "sampler": "killed",
                 "survival": float(ens.survival_steps[round(t / ens.dt)]),

@@ -135,11 +135,11 @@ class DiscreteOperator:
         return float(f @ (self.form @ f))
 
     def eig(self):
-        """All eigenvalues of the weighted pencil, ascending; block-circulant
-        forms are solved block by block (semigroup.pencil_eigenvalues)."""
+        """All eigenvalues of the weighted pencil, ascending; a block-circulant
+        form is found and solved block by block (semigroup.pencil_eigenvalues)."""
         from . import semigroup  # semigroup imports this module
 
-        return semigroup.pencil_eigenvalues(self.form, self.weights, self.grid.n_base)
+        return semigroup.pencil_eigenvalues(self.form, self.weights)
 
 
 def _base_difference(grid):

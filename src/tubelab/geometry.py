@@ -291,24 +291,14 @@ def jacobi_endomorphism(model, base, w, eps):
     raise NotImplementedError(f"unsupported model kind: {type(model).__name__}")
 
 
-def cometric(model, point, which="induced"):
-    """Cometric blocks at tube points, fiber-rescaled.
-
-    which = "sasaki": identity horizontal block, eps^-2 identity vertical.
-    which = "induced": exact inversion of A^T A with the covector rescaling
-    (eta_tan, eps^-1 eta_norm)."""
+def cometric(model, point):
+    """Induced cometric blocks at tube points, fiber-rescaled: the exact
+    inversion of A^T A with the covector rescaling (eta_tan, eps^-1 eta_norm).
+    The Sasaki cometric (identity horizontal, eps^-2 identity vertical) needs
+    no evaluation; discretize assembles its form as V / eps^2 + H."""
     eps = point.epsilon
     l = model.dim_base
     q = model.codim
-    if which == "sasaki":
-        shape = np.broadcast_shapes(point.base.shape, point.w.shape[:-1])
-        return CometricAt(
-            np.broadcast_to(np.eye(l), shape + (l, l)),
-            np.broadcast_to(np.eye(q) / eps**2, shape + (q, q)),
-            np.zeros(shape + (l, q)),
-        )
-    if which != "induced":
-        raise ValueError("which must be 'sasaki' or 'induced'")
     A = jacobi_endomorphism(model, point.base, point.w, eps)
     G = np.swapaxes(A, -1, -2) @ A
     try:

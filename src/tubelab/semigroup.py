@@ -1,13 +1,14 @@
 """Heat propagators, resolvents, and the epsilon-collapse convergence study.
 
 Every solver here works on a weighted form pencil (Q, diag(w)): the operator
-is w^-1 Q, symmetric in the weighted inner product.  Three spectral paths
-exist, and only the structure and size of the pencil choose between them.
+is w^-1 Q, symmetric in the weighted inner product.  One spectral core,
+`fourier_blocks`, splits every pencil into blocks, and only the structure
+and size of the pencil choose the spectral path.
 
 Block path.  A tube whose geometry does not change along the base (the
-circle, a constant curve without torsion, the Sasaki forms of any of them)
-gives a form that is block-circulant in the base index.  With S the cyclic
-base shift (S[i, i+1] = 1) the form is
+circle, a constant curve without torsion, the Sasaki forms of any of them,
+the base Laplacian itself) gives a form that is block-circulant in the base
+index.  With S the cyclic base shift (S[i, i+1] = 1) the form is
 
     Q = kron(I, D) + kron(S, N) + kron(S^T, N^T),   N = N^T,
 
@@ -21,20 +22,23 @@ pencils
     (B_k, diag(w_row)),   B_k = D + 2 cos(2 pi k / n_base) N,
 
 each of size n_fiber; mode k carries c_k and s_k (one vector for k = 0 and,
-for even n_base, for k = n_base / 2).  `fourier_blocks` admits a pencil
-only when this holds exactly: the weights repeat bitwise and the form equals
-the reassembled block matrix entry for entry.  Nothing else selects the
-path; callers that hold a grid pass its n_base, and the default n_base = 1
-means no base structure.
+for even n_base, for k = n_base / 2).  The block size is read from the form
+itself: row 0 ends in the block N^T of the cyclic neighbour, and N is
+diagonal for every form assembled here, so the last nonzero of row 0 sits
+at column n - n_fiber.  That reading is only a guess; the pencil is split
+only when the split is exact: the weights repeat bitwise, N is symmetric
+and the form equals the reassembled block matrix entry for entry.  A wrong
+guess costs speed, never accuracy.
 
-Dense path.  Other pencils up to DENSE_CUTOFF nodes get one dense
+Dense path.  Any other pencil is the one-block case n_base = 1, whose only
+basis vector is c_0 = 1.  Up to DENSE_CUTOFF nodes it gets one dense
 generalized eigendecomposition, so semigroup laws hold to solver accuracy.
 
-Truncated path.  Above the cutoff only the spectrally relevant bottom of
-the spectrum is kept: a mode at distance d above the bottom contributes a
-factor exp(-t*d/2) <= 1e-18 over times >= t_min and is dropped.  The
-propagator refuses earlier times.  eigsh starts from a fixed vector, so
-reruns repeat bit for bit.
+Truncated path.  Above the cutoff a propagator keeps, as its one block,
+only the spectrally relevant bottom of the spectrum: a mode at distance d
+above the bottom contributes a factor exp(-t*d/2) <= 1e-18 over times >=
+t_min and is dropped.  The propagator refuses earlier times.  eigsh starts
+from a fixed vector, so reruns repeat bit for bit.
 
 Resolvent solves are accepted by their normwise backward error against a
 small multiple of the unit roundoff (BACKWARD_ERROR_BOUND), which does not
@@ -79,17 +83,20 @@ def _start_vector(n):
 
 
 class FourierBlocks:
-    """A block-circulant pencil in the real Fourier basis of the base.
+    """A pencil in the real Fourier basis of its base, one block per mode.
 
     blocks[k] is B_k of the module docstring.  Fields move between nodes and
     modes as arrays of shape (n_base // 2 + 1, 2, n_fiber): row [k, 0] holds
-    the c_k coefficients, row [k, 1] the s_k ones (zero where s_k is absent)."""
+    the c_k coefficients, row [k, 1] the s_k ones (zero where s_k is absent).
+    A pencil without base structure is the one-block case n_base = 1: its
+    block is the whole form, kept sparse until `blocks` is first read, and
+    its modes have the one row of c_0 = 1."""
 
-    def __init__(self, D, N, w_row, n_base):
+    def __init__(self, blocks, w_row, n_base):
         self.n_base = n_base
         self.w_row = w_row
+        self._blocks = blocks
         k = np.arange(n_base // 2 + 1)
-        self.blocks = D + 2.0 * np.cos(2.0 * np.pi * k / n_base)[:, None, None] * N
         # basis[:, k, 0] = c_k, basis[:, k, 1] = s_k, orthonormal columns
         angle = 2.0 * np.pi * np.outer(np.arange(n_base), k) / n_base
         basis = np.sqrt(2.0 / n_base) * np.stack([np.cos(angle), np.sin(angle)], axis=2)
@@ -98,11 +105,24 @@ class FourierBlocks:
         basis[:, lone, 0] /= math.sqrt(2.0)
         basis[:, lone, 1] = 0.0
         self.multiplicity[lone] = 1
-        self.basis = basis.reshape(n_base, -1)
+        self.basis = basis[:, :, : min(n_base, 2)].reshape(n_base, -1)
+
+    @property
+    def blocks(self):
+        if sp.issparse(self._blocks):
+            self._blocks = self._blocks.toarray()[None]
+        return self._blocks
+
+    @property
+    def path(self):
+        """The spectral path of the pencil (module docstring)."""
+        if self.n_base > 1:
+            return "block"
+        return "dense" if len(self.w_row) <= DENSE_CUTOFF else "truncated"
 
     def to_modes(self, f):
         g = self.basis.T @ np.asarray(f).reshape(self.n_base, -1)
-        return g.reshape(len(self.blocks), 2, -1)
+        return g.reshape(len(self.multiplicity), -1, len(self.w_row))
 
     def from_modes(self, g):
         return (self.basis @ g.reshape(self.basis.shape[1], -1)).ravel()
@@ -121,81 +141,73 @@ class FourierBlocks:
         return np.sort(np.repeat(block_vals, self.multiplicity, axis=0).ravel())
 
 
-def fourier_blocks(form, weights, n_base):
-    """FourierBlocks of the pencil (form, diag(weights)) if it is exactly
-    block-circulant over n_base base nodes with a symmetric neighbour
-    block (module docstring), else None."""
+def fourier_blocks(form, weights):
+    """FourierBlocks of the pencil (form, diag(weights)): split over the base
+    when the form is exactly block-circulant with a symmetric neighbour
+    block, the block size read from row 0 (module docstring); else the whole
+    pencil as one block."""
     weights = np.asarray(weights, dtype=float)
-    if n_base < 3 or len(weights) % n_base:
-        return None
-    nf = len(weights) // n_base
-    w = weights.reshape(n_base, nf)
-    if not np.array_equal(w, np.broadcast_to(w[0], w.shape)):
-        return None
     Q = sp.csr_matrix(form)
-    D = Q[:nf, :nf].toarray()
-    N = Q[:nf, nf : 2 * nf].toarray()
-    if not np.array_equal(N, N.T):
-        return None
-    S = sp.eye(n_base, k=1) + sp.eye(n_base, k=1 - n_base)
-    rebuilt = sp.kron(sp.identity(n_base), D) + sp.kron(S, N) + sp.kron(S.T, N.T)
-    if (Q != rebuilt).nnz:
-        return None
-    return FourierBlocks(D, N, w[0].copy(), n_base)
+    n = len(weights)
+    row0 = Q[0].nonzero()[1]
+    nf = n - row0.max() if len(row0) else n
+    n_base = n // nf
+    if n_base >= 3 and n % nf == 0:
+        w = weights.reshape(n_base, nf)
+        D = Q[:nf, :nf].toarray()
+        N = Q[:nf, nf : 2 * nf].toarray()
+        if np.array_equal(w, np.broadcast_to(w[0], w.shape)) and np.array_equal(N, N.T):
+            S = sp.eye(n_base, k=1) + sp.eye(n_base, k=1 - n_base)
+            rebuilt = sp.kron(sp.identity(n_base), D) + sp.kron(S, N) + sp.kron(S.T, N.T)
+            if not (Q != rebuilt).nnz:
+                k = np.arange(n_base // 2 + 1)
+                blocks = D + 2.0 * np.cos(2.0 * np.pi * k / n_base)[:, None, None] * N
+                return FourierBlocks(blocks, w[0].copy(), n_base)
+    return FourierBlocks(Q, weights, 1)
 
 
-def pencil_eigenvalues(form, weights, n_base=1):
+def pencil_eigenvalues(form, weights):
     """All eigenvalues of the pencil (form, diag(weights)), ascending."""
-    blocks = fourier_blocks(form, weights, n_base)
-    if blocks is not None:
-        return blocks.spectrum(blocks.eigh(eigvals_only=True))
-    dense = form.toarray() if sp.issparse(form) else np.asarray(form)
-    return scipy.linalg.eigh(dense, np.diag(weights), eigvals_only=True)
+    blocks = fourier_blocks(form, weights)
+    return blocks.spectrum(blocks.eigh(eigvals_only=True))
 
 
 class Propagator:
     """exp(-t * A / 2) for the operator of a weighted form pencil.
 
-    `path` names the spectral path taken (module docstring): "block",
-    "dense" or "truncated".  On the block path eigenvalues and eigenvectors
-    are stacked per fiber block (FourierBlocks.eigh)."""
+    The structure is read from the pencil (fourier_blocks); `path` names the
+    spectral path it selects (module docstring): "block", "dense" (the one
+    block of a pencil without base structure) or "truncated" (one block of
+    the bottom eigenpairs).  Eigenvalues and eigenvectors are stacked per
+    block (FourierBlocks.eigh)."""
 
-    def __init__(self, form, weights, t_min=0.05, n_base=1):
+    def __init__(self, form, weights, t_min=0.05):
         self.weights = np.asarray(weights, dtype=float)
         n = len(self.weights)
         self.t_min = t_min
-        self.blocks = fourier_blocks(form, self.weights, n_base)
-        if self.blocks is not None:
-            self.path = "block"
+        self.blocks = fourier_blocks(form, self.weights)
+        self.path = self.blocks.path
+        if not self.truncated:
             self.eigenvalues, self.eigenvectors = self.blocks.eigh()
-        elif n <= DENSE_CUTOFF:
-            self.path = "dense"
-            self.eigenvalues, self.eigenvectors = scipy.linalg.eigh(
-                np.asarray(form.todense()) if sp.issparse(form) else np.asarray(form),
-                np.diag(self.weights),
-            )
-        else:
-            # keep the bottom of the spectrum; modes further than `span` above
-            # the minimum are invisible at times >= t_min in double precision
-            self.path = "truncated"
-            span = 2.0 * 41.0 / t_min
-            Qc = form.tocsc()
-            M = sp.diags(self.weights).tocsc()
-            rowsum = np.asarray(abs(Qc).sum(axis=1)).ravel()
-            diag = Qc.diagonal()
-            lower = float(np.min((diag - (rowsum - np.abs(diag))) / self.weights))
-            k = min(max(64, n // 50), n - 2)
-            v0 = _start_vector(n)
-            while True:
-                vals, vecs = spla.eigsh(
-                    Qc, k=k, M=M, sigma=lower - 1.0, which="LM", v0=v0
-                )
-                order = np.argsort(vals)
-                vals, vecs = vals[order], vecs[:, order]
-                if vals[-1] - vals[0] >= span or k >= n - 2:
-                    break
-                k = min(2 * k, n - 2)
-            self.eigenvalues, self.eigenvectors = vals, vecs
+            return
+        # keep the bottom of the spectrum; modes further than `span` above
+        # the minimum are invisible at times >= t_min in double precision
+        span = 2.0 * 41.0 / t_min
+        Qc = form.tocsc()
+        M = sp.diags(self.weights).tocsc()
+        rowsum = np.asarray(abs(Qc).sum(axis=1)).ravel()
+        diag = Qc.diagonal()
+        lower = float(np.min((diag - (rowsum - np.abs(diag))) / self.weights))
+        k = min(max(64, n // 50), n - 2)
+        v0 = _start_vector(n)
+        while True:
+            vals, vecs = spla.eigsh(Qc, k=k, M=M, sigma=lower - 1.0, which="LM", v0=v0)
+            order = np.argsort(vals)
+            vals, vecs = vals[order], vecs[:, order]
+            if vals[-1] - vals[0] >= span or k >= n - 2:
+                break
+            k = min(2 * k, n - 2)
+        self.eigenvalues, self.eigenvectors = vals[None], vecs[None]
 
     @property
     def truncated(self):
@@ -209,12 +221,9 @@ class Propagator:
                 f"time {t} below t_min={self.t_min} of a truncated propagator"
             )
         decay = np.exp(-0.5 * t * self.eigenvalues)
-        if self.blocks is not None:
-            U = self.eigenvectors
-            coef = (self.blocks.to_modes(f) * self.blocks.w_row) @ U
-            return self.blocks.from_modes((decay[:, None, :] * coef) @ U.transpose(0, 2, 1))
-        coef = self.eigenvectors.T @ (self.weights * np.asarray(f))
-        return self.eigenvectors @ (decay * coef)
+        U = self.eigenvectors
+        coef = (self.blocks.to_modes(f) * self.blocks.w_row) @ U
+        return self.blocks.from_modes((decay[:, None, :] * coef) @ U.transpose(0, 2, 1))
 
 
 def base_laplacian(grid):
@@ -248,13 +257,24 @@ def phi_functional(op_h0, alpha, w_field, f):
     return 0.5 * (op_h0.form_value(f) + alpha * g.inner(f, f)) - g.inner(w_field, f)
 
 
+def _coercive(mineig):
+    if mineig <= 0:
+        raise CoercivityViolation(
+            f"shifted operator indefinite (min eigenvalue {mineig:.3e}); "
+            "epsilon is outside the coercive range"
+        )
+    return mineig
+
+
 def resolvent_minimizer(op_h0, alpha, w_field):
     """Minimize phi, i.e. solve (H0 + alpha) f = w in the weighted sense.
 
-    On the block path the minimum eigenvalue is the least over the fiber
-    blocks and each block is solved by its own Cholesky factor; otherwise
-    a dense (or, above DENSE_CUTOFF, shift-invert) eigensolve certifies
-    coercivity before one sparse solve.  The solve is accepted when the
+    The structure is read from the pencil (fourier_blocks).  Up to
+    DENSE_CUTOFF nodes, or at any size when the base splits it, the minimum
+    eigenvalue is the least over the blocks (one block for a dense pencil)
+    and each block is solved by its own Cholesky factor; above the cutoff a
+    pencil without base structure gets one shift-invert eigsh for the
+    minimum eigenvalue and one sparse solve.  The solve is accepted when the
     normwise backward error of A f = b, with A = form + alpha diag(w) the
     assembled sparse matrix and b = w * w_field, is at most
     BACKWARD_ERROR_BOUND; info reports it as "backward_error" (0.0 for a
@@ -267,45 +287,29 @@ def resolvent_minimizer(op_h0, alpha, w_field):
     W = sp.diags(g.weights)
     A = (op_h0.form + alpha * W).tocsc()
     n = A.shape[0]
-    blocks = fourier_blocks(op_h0.form, g.weights, g.n_base)
-    if blocks is not None:
-        path = "block"
-        W_row = np.diag(blocks.w_row)
-        shifted = blocks.blocks + alpha * W_row
-        mineig = min(
-            float(scipy.linalg.eigh(B, W_row, eigvals_only=True, subset_by_index=[0, 0])[0])
-            for B in shifted
-        )
-    elif n <= DENSE_CUTOFF:
-        path = "dense"
-        mineig = float(
-            scipy.linalg.eigh(
-                A.toarray(), np.diag(g.weights), eigvals_only=True, subset_by_index=[0, 0]
-            )[0]
-        )
-    else:
-        path = "truncated"
-        mineig = float(
+    blocks = fourier_blocks(op_h0.form, g.weights)
+    rhs = g.weights * np.asarray(w_field)
+    if blocks.path == "truncated":
+        mineig = _coercive(float(
             spla.eigsh(
                 A, k=1, M=W.tocsc(), sigma=-1e3, which="LM",
                 return_eigenvectors=False, v0=_start_vector(n),
             )[0]
-        )
-    if mineig <= 0:
-        raise CoercivityViolation(
-            f"shifted operator indefinite (min eigenvalue {mineig:.3e}); "
-            "epsilon is outside the coercive range"
-        )
-    rhs = g.weights * np.asarray(w_field)
-    if blocks is not None:
+        ))
+        f = spla.spsolve(A, rhs)
+    else:
+        W_row = np.diag(blocks.w_row)
+        shifted = blocks.blocks + alpha * W_row
+        mineig = _coercive(min(
+            float(scipy.linalg.eigh(B, W_row, eigvals_only=True, subset_by_index=[0, 0])[0])
+            for B in shifted
+        ))
         modes = blocks.to_modes(rhs)
         for k, block in enumerate(shifted):
             factor = scipy.linalg.cho_factor(block)
             # a non-finite datum propagates to the backward-error check
             modes[k] = scipy.linalg.cho_solve(factor, modes[k].T, check_finite=False).T
         f = blocks.from_modes(modes)
-    else:
-        f = spla.spsolve(A, rhs)
     Af = A @ f
     rel = g.norm(Af / g.weights - np.asarray(w_field)) / max(g.norm(w_field), 1e-300)
     r = np.max(np.abs(Af - rhs))
@@ -315,7 +319,7 @@ def resolvent_minimizer(op_h0, alpha, w_field):
             f"resolvent backward error {r / scale:.3e} above {BACKWARD_ERROR_BOUND:.3e} "
             f"({BACKWARD_ERROR_BOUND / UNIT_ROUNDOFF:.0f} u)"
         )
-    info = {"residual": rel, "min_eigenvalue": mineig, "spectral_path": path}
+    info = {"residual": rel, "min_eigenvalue": mineig, "spectral_path": blocks.path}
     info["backward_error"] = float(r / scale) if scale else 0.0
     return f, info
 
@@ -370,7 +374,7 @@ def conditional_flow_operator(grid, spectrum, eps, T, t, f_base, propagator=None
         h = discretize.assemble_operator(grid, "H", eps)
         h0 = discretize.renormalize(h, lam0)
         t_min = min([0.05] + [s for s in (t, T - t) if s > 0])
-        propagator = Propagator(h0.form, h0.weights, t_min=t_min, n_base=grid.n_base)
+        propagator = Propagator(h0.form, h0.weights, t_min=t_min)
 
     def flow(s, g):
         # time zero is the identity, which a truncated propagator cannot apply
@@ -443,7 +447,7 @@ def _sweep_errors(grid, spectrum, eps_list, t_grid, norms):
     for eps in eps_list:
         t0 = time.perf_counter()
         h0 = discretize.renormalize(discretize.assemble_operator(grid, "H", eps), lam0)
-        prop = Propagator(h0.form, h0.weights, t_min=float(t_grid[0]), n_base=grid.n_base)
+        prop = Propagator(h0.form, h0.weights, t_min=float(t_grid[0]))
         paths.append(prop.path)
         for t in t_grid:
             diff = prop.apply(t, u) - limit_propagate(grid, spectrum, t, u, base_prop)

@@ -177,9 +177,7 @@ def sasaki_limit_check(grid, spectrum, eps_list, t_grid):
         hsa0 = discretize.renormalize(
             discretize.assemble_operator(grid, "HSa", eps), lam0
         )
-        prop = semigroup.Propagator(
-            hsa0.form, hsa0.weights, t_min=float(np.min(t_grid)), n_base=grid.n_base
-        )
+        prop = semigroup.Propagator(hsa0.form, hsa0.weights, t_min=float(np.min(t_grid)))
         for t in t_grid:
             lhs = grid.norm(
                 prop.apply(t, f)

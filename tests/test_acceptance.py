@@ -72,7 +72,7 @@ def test_criterion_3_excited_mode_decay_bound(grid64, spec64):
         op0 = discretize.renormalize(
             discretize.assemble_operator(grid64, "HSa", eps), lam0
         )
-        prop = semigroup.Propagator(op0.form, op0.weights, t_min=0.1, n_base=grid64.n_base)
+        prop = semigroup.Propagator(op0.form, op0.weights, t_min=0.1)
         for t in semigroup.default_t_grid():
             lhs = grid64.norm(
                 prop.apply(t, f)

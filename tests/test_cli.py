@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -371,6 +372,23 @@ class TestMcCommand:
         assert [row[1] for row in rows] == [snapped]
         csv_t = (out / "mc.csv").read_text().splitlines()[2].split(",")[1]
         assert csv_t == cli._fmt(snapped)
+
+    def test_any_theta0_matches_operator_route(self, tmp_path):
+        # the operator route starts where the paths start, also off the base
+        # nodes (0.5) and for angles outside [0, 2 pi)
+        op_route = []
+        for theta0 in (0.5, -0.5, 2.0 * math.pi - 0.5):
+            cfg = write_cfg(
+                tmp_path, "c.yaml",
+                BASE + "mc:\n  eps_list: [0.2]\n  n_paths: 20000\n  horizon: 0.1\n"
+                f"  t_eval: [0.05]\n  theta0: {theta0!r}\n",
+            )
+            out = tmp_path / "o"
+            assert run(["mc", "--config", cfg, "--out", str(out)]) == 0
+            (row,) = json.loads((out / "mc_summary.json").read_text())["rows"]
+            op_route.append(row[4])
+        # cos(. + 0.5) and cos(. - 0.5) mirror each other on the circle
+        assert max(op_route) - min(op_route) < 1e-12
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.yaml", self.MC)

@@ -1,7 +1,7 @@
 """Metric data checked against closed forms and an independent embedding oracle."""
 
+import json
 import math
-import os
 import pathlib
 import subprocess
 import sys
@@ -46,12 +46,6 @@ class TestCircle:
                 cm = tl.cometric(m, tl.TubePoint(0.7, [s], eps)).full()
                 ref = embedding_cometric_circle(1.3, eps, s)
                 assert np.max(np.abs(cm - ref)) < 1e-6 * np.max(np.abs(ref))
-
-    def test_sasaki_blocks(self):
-        m = tl.CircleInPlane(1.0)
-        cm = tl.cometric(m, tl.TubePoint(0.0, [0.4], 0.2), which="sasaki")
-        assert cm.horizontal[0, 0] == 1.0
-        assert cm.vertical[0, 0] == pytest.approx(25.0, abs=1e-12)
 
     def test_density_closed_form(self):
         m = tl.CircleInPlane(2.0)
@@ -131,10 +125,7 @@ class TestSynthetic:
         errs = []
         for eps in (0.2, 0.1):
             p = tl.TubePoint(0.0, w, eps)
-            diff = (
-                tl.cometric(m, p).vertical
-                - tl.cometric(m, p, which="sasaki").vertical
-            )
+            diff = tl.cometric(m, p).vertical - np.eye(2) / eps**2
             errs.append(np.max(np.abs(diff + m.curvature_operator(w) / 3.0)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
@@ -209,15 +200,35 @@ class TestArrays:
             tl.density_rho(curve, points)
 
 
-def test_benchmark_tracer_installs():
-    """perfbench/layers.py wraps package functions looked up by name, so a
-    rename or deletion it relies on fails here rather than in a traced
-    benchmark run.  A subprocess keeps the wrappers out of this session."""
+# a circle config small enough that the five subcommands run in seconds
+TRACE_CONFIG = """\
+seed: 7
+model: {kind: circle, radius: 1.0}
+grid: {n_base: 16, n_fiber: 15}
+sweep: {eps_list: [0.2, 0.1], n_t: 2}
+validate: {eps_list: [0.2, 0.1], n_fields: 4}
+resolvent: {eps_list: [0.2, 0.1], n_perturbations: 2}
+mc: {eps_list: [0.2], n_paths: 2000, horizon: 0.1, t_eval: [0.05]}
+"""
+
+
+def test_benchmark_tracer_installs(tmp_path):
+    """perfbench/layers.py wraps package functions and reads attributes of
+    their results by name, so a rename or deletion it relies on fails here
+    rather than in a traced benchmark run.  The traced benchmark worker runs
+    all five subcommands in a subprocess, which keeps the wrappers out of
+    this session."""
     root = pathlib.Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+    cfg = tmp_path / "trace.yaml"
+    cfg.write_text(TRACE_CONFIG)
+    commands = ["fiber", "validate", "sweep", "resolvent", "mc"]
     proc = subprocess.run(
-        [sys.executable, "-c", "import layers; layers.install(layers.Tracer())"],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, str(root / "perfbench" / "worker.py"), "--config", str(cfg),
+         "--workers", "1", "--out", str(tmp_path / "out"), "--trace", "--commands", *commands],
+        capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(record["exit_codes"]) == sorted(commands)
+    assert "exception" not in record["exit_codes"].values(), proc.stderr
+    assert record["layers"]["semigroup.propagator_builds"] > 0

@@ -17,6 +17,15 @@ def renormalized_op(grid, spectrum, eps, which="HSa"):
     )
 
 
+@pytest.fixture(scope="module")
+def ellipse_2880():
+    # 36 x (10 x 8) = 2880 nodes, above the dense cutoff; the induced form of
+    # the ellipse changes along the base, so it has no block structure
+    grid = discretize.build_grid(tl.ellipse_curve(1.2, 0.8), 36, 10, 8)
+    spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+    return grid, spectrum, renormalized_op(grid, spectrum, 0.1, which="H")
+
+
 class TestPropagator:
     def test_identity_at_zero(self, circle_grid, circle_spectrum, rng):
         op = renormalized_op(circle_grid, circle_spectrum, 0.2)
@@ -44,13 +53,11 @@ class TestPropagator:
         with pytest.raises(ValueError):
             prop.apply(-0.1, np.zeros(circle_grid.n))
 
-    def test_truncated_matches_dense(self, circle_model):
-        # 96 x 31 = 2976 nodes, above the dense cutoff: only the spectral
+    def test_truncated_matches_dense(self, ellipse_2880):
+        # above the dense cutoff, without base structure: only the spectral
         # bottom is kept; on a smooth field over the time grid that is
         # indistinguishable from the full solve, computed here with eigh
-        grid = discretize.build_grid(circle_model, 96, 31)
-        spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-        op = renormalized_op(grid, spectrum, 0.1)
+        grid, spectrum, op = ellipse_2880
         prop = semigroup.Propagator(op.form, op.weights, t_min=0.1)
         assert prop.path == "truncated"
         vals, vecs = scipy.linalg.eigh(op.form.toarray(), np.diag(op.weights))
@@ -60,13 +67,10 @@ class TestPropagator:
             dense = vecs @ (np.exp(-0.5 * t * vals) * coef)
             assert grid.norm(prop.apply(t, f) - dense) < 1e-9 * grid.norm(f)
 
-    def test_truncated_refuses_times_below_t_min(self, circle_model):
-        # the dropped modes are visible before t_min; 96 x 31 nodes is the
-        # smallest circle grid in the suite above the dense cutoff
-        grid = discretize.build_grid(circle_model, 96, 31)
+    def test_truncated_refuses_times_below_t_min(self, ellipse_2880):
+        # the dropped modes are visible before t_min
+        grid, spectrum, op = ellipse_2880
         assert grid.n > semigroup.DENSE_CUTOFF
-        spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-        op = renormalized_op(grid, spectrum, 0.2)
         prop = semigroup.Propagator(op.form, op.weights, t_min=0.5)
         assert prop.path == "truncated"
         f = semigroup.default_sweep_field(grid, spectrum)
@@ -226,8 +230,9 @@ def block_case(request):
     return grid, spectrum, renormalized_op(grid, spectrum, 0.1, which=which)
 
 
-def dense_eigenvalues(form, weights):
-    return scipy.linalg.eigh(form.toarray(), np.diag(weights), eigvals_only=True)
+def dense_eigh(form, weights, eigvals_only=False):
+    """The reference: one dense generalized eigensolve of the whole pencil."""
+    return scipy.linalg.eigh(form.toarray(), np.diag(weights), eigvals_only=eigvals_only)
 
 
 def assert_spectra_match(vals, ref):
@@ -236,38 +241,38 @@ def assert_spectra_match(vals, ref):
 
 
 class TestBlockCore:
-    """The Fourier-block path against the dense path on small grids."""
+    """The Fourier-block path against a dense eigensolve on small grids."""
 
     def test_block_structure_detected(self, block_case):
         grid, _, op = block_case
-        blocks = semigroup.fourier_blocks(op.form, op.weights, grid.n_base)
-        assert blocks is not None
-        assert len(blocks.blocks) == grid.n_base // 2 + 1
+        blocks = semigroup.fourier_blocks(op.form, op.weights)
+        assert blocks.path == "block"
+        assert blocks.n_base == grid.n_base
+        assert blocks.blocks.shape == (grid.n_base // 2 + 1, grid.n_fiber, grid.n_fiber)
         assert blocks.multiplicity.sum() == grid.n_base
-        # without a base size there is no structure to use
-        assert semigroup.fourier_blocks(op.form, op.weights, 1) is None
 
     def test_propagator_matches_dense(self, block_case, rng):
         grid, _, op = block_case
-        block = semigroup.Propagator(op.form, op.weights, n_base=grid.n_base)
-        dense = semigroup.Propagator(op.form, op.weights)
-        assert block.path == "block" and dense.path == "dense"
+        block = semigroup.Propagator(op.form, op.weights)
+        assert block.path == "block"
+        vals, vecs = dense_eigh(op.form, op.weights)
         f = rng.standard_normal(grid.n)
+        coef = vecs.T @ (op.weights * f)
         for t in (0.0, 0.1, 1.0):
-            diff = grid.norm(block.apply(t, f) - dense.apply(t, f))
-            assert diff < 1e-10 * grid.norm(f)
+            dense = vecs @ (np.exp(-0.5 * t * vals) * coef)
+            assert grid.norm(block.apply(t, f) - dense) < 1e-10 * grid.norm(f)
         assert grid.norm(block.apply(0.0, f) - f) < 1e-10 * grid.norm(f)
 
     def test_eigenvalues_match_dense(self, block_case):
-        grid, _, op = block_case
-        ref = dense_eigenvalues(op.form, op.weights)
-        assert_spectra_match(semigroup.pencil_eigenvalues(op.form, op.weights, grid.n_base), ref)
-        block = semigroup.Propagator(op.form, op.weights, n_base=grid.n_base)
+        _, _, op = block_case
+        ref = dense_eigh(op.form, op.weights, eigvals_only=True)
+        assert_spectra_match(semigroup.pencil_eigenvalues(op.form, op.weights), ref)
+        block = semigroup.Propagator(op.form, op.weights)
         assert_spectra_match(block.blocks.spectrum(block.eigenvalues), ref)
 
     def test_operator_eig_matches_dense(self, block_case):
         _, _, op = block_case
-        assert_spectra_match(op.eig(), dense_eigenvalues(op.form, op.weights))
+        assert_spectra_match(op.eig(), dense_eigh(op.form, op.weights, eigvals_only=True))
 
     def test_resolvent_matches_dense(self, block_case, rng):
         grid, spectrum, op = block_case
@@ -285,8 +290,54 @@ class TestBlockCore:
         grid = discretize.build_grid(tl.ellipse_curve(1.2, 0.8), 12, 8, 8)
         spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
         op = renormalized_op(grid, spectrum, 0.1, which="H")
-        assert semigroup.fourier_blocks(op.form, op.weights, grid.n_base) is None
-        prop = semigroup.Propagator(op.form, op.weights, n_base=grid.n_base)
+        prop = semigroup.Propagator(op.form, op.weights)
         assert prop.path == "dense"
-        _, info = semigroup.resolvent_minimizer(op, spectrum.lambda0 + 1.5, rng.standard_normal(grid.n))
+        vals = dense_eigh(op.form, op.weights, eigvals_only=True)
+        assert_spectra_match(prop.blocks.spectrum(prop.eigenvalues), vals)
+        alpha = spectrum.lambda0 + 1.5
+        w = rng.standard_normal(grid.n)
+        f, info = semigroup.resolvent_minimizer(op, alpha, w)
         assert info["spectral_path"] == "dense"
+        A = op.form.toarray() + alpha * np.diag(op.weights)
+        ref = scipy.linalg.solve(A, op.weights * w, assume_a="pos")
+        assert grid.norm(f - ref) < 1e-10 * grid.norm(ref)
+
+
+def _pencil(model, n_base, n_fiber, n_theta=16, which="H"):
+    grid = discretize.build_grid(model, n_base, n_fiber, n_theta)
+    spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+    op = renormalized_op(grid, spectrum, 0.1, which=which)
+    return op.form, op.weights
+
+
+# pencil -> (n_base, n_fiber) that fourier_blocks must find; (1, n) is the
+# one block of a pencil without base structure
+STRUCTURE_CASES = {
+    "base-laplacian": (
+        lambda: semigroup.base_laplacian(discretize.build_grid(tl.CircleInPlane(1.0), 64, 31)),
+        (64, 1),
+    ),
+    "circle-induced": (lambda: _pencil(tl.CircleInPlane(1.0), 64, 31), (64, 31)),
+    "circle-sasaki": (lambda: _pencil(tl.CircleInPlane(1.0), 64, 31, which="HSa"), (64, 31)),
+    "untwisted-curve": (
+        lambda: _pencil(tl.constant_curve(1.0, 0.0, 2.0 * math.pi), 16, 10, 8), (16, 80)
+    ),
+    "twisted-curve": (
+        lambda: _pencil(tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 16, 8, 8), (1, 16 * 64)
+    ),
+    "ellipse": (lambda: _pencil(tl.ellipse_curve(1.2, 0.8), 12, 8, 8), (1, 12 * 64)),
+    "synthetic": (lambda: _pencil(tl.SyntheticFiberModel(2, 1.5), 1, 12, 8), (1, 96)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_CASES))
+def test_fourier_blocks_reads_the_structure(name):
+    build, (n_base, n_fiber) = STRUCTURE_CASES[name]
+    form, weights = build()
+    blocks = semigroup.fourier_blocks(form, weights)
+    assert (blocks.n_base, len(blocks.w_row)) == (n_base, n_fiber)
+    assert blocks.path == ("block" if n_base > 1 else "dense")
+    assert_spectra_match(
+        blocks.spectrum(blocks.eigh(eigvals_only=True)),
+        dense_eigh(form, weights, eigvals_only=True),
+    )
