@@ -30,8 +30,8 @@ for eps in (0.3, 0.2):
     )
     tq = float(ens.t_record[0])  # requested time snapped to the step grid
     est = stochastic.marginal_estimate(ens, np.cos, tq)
-    op = semigroup.conditional_flow_operator(
-        grid, spectrum, eps, T, tq, np.cos(grid.base_x)
+    (op,) = semigroup.conditional_flow_operator(
+        grid, spectrum, eps, T, [tq], np.cos(grid.base_x)
     )
     print(
         f"{eps:>7.2f} {ens.survival_fraction():>8.3f} {est.value:>10.5f} "

@@ -68,6 +68,5 @@ from .stochastic import (
     PathEnsemble,
     circle_heat_oracle,
     marginal_estimate,
-    planar_bm_angle_cos,
     sample_conditioned,
 )

@@ -340,7 +340,7 @@ def cmd_sweep(cfg, grid, spectrum, eps_list, seed, workers):
     return Result(
         {"sweep.csv": (columns, result.rows()), "sweep_summary.json": summary},
         all(checks.values()),
-        [f"eps={eps} runtime_s={rt:.3f}" for eps, rt in result.runtimes.items()],
+        [f"eps={eps} runtime_s={rt:.3f}" for eps, rt in zip(eps_list, result.runtimes)],
     )
 
 
@@ -369,15 +369,16 @@ def cmd_mc(cfg, grid, spectrum, eps_list, seed, workers):
         sample_s = time.perf_counter() - started
         # each time as the sampler snapped it to its step grid
         snapped = dict(zip(t_record, ens.t_record.tolist()))
-        for t in (snapped[t] for t in t_eval):
-            est = stochastic.marginal_estimate(ens, np.cos, t)
-            # the circle is rotation invariant: the route for cos started at
-            # theta0 is the route for cos(. + theta0) started at node 0
-            op_vals = semigroup.conditional_flow_operator(
-                grid, spectrum, eps, T, t, np.cos(grid.base_x / model.radius + theta0)
-            )
+        times = [snapped[t] for t in t_eval]
+        ests = [stochastic.marginal_estimate(ens, np.cos, t) for t in times]
+        # the circle is rotation invariant: the route for cos started at
+        # theta0 is the route for cos(. + theta0) started at node 0
+        op_vals = semigroup.conditional_flow_operator(
+            grid, spectrum, eps, T, times, np.cos(grid.base_x / model.radius + theta0)
+        )
+        for t, est, op in zip(times, ests, op_vals):
             exact = stochastic.circle_heat_oracle(model.radius, theta0, t, [0.0, 1.0])
-            rows.append([eps, t, est.value, est.std_error, float(op_vals[0]), exact])
+            rows.append([eps, t, est.value, est.std_error, float(op[0]), exact])
             diagnostics.append({
                 "ess": est.ess, "n_survived": est.n_survived, "sampler": "killed",
                 "survival": float(ens.survival_steps[round(t / ens.dt)]),

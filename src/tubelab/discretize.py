@@ -121,7 +121,6 @@ class DiscreteOperator:
 
     grid: ProductGrid
     form: sp.csr_matrix
-    epsilon: float | None = None
 
     @property
     def weights(self):
@@ -225,9 +224,9 @@ def assemble_operator(grid, which, eps=None):
     if which == "DeltaH":
         return DiscreteOperator(grid, assemble_form(grid, "H"))
     if which == "HSa":
-        return DiscreteOperator(grid, assemble_form(grid, "SasakiEps", eps), eps)
+        return DiscreteOperator(grid, assemble_form(grid, "SasakiEps", eps))
     if which == "H":
-        return DiscreteOperator(grid, assemble_form(grid, "InducedEps", eps), eps)
+        return DiscreteOperator(grid, assemble_form(grid, "InducedEps", eps))
     if which == "P":
         model = grid.model
         if not isinstance(model, geometry.SyntheticFiberModel):
@@ -242,14 +241,11 @@ def assemble_operator(grid, which, eps=None):
     raise ValueError(f"unknown operator {which!r}")
 
 
-def renormalize(op, lam0):
-    """Subtract the fiber ground energy at the operator's epsilon:
-    form - (lam0/eps^2) * weights."""
-    eps = op.epsilon
-    if eps is None:
-        raise ValueError("operator carries no epsilon")
-    Q = (op.form - (lam0 / eps**2) * sp.diags(op.weights)).tocsr()
-    return DiscreteOperator(op.grid, Q, eps)
+def renormalize(grid, which, eps, lam0):
+    """The renormalized tube operator "HSa" or "H" at radius eps: its form
+    minus the fiber ground energy, form - (lam0/eps^2) * weights."""
+    op = assemble_operator(grid, which, eps)
+    return DiscreteOperator(grid, (op.form - (lam0 / eps**2) * sp.diags(op.weights)).tocsr())
 
 
 def residual_r_eps(grid, eps):
@@ -259,7 +255,7 @@ def residual_r_eps(grid, eps):
         - assemble_form(grid, "SasakiEps", eps)
         - assemble_form(grid, "Omega")
     ) / eps
-    return DiscreteOperator(grid, Q.tocsr(), eps)
+    return DiscreteOperator(grid, Q.tocsr())
 
 
 def h1_form(grid):

@@ -354,11 +354,12 @@ def bessel_j0(x):
     return total
 
 
-def bessel_j0_first_zero(tol=1e-10):
-    """First positive zero of J0 by bisection on the power series."""
+def bessel_j0_first_zero():
+    """First positive zero of J0 by bisection on the power series, to an
+    interval of width 1e-10."""
     lo, hi = 2.0, 3.0
     assert bessel_j0(lo) > 0 > bessel_j0(hi)
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if bessel_j0(mid) > 0:
             lo = mid

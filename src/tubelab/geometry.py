@@ -30,6 +30,8 @@ import numpy as np
 from .errors import FocalRadiusExceeded
 
 _DEGENERACY_TOL = 1e-12
+# arc-length samples of the frame angle and of the ellipse parametrization
+ARC_SAMPLES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +71,13 @@ class CurveInSpace:
     k(s) = kappa(s) * (cos phi(s), sin phi(s)) with phi' = tau.
     """
 
-    def __init__(self, kappa, tau, length, n_samples=4096):
+    def __init__(self, kappa, tau, length):
         if length <= 0:
             raise ValueError("length must be positive")
         self.kappa = kappa
         self.tau = tau
         self.length = float(length)
-        s = np.linspace(0.0, self.length, n_samples + 1)
+        s = np.linspace(0.0, self.length, ARC_SAMPLES + 1)
         tau_vals = np.array([float(tau(si)) for si in s])
         # cumulative trapezoid for the frame angle phi(s)
         phi = np.concatenate(
@@ -114,9 +116,9 @@ def constant_curve(kappa0, tau0, length):
     return CurveInSpace(lambda s: kappa0, lambda s: tau0, length)
 
 
-def ellipse_curve(a, b, n_samples=4096):
+def ellipse_curve(a, b):
     """Planar ellipse with semi-axes a, b, re-parametrized by arc length."""
-    u = np.linspace(0.0, 2.0 * math.pi, n_samples + 1)
+    u = np.linspace(0.0, 2.0 * math.pi, ARC_SAMPLES + 1)
     speed = np.sqrt((a * np.sin(u)) ** 2 + (b * np.cos(u)) ** 2)
     s = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(u))])
     length = float(s[-1])

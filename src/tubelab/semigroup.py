@@ -45,6 +45,11 @@ small multiple of the unit roundoff (BACKWARD_ERROR_BOUND), which does not
 grow with the eps^-2 conditioning of the renormalized operator.
 
 The studies take a built grid and its fiber spectrum and never rebuild them.
+Every tube-versus-limit comparison (convergence_sweep, the Sasaki-limit
+check of suites, acceptance criterion 3) is one call of collapse_errors:
+one renormalized operator and one propagator per eps, the limit flow once
+per time.  conditional_flow_operator likewise builds one propagator per eps
+for all its times.
 """
 
 from __future__ import annotations
@@ -235,14 +240,14 @@ def base_laplacian(grid):
     return Q, grid.base_w
 
 
-def limit_propagate(grid, spectrum, t, f, base_prop=None):
-    """Limit semigroup: project to the ground fiber state, run base heat flow."""
-    if base_prop is None:
-        Qb, wb = base_laplacian(grid)
-        base_prop = Propagator(Qb, wb)
+def limit_propagate(grid, spectrum, t_grid, f):
+    """Limit semigroup at each time of t_grid, shape (len(t_grid), grid.n):
+    project f to the ground fiber state once, run the base heat flow."""
+    Qb, wb = base_laplacian(grid)
+    base_prop = Propagator(Qb, wb)
     fb = fiber_mod.extract_fb(grid, spectrum, f)
-    gb = base_prop.apply(t, fb)
-    return np.outer(gb, spectrum.ground_state).ravel()
+    return np.array([np.outer(base_prop.apply(t, fb), spectrum.ground_state).ravel()
+                     for t in t_grid])
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +349,7 @@ def resolvent_study(grid, spectrum, eps_list, alpha, w_field, rng, n_perturbatio
     limit = resolvent_limit(grid, spectrum, alpha, w_field)
     errors, infos, variational_ok = [], [], True
     for eps in eps_list:
-        h0 = discretize.renormalize(discretize.assemble_operator(grid, "H", eps), spectrum.lambda0)
+        h0 = discretize.renormalize(grid, "H", eps, spectrum.lambda0)
         f, info = resolvent_minimizer(h0, alpha, w_field)
         base_phi = phi_functional(h0, alpha, w_field, f)
         for _ in range(n_perturbations):
@@ -362,35 +367,33 @@ def resolvent_study(grid, spectrum, eps_list, alpha, w_field, rng, n_perturbatio
 # ---------------------------------------------------------------------------
 
 
-def conditional_flow_operator(grid, spectrum, eps, T, t, f_base, propagator=None):
+def conditional_flow_operator(grid, spectrum, eps, T, times, f_base):
     """Two-sided heat-flow ratio giving the conditioned marginal on the base.
 
     f_base: values of the observable on the base nodes (lifted fiberwise).
-    Returns the ratio field evaluated on the submanifold (fiber center)."""
-    if not 0 <= t <= T:
+    Returns the ratio field on the submanifold (fiber center) at each time,
+    shape (len(times), n_base), from one propagator and one survival flow."""
+    if not all(0 <= t <= T for t in times):
         raise ValueError("need 0 <= t <= T")
-    lam0 = spectrum.lambda0
-    if propagator is None:
-        h = discretize.assemble_operator(grid, "H", eps)
-        h0 = discretize.renormalize(h, lam0)
-        t_min = min([0.05] + [s for s in (t, T - t) if s > 0])
-        propagator = Propagator(h0.form, h0.weights, t_min=t_min)
+    h0 = discretize.renormalize(grid, "H", eps, spectrum.lambda0)
+    propagator = Propagator(h0.form, h0.weights)
 
     def flow(s, g):
-        # time zero is the identity, which a truncated propagator cannot apply
+        # time zero is the identity, exactly
         return g if s == 0 else propagator.apply(s, g)
 
     nodes = geometry.TubePoint(grid.base_x[:, None], grid.fiber.node_w()[None], eps)
     sqrt_rho = np.sqrt(geometry.density_rho(grid.model, nodes)).ravel()
-    f_lift = np.repeat(np.asarray(f_base, dtype=float), grid.n_fiber)
-    num = flow(t, f_lift * flow(T - t, sqrt_rho))
-    den = flow(T, sqrt_rho)
+    f_lift = np.repeat(f_base, grid.n_fiber)
     jc = grid.fiber.center_index()
-    num_c = grid.reshape(num)[:, jc]
-    den_c = grid.reshape(den)[:, jc]
+    den_c = grid.reshape(flow(T, sqrt_rho))[:, jc]
     if np.any(np.abs(den_c) < 1e-12):
         raise DegenerateConditioning("survival factor vanishes on the base")
-    return num_c / den_c
+    # at t = 0 the ratio is f_base itself; f * den / den would round
+    return np.array([
+        grid.reshape(flow(t, f_lift * flow(T - t, sqrt_rho)))[:, jc] / den_c if t else f_base
+        for t in times
+    ], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -402,19 +405,48 @@ def conditional_flow_operator(grid, spectrum, eps, T, t, f_base, propagator=None
 NORMS = {"L2": 0, "H1": 1, "H2": 2}
 
 
+def collapse_errors(grid, spectrum, which, eps_list, t_grid, f, order=0):
+    """errors[i, j, k] = |P_t^eps f - P_t^0 f|_k, the Sobolev norm of order
+    k = 0..order (discretize.sobolev_norm) of the distance from the flow of
+    the renormalized operator `which` ("HSa" or "H") at eps = eps_list[i] to
+    the limit flow, at t = t_grid[j].  Returns (errors, paths, seconds): the
+    spectral path and the seconds of each eps."""
+    limit = limit_propagate(grid, spectrum, t_grid, f)
+    errors = np.empty((len(eps_list), len(t_grid), order + 1))
+    paths, seconds = [], []
+    for i, eps in enumerate(eps_list):
+        t0 = time.perf_counter()
+        op = discretize.renormalize(grid, which, eps, spectrum.lambda0)
+        prop = Propagator(op.form, op.weights, t_min=float(np.min(t_grid)))
+        paths.append(prop.path)
+        for j, t in enumerate(t_grid):
+            diff = prop.apply(t, f) - limit[j]
+            errors[i, j] = [discretize.sobolev_norm(grid, diff, k) for k in range(order + 1)]
+        seconds.append(time.perf_counter() - t0)
+    return errors, paths, seconds
+
+
 @dataclass
 class SweepResult:
-    records: list            # dicts: eps, t, err_L2, err_H1, err_H2
-    sup_errors: dict         # norm -> array over eps
+    eps_list: list
+    t_grid: np.ndarray
+    errors: np.ndarray       # (eps, t, norm) as collapse_errors, norms in NORMS order
     fitted_order: float
     r_squared: float
-    runtimes: dict           # eps -> seconds
+    runtimes: list           # seconds per eps
     spectral_paths: list     # Propagator.path per eps
     spatial_error_estimate: float | None = None
     pre_check_spectral_path: str | None = None
 
+    @property
+    def sup_errors(self):
+        """norm -> sup over time of the error, an array over eps."""
+        return {nm: self.errors[:, :, k].max(axis=1) for nm, k in NORMS.items()}
+
     def rows(self):
-        return [[r["eps"], r["t"]] + [r[f"err_{nm}"] for nm in NORMS] for r in self.records]
+        """[eps, t, err_L2, err_H1, err_H2] per (eps, t), eps-major."""
+        return [[eps, float(t)] + self.errors[i, j].tolist()
+                for i, eps in enumerate(self.eps_list) for j, t in enumerate(self.t_grid)]
 
 
 def default_t_grid(n=10, t_min=0.1, t_max=1.0):
@@ -438,27 +470,6 @@ def _loglog_fit(eps, err):
     return float(p), r2
 
 
-def _sweep_errors(grid, spectrum, eps_list, t_grid, norms):
-    Qb, wb = base_laplacian(grid)
-    base_prop = Propagator(Qb, wb)
-    lam0 = spectrum.lambda0
-    u = default_sweep_field(grid, spectrum)
-    records, runtimes, paths = [], {}, []
-    for eps in eps_list:
-        t0 = time.perf_counter()
-        h0 = discretize.renormalize(discretize.assemble_operator(grid, "H", eps), lam0)
-        prop = Propagator(h0.form, h0.weights, t_min=float(t_grid[0]))
-        paths.append(prop.path)
-        for t in t_grid:
-            diff = prop.apply(t, u) - limit_propagate(grid, spectrum, t, u, base_prop)
-            rec = {"eps": float(eps), "t": float(t)}
-            for nm in norms:
-                rec[f"err_{nm}"] = discretize.sobolev_norm(grid, diff, NORMS[nm])
-            records.append(rec)
-        runtimes[float(eps)] = time.perf_counter() - t0
-    return records, runtimes, paths
-
-
 def convergence_sweep(grid, spectrum, eps_list, t_grid=None, pre_check=False):
     """Collapse study: propagate default_sweep_field under the renormalized
     tube operator and compare against the limit semigroup in the L2, H1 and
@@ -471,22 +482,21 @@ def convergence_sweep(grid, spectrum, eps_list, t_grid=None, pre_check=False):
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    records, runtimes, paths = _sweep_errors(grid, spectrum, eps_list, t_grid, NORMS)
-    sup = {
-        nm: np.array(
-            [max(r[f"err_{nm}"] for r in records if r["eps"] == eps) for eps in eps_list]
-        )
-        for nm in NORMS
-    }
-    p, r2 = _loglog_fit(eps_list, sup["L2"])
-    result = SweepResult(records, sup, p, r2, runtimes, paths)
+    u = default_sweep_field(grid, spectrum)
+    errors, paths, runtimes = collapse_errors(
+        grid, spectrum, "H", eps_list, t_grid, u, order=max(NORMS.values())
+    )
+    p, r2 = _loglog_fit(eps_list, errors[:, :, NORMS["L2"]].max(axis=1))
+    result = SweepResult(eps_list, t_grid, errors, p, r2, runtimes, paths)
     if pre_check:
         fine = discretize.refined_grid(grid)
-        rec2, _, (result.pre_check_spectral_path,) = _sweep_errors(
-            fine, fiber_mod.fiber_spectrum(fine.fiber), eps_list[:1], t_grid, ("L2",)
+        fine_spectrum = fiber_mod.fiber_spectrum(fine.fiber)
+        fine_errors, (result.pre_check_spectral_path,), _ = collapse_errors(
+            fine, fine_spectrum, "H", eps_list[:1], t_grid,
+            default_sweep_field(fine, fine_spectrum),
         )
-        coarsest = float(sup["L2"][0])
-        spatial = abs(coarsest - max(r["err_L2"] for r in rec2))
+        coarsest = float(result.sup_errors["L2"][0])
+        spatial = abs(coarsest - float(fine_errors[0, :, 0].max()))
         if spatial > coarsest / 10.0:
             raise ResolutionError(
                 f"spatial error estimate {spatial:.3e} above a tenth of the "

@@ -17,7 +17,7 @@ its position updates, so its records hold the position of the free Brownian
 path it follows (until its whole block is dead, see _killed_block), with
 alive False and its log-weight the integral up to the step before it died.
 
-Guided sampler (the default when kill=True).  Doob's h-transform (Pinsky,
+Guided sampler (the default).  Doob's h-transform (Pinsky,
 Positive Harmonic Functions and Diffusion, 1995) with
 
     h(r) = r^(-1/2) cos(pi (r - R) / (2 eps)),   k = pi / (2 eps).
@@ -35,8 +35,7 @@ of the killed, weighted law to Q over [0, T] is
 
     exp(-k^2 T / 2) h(X_0) / h(X_T),
 
-which is the guided log_weight (with use_potential=False the factor
-exp(integral ds / (8 r^2)) is added back).  Every path survives; the weights
+which is the guided log_weight.  Every path survives; the weights
 depend on the endpoint only and are nearly constant, so the effective sample
 size stays near N at any horizon.  The same identity at each step gives
 survival_steps, the weighted estimate of the killed process's survival
@@ -120,27 +119,15 @@ class PathEnsemble:
 
 
 def sample_conditioned(
-    model,
-    eps,
-    theta0,
-    T,
-    dt,
-    n_paths,
-    seed,
-    t_record=None,
-    kill=True,
-    use_potential=True,
-    guided=True,
-    block_size=BLOCK_SIZE,
-    workers=1,
+    model, eps, theta0, T, dt, n_paths, seed, t_record=None, guided=True,
+    block_size=BLOCK_SIZE, workers=1,
 ):
     """Sample an ensemble for the conditioned law; see the module docstring.
 
-    t_record times are snapped to the nearest step.  With kill=True the
-    guided sampler runs unless guided=False selects the killed one.  With
-    kill=False the tube plays no role and the paths are plain planar
-    Brownian motion.  The path blocks run on min(workers, n_blocks)
-    threads; the result does not depend on workers."""
+    t_record times are snapped to the nearest step.  The guided sampler
+    runs unless guided=False selects the killed one.  The path blocks run
+    on min(workers, n_blocks) threads; the result does not depend on
+    workers."""
     if not isinstance(model, CircleInPlane):
         raise NotImplementedError(
             "path sampling ships for the circle model only (space curves would "
@@ -150,7 +137,7 @@ def sample_conditioned(
         raise EmptyEnsemble("n_paths must be at least 1")
     if dt <= 0 or T <= 0:
         raise ValueError("T and dt must be positive")
-    if kill and dt > eps**2 / 10.0 + 1e-15:
+    if dt > eps**2 / 10.0 + 1e-15:
         raise StepSizeError(f"dt={dt} too coarse for the fiber scale eps^2/10")
     R = model.radius
     n_steps = int(round(T / dt))
@@ -160,8 +147,7 @@ def sample_conditioned(
     rec_steps = np.clip(np.round(t_record / dt).astype(int), 0, n_steps)
     if n_steps not in rec_steps:
         raise ValueError("t_record must include the horizon T")
-    guide = kill and guided
-    if guide and eps >= R:
+    if guided and eps >= R:
         raise FocalRadiusExceeded(
             f"eps={eps} reaches the centre of the circle of radius {R}: "
             "the guiding function is undefined"
@@ -181,13 +167,10 @@ def sample_conditioned(
         rng = np.random.Generator(np.random.Philox(key=[seed, b]))
         part = np.zeros(n_steps + 1)
         out = (theta[lo:hi], rad[lo:hi], logw[lo:hi], part)
-        if guide:
-            _guided_block(rng, R, eps, theta0, dt, rec_steps, use_potential, *out)
+        if guided:
+            _guided_block(rng, R, eps, theta0, dt, rec_steps, *out)
         else:
-            _killed_block(
-                rng, R, eps, theta0, dt, rec_steps, kill, use_potential,
-                alive_rec[lo:hi], *out,
-            )
+            _killed_block(rng, R, eps, theta0, dt, rec_steps, alive_rec[lo:hi], *out)
         return part
 
     survival = np.zeros(n_steps + 1)
@@ -217,10 +200,7 @@ def pool_size(n_paths, workers, block_size=BLOCK_SIZE):
     return min(workers, (n_paths + block_size - 1) // block_size)
 
 
-def _killed_block(
-    rng, R, eps, theta0, dt, rec_steps, kill, use_potential,
-    alive_rec, theta, rad, logw, alive_count,
-):
+def _killed_block(rng, R, eps, theta0, dt, rec_steps, alive_rec, theta, rad, logw, alive_count):
     """Killed, weighted planar Brownian paths of one block, written into the
     block's output rows; alive_count[step] gains the block's survivors.
 
@@ -275,44 +255,40 @@ def _killed_block(
         x += normals[:m]
         y += normals[m:]
         r = np.hypot(x.take(live), y.take(live))
-        if kill:
-            # bridge correction: probability exp(-2 a b / dt) that the
-            # radial excursion touched a wall between the two endpoints.
-            # A path outside the tube has b = 0, so p = 1 and its uniform
-            # (< 1) kills it: the test holds the inside check too.
-            d = r - R
-            b_up = np.maximum(eps - d, 0.0)
-            b_dn = np.maximum(eps + d, 0.0)
-            keep = uniforms[:m].take(live) >= np.exp(-2.0 * gap_up * b_up / dt)
-            keep &= uniforms[m:].take(live) >= np.exp(-2.0 * gap_dn * b_dn / dt)
-            gap_up, gap_dn = b_up, b_dn
-            died = np.flatnonzero(~keep)
-            if len(died):
-                dead = live[died]
-                alive[dead] = False
-                w[dead] = w_live[died]
-                # compact by moving the survivors past the new length into
-                # the holes below it: the work is per death, not per path
-                n = len(live) - len(died)
-                holes = died[died < n]
-                movers = n + np.flatnonzero(keep[n:])
-                state = (live, r, gap_up, gap_dn, u_old, w_live)
-                for a in state:
-                    a[holes] = a[movers]
-                live, r, gap_up, gap_dn, u_old, w_live = (a[:n] for a in state)
-        if use_potential:
-            u_new = -1.0 / (4.0 * r * r)
-            w_live += 0.5 * dt * (u_old + u_new)
-            u_old = u_new
+        # bridge correction: probability exp(-2 a b / dt) that the
+        # radial excursion touched a wall between the two endpoints.
+        # A path outside the tube has b = 0, so p = 1 and its uniform
+        # (< 1) kills it: the test holds the inside check too.
+        d = r - R
+        b_up = np.maximum(eps - d, 0.0)
+        b_dn = np.maximum(eps + d, 0.0)
+        keep = uniforms[:m].take(live) >= np.exp(-2.0 * gap_up * b_up / dt)
+        keep &= uniforms[m:].take(live) >= np.exp(-2.0 * gap_dn * b_dn / dt)
+        gap_up, gap_dn = b_up, b_dn
+        died = np.flatnonzero(~keep)
+        if len(died):
+            dead = live[died]
+            alive[dead] = False
+            w[dead] = w_live[died]
+            # compact by moving the survivors past the new length into
+            # the holes below it: the work is per death, not per path
+            n = len(live) - len(died)
+            holes = died[died < n]
+            movers = n + np.flatnonzero(keep[n:])
+            state = (live, r, gap_up, gap_dn, u_old, w_live)
+            for a in state:
+                a[holes] = a[movers]
+            live, r, gap_up, gap_dn, u_old, w_live = (a[:n] for a in state)
+        u_new = -1.0 / (4.0 * r * r)
+        w_live += 0.5 * dt * (u_old + u_new)
+        u_old = u_new
         alive_count[step] += len(live)
         record(np.where(rec_steps == step)[0])
     w[live] = w_live
     logw[:] = 0.5 * w
 
 
-def _guided_block(
-    rng, R, eps, theta0, dt, rec_steps, use_potential, theta, rad, logw, survival,
-):
+def _guided_block(rng, R, eps, theta0, dt, rec_steps, theta, rad, logw, survival):
     """h-transformed paths of one block, written into the block's output
     rows; survival[step] gains the block's sum of survival weights."""
     m = theta.shape[0]
@@ -351,8 +327,6 @@ def _guided_block(
         survival[step] += float(np.sum(np.exp(shift + 0.125 * q_total - log_h)))
         record(step)
     logw[:] = log_h0 - half_k2 * n_steps * dt - log_h
-    if not use_potential:
-        logw += 0.125 * q_total
 
 
 def _implicit_tan_root(c, a):
@@ -409,28 +383,13 @@ def marginal_estimate(ensemble, f, t, min_ess=MIN_ESS):
     return MarginalEstimate(ratio, se, ess, n_surv)
 
 
-def circle_heat_oracle(radius, theta0, t, cos_coeffs, sin_coeffs=None):
-    """Exact heat semigroup on the circle for a trigonometric polynomial.
+def circle_heat_oracle(radius, theta0, t, cos_coeffs):
+    """Exact heat semigroup on the circle for a cosine polynomial.
 
-    f(theta) = sum_n a_n cos(n theta) + b_n sin(n theta); each mode decays
-    as exp(-n^2 t / (2 R^2)) under the generator Delta/2."""
+    f(theta) = sum_n a_n cos(n theta); each mode decays as
+    exp(-n^2 t / (2 R^2)) under the generator Delta/2."""
     a = np.asarray(cos_coeffs, dtype=float)
-    b = np.zeros_like(a) if sin_coeffs is None else np.asarray(sin_coeffs, dtype=float)
     n = np.arange(len(a))
     decay = np.exp(-(n**2) * t / (2.0 * radius**2))
-    return float(np.sum(decay * (a * np.cos(n * theta0) + b * np.sin(n * theta0))))
+    return float(np.sum(decay * (a * np.cos(n * theta0))))
 
-
-def planar_bm_angle_cos(radius, t, theta0=0.0, n_quad=120):
-    """E[cos(angle of X_t)] for free planar Brownian motion from the circle.
-
-    Exact Gauss-Hermite quadrature of the Gaussian endpoint distribution;
-    by rotational symmetry the answer is cos(theta0) times the value at
-    angle zero."""
-    u, wu = np.polynomial.hermite.hermgauss(n_quad)
-    x = radius + math.sqrt(2.0 * t) * u
-    y = math.sqrt(2.0 * t) * u
-    W = np.outer(wu, wu) / math.pi
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    val = float(np.sum(W * (X / np.hypot(X, Y))))
-    return math.cos(theta0) * val

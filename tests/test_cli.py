@@ -276,6 +276,9 @@ class TestValidateCommand:
         assert rep["ok"] is True
         assert rep["vertical_energy"]["violations"] == 0
         assert rep["coercivity"]["coercivity_constant"] > 0
+        sasaki = rep["sasaki_limit"]
+        assert sasaki["spectral_path"] == ["block", "block"]
+        assert sasaki["worst_margin_rel"] <= sasaki["allowance_rel"]
 
     def test_incoercive_eps_fails(self, tmp_path):
         cfg = write_cfg(

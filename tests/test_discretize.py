@@ -129,9 +129,7 @@ class TestOperators:
 
     def test_renormalize_reference_identity(self, circle_grid, circle_spectrum):
         lam0 = circle_spectrum.lambda0
-        op0 = discretize.renormalize(
-            discretize.assemble_operator(circle_grid, "HSa", 1.0), lam0
-        )
+        op0 = discretize.renormalize(circle_grid, "HSa", 1.0, lam0)
         expect = (
             discretize.assemble_form(circle_grid, "V")
             + discretize.assemble_form(circle_grid, "H")
@@ -141,10 +139,7 @@ class TestOperators:
 
     def test_renormalized_ground_energy_vanishes(self, circle_grid, circle_spectrum):
         eps = 0.2
-        op0 = discretize.renormalize(
-            discretize.assemble_operator(circle_grid, "HSa", eps),
-            circle_spectrum.lambda0,
-        )
+        op0 = discretize.renormalize(circle_grid, "HSa", eps, circle_spectrum.lambda0)
         f = np.outer(np.ones(circle_grid.n_base), circle_spectrum.ground_state).ravel()
         assert abs(op0.form_value(f)) < 1e-9 * circle_grid.inner(f, f)
 

@@ -208,7 +208,7 @@ grid: {n_base: 16, n_fiber: 15}
 sweep: {eps_list: [0.2, 0.1], n_t: 2}
 validate: {eps_list: [0.2, 0.1], n_fields: 4}
 resolvent: {eps_list: [0.2, 0.1], n_perturbations: 2}
-mc: {eps_list: [0.2], n_paths: 2000, horizon: 0.1, t_eval: [0.05]}
+mc: {eps_list: [0.2], n_paths: 2000, horizon: 0.1, t_eval: [0.05, 0.1]}
 """
 
 
@@ -231,4 +231,9 @@ def test_benchmark_tracer_installs(tmp_path):
     record = json.loads(proc.stdout.splitlines()[-1])
     assert sorted(record["exit_codes"]) == sorted(commands)
     assert "exception" not in record["exit_codes"].values(), proc.stderr
-    assert record["layers"]["semigroup.propagator_builds"] > 0
+    # one propagator per eps and one base propagator per collapse study
+    # (validate, sweep), one per eps in mc; one fiber projection per field
+    # of validate, per limit flow (validate, sweep) and in resolvent: a
+    # copied study loop or a rebuild per time raises these counts
+    assert record["layers"]["semigroup.propagator_builds"] == 7
+    assert record["layers"]["fiber.projection_calls"] == 7

@@ -11,30 +11,24 @@ import tubelab as tl
 from tubelab import discretize, fiber as fiber_mod, semigroup
 
 
-def renormalized_op(grid, spectrum, eps, which="HSa"):
-    return discretize.renormalize(
-        discretize.assemble_operator(grid, which, eps), spectrum.lambda0
-    )
-
-
 @pytest.fixture(scope="module")
 def ellipse_2880():
     # 36 x (10 x 8) = 2880 nodes, above the dense cutoff; the induced form of
     # the ellipse changes along the base, so it has no block structure
     grid = discretize.build_grid(tl.ellipse_curve(1.2, 0.8), 36, 10, 8)
     spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-    return grid, spectrum, renormalized_op(grid, spectrum, 0.1, which="H")
+    return grid, spectrum, discretize.renormalize(grid, "H", 0.1, spectrum.lambda0)
 
 
 class TestPropagator:
     def test_identity_at_zero(self, circle_grid, circle_spectrum, rng):
-        op = renormalized_op(circle_grid, circle_spectrum, 0.2)
+        op = discretize.renormalize(circle_grid, "HSa", 0.2, circle_spectrum.lambda0)
         prop = semigroup.Propagator(op.form, op.weights)
         f = rng.standard_normal(circle_grid.n)
         assert circle_grid.norm(prop.apply(0.0, f) - f) < 1e-9 * circle_grid.norm(f)
 
     def test_semigroup_law(self, circle_grid, circle_spectrum, rng):
-        op = renormalized_op(circle_grid, circle_spectrum, 0.2)
+        op = discretize.renormalize(circle_grid, "HSa", 0.2, circle_spectrum.lambda0)
         prop = semigroup.Propagator(op.form, op.weights)
         f = rng.standard_normal(circle_grid.n)
         lhs = prop.apply(0.3, prop.apply(0.2, f))
@@ -84,7 +78,7 @@ class TestPropagator:
 class TestLimitSemigroup:
     def test_zero_time_is_projection(self, circle_grid, circle_spectrum, rng):
         f = rng.standard_normal(circle_grid.n)
-        lim = semigroup.limit_propagate(circle_grid, circle_spectrum, 0.0, f)
+        (lim,) = semigroup.limit_propagate(circle_grid, circle_spectrum, [0.0], f)
         e0 = fiber_mod.project_E0(circle_grid, circle_spectrum, f)
         assert circle_grid.norm(lim - e0) < 1e-9 * circle_grid.norm(f)
 
@@ -95,7 +89,7 @@ class TestLimitSemigroup:
         nu = 4.0 * math.sin(h / 2) ** 2 / h**2
         f = np.outer(np.cos(circle_grid.base_x), circle_spectrum.ground_state).ravel()
         t = 0.7
-        lim = semigroup.limit_propagate(circle_grid, circle_spectrum, t, f)
+        (lim,) = semigroup.limit_propagate(circle_grid, circle_spectrum, [t], f)
         expect = math.exp(-0.5 * nu * t) * f
         assert circle_grid.norm(lim - expect) < 1e-10 * circle_grid.norm(f)
 
@@ -103,7 +97,7 @@ class TestLimitSemigroup:
 class TestResolvent:
     def test_solves_shifted_equation(self, circle_grid, circle_spectrum):
         alpha = circle_spectrum.lambda0 + 1.5
-        op0 = renormalized_op(circle_grid, circle_spectrum, 0.1, which="H")
+        op0 = discretize.renormalize(circle_grid, "H", 0.1, circle_spectrum.lambda0)
         w = semigroup.default_sweep_field(circle_grid, circle_spectrum)
         f, info = semigroup.resolvent_minimizer(op0, alpha, w)
         assert info["residual"] < 1e-10
@@ -112,7 +106,7 @@ class TestResolvent:
 
     def test_variational_minimum(self, circle_grid, circle_spectrum, rng):
         alpha = circle_spectrum.lambda0 + 1.5
-        op0 = renormalized_op(circle_grid, circle_spectrum, 0.1, which="H")
+        op0 = discretize.renormalize(circle_grid, "H", 0.1, circle_spectrum.lambda0)
         w = semigroup.default_sweep_field(circle_grid, circle_spectrum)
         f, _ = semigroup.resolvent_minimizer(op0, alpha, w)
         base = semigroup.phi_functional(op0, alpha, w, f)
@@ -122,7 +116,7 @@ class TestResolvent:
             assert semigroup.phi_functional(op0, alpha, w, f + d) > base
 
     def test_indefinite_shift_raises(self, circle_grid, circle_spectrum):
-        op0 = renormalized_op(circle_grid, circle_spectrum, 0.1, which="H")
+        op0 = discretize.renormalize(circle_grid, "H", 0.1, circle_spectrum.lambda0)
         w = np.ones(circle_grid.n)
         with pytest.raises(tl.CoercivityViolation):
             semigroup.resolvent_minimizer(op0, -100.0, w)
@@ -135,7 +129,7 @@ class TestResolvent:
         for model in (tl.ellipse_curve(1.2, 0.8), block):
             grid = discretize.build_grid(model, 12, 9, 8)
             spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-            op0 = renormalized_op(grid, spectrum, 0.1, which="H")
+            op0 = discretize.renormalize(grid, "H", 0.1, spectrum.lambda0)
             for bad in (np.nan, np.inf):
                 w = rng.standard_normal(grid.n)
                 w[grid.n // 2] = bad
@@ -149,18 +143,17 @@ class TestResolvent:
 class TestConditionalFlow:
     def test_zero_time_recovers_observable(self, circle_grid, circle_spectrum):
         fb = np.cos(circle_grid.base_x)
-        out = semigroup.conditional_flow_operator(
-            circle_grid, circle_spectrum, 0.2, 1.0, 0.0, fb
+        (out,) = semigroup.conditional_flow_operator(
+            circle_grid, circle_spectrum, 0.2, 1.0, [0.0], fb
         )
         assert np.max(np.abs(out - fb)) < 1e-8
 
     def test_constant_observable_is_one(self, circle_grid, circle_spectrum):
         fb = np.ones(circle_grid.n_base)
-        for t in (0.0, 0.5, 1.0):
-            out = semigroup.conditional_flow_operator(
-                circle_grid, circle_spectrum, 0.2, 1.0, t, fb
-            )
-            assert np.max(np.abs(out - 1.0)) < 1e-8
+        out = semigroup.conditional_flow_operator(
+            circle_grid, circle_spectrum, 0.2, 1.0, [0.0, 0.5, 1.0], fb
+        )
+        assert np.max(np.abs(out - 1.0)) < 1e-8
 
     def test_collapse_limit(self, circle_grid, circle_spectrum):
         # conditioned marginal approaches the free circle heat value as the
@@ -169,8 +162,8 @@ class TestConditionalFlow:
         exact = math.exp(-0.25)  # heat decay of cos at t = 1/2 on the unit circle
         errs = []
         for eps in (0.2, 0.1, 0.05):
-            out = semigroup.conditional_flow_operator(
-                circle_grid, circle_spectrum, eps, 1.0, 0.5, fb
+            (out,) = semigroup.conditional_flow_operator(
+                circle_grid, circle_spectrum, eps, 1.0, [0.5], fb
             )
             errs.append(abs(out[0] - exact))
         assert errs[0] > errs[1] > errs[2]
@@ -179,8 +172,41 @@ class TestConditionalFlow:
     def test_time_window_validated(self, circle_grid, circle_spectrum):
         with pytest.raises(ValueError):
             semigroup.conditional_flow_operator(
-                circle_grid, circle_spectrum, 0.2, 1.0, 1.5, np.ones(circle_grid.n_base)
+                circle_grid, circle_spectrum, 0.2, 1.0, [0.5, 1.5], np.ones(circle_grid.n_base)
             )
+
+    def test_times_share_one_propagator(self, circle_grid, circle_spectrum):
+        # one call over several times gives the single-time calls bit for
+        # bit, and its t = 0 row is the observable itself
+        fb = np.cos(circle_grid.base_x + 0.5)
+        times = [0.0, 0.03, 0.05, 0.1]
+        out = semigroup.conditional_flow_operator(
+            circle_grid, circle_spectrum, 0.2, 0.1, times, fb
+        )
+        assert out.shape == (len(times), circle_grid.n_base)
+        for t, row in zip(times, out):
+            (single,) = semigroup.conditional_flow_operator(
+                circle_grid, circle_spectrum, 0.2, 0.1, [t], fb
+            )
+            assert np.array_equal(row, single)
+        assert np.array_equal(out[0], fb)
+
+
+class TestCollapseErrors:
+    def test_entry_matches_hand_written_route(self, circle_grid, circle_spectrum):
+        eps_list, t_grid = [0.2, 0.1], np.array([0.1, 0.4])
+        f = semigroup.default_sweep_field(circle_grid, circle_spectrum)
+        errors, paths, seconds = semigroup.collapse_errors(
+            circle_grid, circle_spectrum, "H", eps_list, t_grid, f, order=2
+        )
+        assert errors.shape == (2, 2, 3)
+        assert paths == ["block", "block"] and len(seconds) == 2
+        op = discretize.renormalize(circle_grid, "H", 0.1, circle_spectrum.lambda0)
+        prop = semigroup.Propagator(op.form, op.weights)
+        (limit,) = semigroup.limit_propagate(circle_grid, circle_spectrum, [0.4], f)
+        diff = prop.apply(0.4, f) - limit
+        for k in range(3):
+            assert errors[1, 1, k] == discretize.sobolev_norm(circle_grid, diff, k)
 
 
 class TestSweep:
@@ -194,9 +220,10 @@ class TestSweep:
         for sup in res.sup_errors.values():
             assert np.all(np.diff(sup) < 0)
         assert set(res.sup_errors) == {"L2", "H1", "H2"}
-        assert len(res.records) == 6
-        assert set(res.records[0]) == {"eps", "t", "err_L2", "err_H1", "err_H2"}
-        assert res.rows()[0][0] == 0.2
+        assert res.errors.shape == (2, 3, 3)
+        assert [len(row) for row in res.rows()] == [5] * 6
+        assert res.rows()[0][:2] == [0.2, 0.2]
+        assert res.rows()[-1][2:] == res.errors[1, 2].tolist()
         assert res.spectral_paths == ["block", "block"]
         assert res.spatial_error_estimate is None
 
@@ -227,7 +254,7 @@ def block_case(request):
     model, n_base, n_fiber, n_theta, which = BLOCK_CASES[request.param]
     grid = discretize.build_grid(model, n_base, n_fiber, n_theta)
     spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-    return grid, spectrum, renormalized_op(grid, spectrum, 0.1, which=which)
+    return grid, spectrum, discretize.renormalize(grid, which, 0.1, spectrum.lambda0)
 
 
 def dense_eigh(form, weights, eigvals_only=False):
@@ -289,7 +316,7 @@ class TestBlockCore:
     def test_ellipse_falls_back_to_dense(self, rng):
         grid = discretize.build_grid(tl.ellipse_curve(1.2, 0.8), 12, 8, 8)
         spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-        op = renormalized_op(grid, spectrum, 0.1, which="H")
+        op = discretize.renormalize(grid, "H", 0.1, spectrum.lambda0)
         prop = semigroup.Propagator(op.form, op.weights)
         assert prop.path == "dense"
         vals = dense_eigh(op.form, op.weights, eigvals_only=True)
@@ -306,7 +333,7 @@ class TestBlockCore:
 def _pencil(model, n_base, n_fiber, n_theta=16, which="H"):
     grid = discretize.build_grid(model, n_base, n_fiber, n_theta)
     spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-    op = renormalized_op(grid, spectrum, 0.1, which=which)
+    op = discretize.renormalize(grid, which, 0.1, spectrum.lambda0)
     return op.form, op.weights
 
 

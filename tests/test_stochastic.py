@@ -1,4 +1,4 @@
-"""Killed and guided path samplers, marginal estimator, and both analytic oracles."""
+"""Killed and guided path samplers, marginal estimator, and the circle heat oracle."""
 
 import math
 import sys
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tubelab as tl
-from tubelab import discretize, fiber as fiber_mod, semigroup, stochastic
+from tubelab import semigroup, stochastic
 
 
 @pytest.fixture(scope="module")
@@ -73,15 +73,6 @@ class TestSampler:
         theory = -((math.pi / 2) ** 2) / (2 * eps**2)
         assert slope == pytest.approx(theory, rel=0.1)
 
-    def test_unconditioned_matches_planar_oracle(self):
-        ens = stochastic.sample_conditioned(
-            tl.CircleInPlane(1.0), 10.0, 0.0, 0.3, 0.01, 20000, 777,
-            t_record=[0.3], kill=False, use_potential=False,
-        )
-        est = stochastic.marginal_estimate(ens, np.cos, 0.3)
-        oracle = stochastic.planar_bm_angle_cos(1.0, 0.3)
-        assert abs(est.value - oracle) < 3.0 * est.std_error
-
     def test_guards(self):
         m = tl.CircleInPlane(1.0)
         with pytest.raises(tl.StepSizeError):
@@ -133,8 +124,7 @@ class TestSampler:
         assert not long.survival_steps[n_short:].any()
 
 
-def killed_reference(R, eps, theta0, T, dt, n_paths, seed, t_record, kill,
-                     use_potential, block_size):
+def killed_reference(R, eps, theta0, T, dt, n_paths, seed, t_record, block_size):
     """The killed sampler as a plain full-array stepper: every step runs the
     kill test and the weight update on every path of the block, dead or
     alive, until the whole block is dead; records after that hold the
@@ -166,17 +156,15 @@ def killed_reference(R, eps, theta0, T, dt, n_paths, seed, t_record, kill,
                 y += dy
                 r_new = np.hypot(x, y)
                 d_new = r_new - R
-                if kill:
-                    inside = np.abs(d_new) <= eps
-                    p_up = np.exp(-2.0 * np.clip(eps - d_old, 0.0, None)
-                                  * np.clip(eps - d_new, 0.0, None) / dt)
-                    p_dn = np.exp(-2.0 * np.clip(eps + d_old, 0.0, None)
-                                  * np.clip(eps + d_new, 0.0, None) / dt)
-                    alive &= inside & (u1 >= p_up) & (u2 >= p_dn)
-                if use_potential:
-                    u_new = -1.0 / (4.0 * r_new * r_new)
-                    w += np.where(alive, 0.5 * dt * (u_old + u_new), 0.0)
-                    u_old = u_new
+                inside = np.abs(d_new) <= eps
+                p_up = np.exp(-2.0 * np.clip(eps - d_old, 0.0, None)
+                              * np.clip(eps - d_new, 0.0, None) / dt)
+                p_dn = np.exp(-2.0 * np.clip(eps + d_old, 0.0, None)
+                              * np.clip(eps + d_new, 0.0, None) / dt)
+                alive &= inside & (u1 >= p_up) & (u2 >= p_dn)
+                u_new = -1.0 / (4.0 * r_new * r_new)
+                w += np.where(alive, 0.5 * dt * (u_old + u_new), 0.0)
+                u_old = u_new
                 d_old = d_new
             count[step] += np.count_nonzero(alive)
             for k in np.flatnonzero(rec == step):
@@ -198,23 +186,15 @@ class TestKilledReference:
     KW = dict(eps=0.1, theta0=0.4, T=0.5, dt=0.001, n_paths=650, seed=11,
               t_record=[0.0, 0.02, 0.3, 0.5], block_size=200)
 
-    @pytest.mark.parametrize("kill", [True, False])
-    @pytest.mark.parametrize("use_potential", [True, False])
-    def test_matches_full_array_stepper(self, kill, use_potential):
-        ens = stochastic.sample_conditioned(
-            tl.CircleInPlane(1.0), guided=False, kill=kill,
-            use_potential=use_potential, **self.KW,
-        )
-        want = killed_reference(1.0, kill=kill, use_potential=use_potential, **self.KW)
+    def test_matches_full_array_stepper(self):
+        ens = stochastic.sample_conditioned(tl.CircleInPlane(1.0), guided=False, **self.KW)
+        want = killed_reference(1.0, **self.KW)
         for name, value in want.items():
             assert np.array_equal(getattr(ens, name), value), name
-        if kill:
-            # deaths before the first record after 0, none alive at T
-            assert 0 < ens.alive[:, 1].sum() < self.KW["n_paths"]
-            assert not ens.alive[:, 2:].any()
-            assert ens.survival_steps[-1] == 0.0
-        else:
-            assert ens.alive.all()
+        # deaths before the first record after 0, none alive at T
+        assert 0 < ens.alive[:, 1].sum() < self.KW["n_paths"]
+        assert not ens.alive[:, 2:].any()
+        assert ens.survival_steps[-1] == 0.0
 
 
 class TestBlockParallelism:
@@ -264,24 +244,11 @@ class TestCrossValidation:
         # the central cross-check: path estimator vs the two-sided heat-flow
         # ratio at the same tube radius (small dt-bias allowance)
         est = stochastic.marginal_estimate(feasible_ensemble, np.cos, 0.05)
-        op = semigroup.conditional_flow_operator(
-            circle_grid, circle_spectrum, 0.2, 0.1, 0.05, np.cos(circle_grid.base_x)
+        (op,) = semigroup.conditional_flow_operator(
+            circle_grid, circle_spectrum, 0.2, 0.1, [0.05], np.cos(circle_grid.base_x)
         )
         assert abs(est.value - op[0]) < 3.0 * est.std_error + 2e-3
 
-    def test_weight_only_changes_estimate_slightly(self):
-        # the Feynman-Kac factor is the only difference between the weighted
-        # and unweighted estimators
-        m = tl.CircleInPlane(1.0)
-        kw = dict(eps=0.2, theta0=0.0, T=0.1, dt=0.002, n_paths=10000, guided=False)
-        wtd = stochastic.sample_conditioned(m, seed=5, **kw)
-        unw = stochastic.sample_conditioned(m, seed=5, use_potential=False, **kw)
-        assert np.array_equal(wtd.theta, unw.theta)
-        assert np.all(unw.log_weight == 0.0)
-        a = stochastic.marginal_estimate(wtd, np.cos, 0.1)
-        b = stochastic.marginal_estimate(unw, np.cos, 0.1)
-        assert a.value != b.value
-        assert abs(a.value - b.value) < 0.01
 
 
 class TestGuidedSampler:
@@ -309,17 +276,13 @@ class TestGuidedSampler:
 
     def test_matches_operator_route(self, guided_ensemble, circle_grid,
                                     circle_spectrum):
-        h0 = discretize.renormalize(
-            discretize.assemble_operator(circle_grid, "H", 0.2), circle_spectrum.lambda0
+        times = (0.05, 0.1)
+        op = semigroup.conditional_flow_operator(
+            circle_grid, circle_spectrum, 0.2, 0.1, times, np.cos(circle_grid.base_x)
         )
-        prop = semigroup.Propagator(h0.form, h0.weights)
-        for t in (0.05, 0.1):
+        for t, row in zip(times, op):
             est = stochastic.marginal_estimate(guided_ensemble, np.cos, t)
-            op = semigroup.conditional_flow_operator(
-                circle_grid, circle_spectrum, 0.2, 0.1, t, np.cos(circle_grid.base_x),
-                propagator=prop,
-            )
-            assert abs(est.value - op[0]) < 3.0 * est.std_error + 2e-3
+            assert abs(est.value - row[0]) < 3.0 * est.std_error + 2e-3
 
     def test_deterministic_per_block(self):
         # TestSampler.test_deterministic_in_seed covers reruns of the default
@@ -349,10 +312,6 @@ class TestOracles:
         assert stochastic.circle_heat_oracle(1.0, 0.0, 1.0, [0.0, 1.0]) == pytest.approx(
             math.exp(-0.5), abs=1e-15
         )
-        # sine mode at theta0 = pi/2
-        assert stochastic.circle_heat_oracle(
-            2.0, math.pi / 2, 1.0, [0.0, 0.0], [0.0, 1.0]
-        ) == pytest.approx(math.exp(-1.0 / 8.0), abs=1e-15)
 
     def test_heat_oracle_vs_base_propagator(self, circle_grid):
         Qb, wb = semigroup.base_laplacian(circle_grid)
@@ -366,11 +325,3 @@ class TestOracles:
         )
         # discrete symbol deficit of the 64-node circle is ~ h^2/12
         assert np.max(np.abs(got - want)) < 5e-4
-
-    def test_planar_bm_oracle_limits(self):
-        # short time: barely moved; theta0 scaling is exact
-        assert stochastic.planar_bm_angle_cos(1.0, 1e-6) == pytest.approx(1.0, abs=1e-5)
-        v = stochastic.planar_bm_angle_cos(1.0, 0.3)
-        assert stochastic.planar_bm_angle_cos(1.0, 0.3, theta0=1.0) == pytest.approx(
-            math.cos(1.0) * v, abs=1e-14
-        )
