@@ -8,6 +8,11 @@ post-hoc symmetrization.  Fields are flat arrays of length
 n_base * n_fiber, base-major.  Every fiber block is the fiber grid's own
 vertical_form, so nothing here branches on the fiber type.
 
+The horizontal forms H and InducedEps differentiate along the horizontal
+lift X = d_s - tau d_theta of the co-rotating normal frame (geometry), so
+Sasaki and induced forms share one frame, and a constant curve's forms are
+block-circulant with or without torsion (semigroup.fourier_blocks).
+
 Form names:
   V           flat fiber Dirichlet energy (no epsilon)
   H           horizontal energy with unit coefficient (no epsilon)
@@ -85,13 +90,6 @@ def build_grid(model, n_base, n_fiber, n_theta=16):
         )
     if n_base < 8:
         raise ValueError("need at least 8 base nodes")
-    if isinstance(model, geometry.CurveInSpace):
-        wind = model.total_torsion / (2.0 * math.pi)
-        if abs(wind - round(wind)) > 1e-8:
-            raise NotImplementedError(
-                "grids for space curves need a trivial normal holonomy "
-                "(total torsion a multiple of 2*pi)"
-            )
     length = model.base_length
     h = length / n_base
     base_x = h * np.arange(n_base)
@@ -150,16 +148,53 @@ def _base_difference(grid):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def _edge_twist(grid):
+    """The torsion at each base edge's midpoint times the average of the
+    edge's two ends, sparse (n_base, n_base); None without torsion."""
+    if not isinstance(grid.model, geometry.CurveInSpace):
+        return None
+    n = grid.n_base
+    tau = np.broadcast_to(grid.model.tau(grid.base_x + 0.5 * grid.base_h), n).astype(float)
+    if not np.any(tau):
+        return None
+    return sp.diags(0.5 * tau) @ (sp.identity(n) + sp.eye(n, k=1) + sp.eye(n, k=1 - n))
+
+
 def _horizontal_form(grid, coeff):
-    """Horizontal energy with coefficient g(x_edge_mid, fiber node).
+    """Horizontal energy with coefficient g(x_edge_mid, fiber node): g times
+    (X f)^2 summed over base edges and fiber nodes, X = d_s - tau d_theta
+    with d_s the forward difference along the edge and d_theta the fiber's
+    centered angular difference, averaged over the edge's two ends.
 
     coeff is an (n_base, n_fiber) array evaluated at base-edge midpoints."""
     if grid.n_base == 1:
         return sp.csr_matrix((grid.n, grid.n))
     Db = _base_difference(grid)
     D = sp.kron(Db, sp.identity(grid.n_fiber, format="csr"), format="csr")
-    c = (grid.base_h * grid.fiber.weights[None, :] * coeff).ravel()
-    return (D.T @ sp.diags(c) @ D).tocsr()
+    C = sp.diags((grid.base_h * grid.fiber.weights[None, :] * coeff).ravel())
+    Q = D.T @ C @ D
+    twist = _edge_twist(grid)
+    if twist is not None:
+        # (D - A)^T C (D - A) expanded: with D - A as one matrix the products
+        # sum the wrap-around blocks in another order, and a form with
+        # base-independent coefficients misses the exact block-circulant check
+        A = sp.kron(twist, -grid.fiber.rotation_generator())
+        DCA = D.T @ C @ A
+        Q = Q - (DCA + DCA.T) + A.T @ C @ A
+    return Q.tocsr()
+
+
+def base_form(grid, zeta):
+    """Form of the Laplacian on the base curve alone, twisted by tau * zeta:
+    the sum over base edges of h |(d_s - i zeta tau) g|^2, which is what the
+    horizontal form is on a fiber sector where d_theta acts as i zeta
+    (angular_sectors of the fiber grids).  A point base gives a zero 1 x 1."""
+    if grid.n_base == 1:
+        return sp.csr_matrix((1, 1))
+    X, twist = _base_difference(grid), _edge_twist(grid)
+    if zeta and twist is not None:
+        X = X - 1j * zeta * twist
+    return (X.conj().T @ sp.diags(np.full(grid.n_base, grid.base_h)) @ X).tocsr()
 
 
 def _rotation_cometric(w):

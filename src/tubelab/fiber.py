@@ -8,12 +8,13 @@ conservative flux form simply has no flux through the origin.
 Both grids share one interface: vertical_form(vertical) is the Dirichlet
 form of a vertical cometric (flat without one), node_w the normal-frame
 coordinates of the nodes, center_index the node on the submanifold,
-refined_size a finer grid's constructor arguments and symmetrize_ground the
-ground state's symmetrization.  Outside this module nothing branches on the
-fiber type.  A form is assembled from 1-D difference matrices (sp.diags,
-sp.kron) as coefficient times squared one-sided difference summed over the
-edges, which makes every operator symmetric and positive semidefinite in the
-grid's weighted inner product by construction.
+refined_size a finer grid's constructor arguments, symmetrize_ground the
+ground state's symmetrization and angular_sectors the subspaces on which
+the angular derivative acts as a number.  Outside this module nothing
+branches on the fiber type.  A form is assembled from 1-D difference
+matrices (sp.diags, sp.kron) as coefficient times squared one-sided
+difference summed over the edges, which makes every operator symmetric and
+positive semidefinite in the grid's weighted inner product by construction.
 """
 
 from __future__ import annotations
@@ -97,6 +98,10 @@ class IntervalFiberGrid:
         """The interval has no symmetry to impose."""
         return ground
 
+    def angular_sectors(self):
+        """The interval has no angle: one sector, the whole grid, zeta = 0."""
+        return [(np.eye(self.n), 0.0)]
+
     def vertical_form(self, vertical=None):
         """Form matrix of integral g(s) (f')^2 ds, with g the vertical
         cometric (fiber points (..., 1) -> (..., 1, 1)) at the edge
@@ -176,6 +181,15 @@ class PolarFiberGrid:
         prof = ground.reshape(self.n_r, self.n_theta).mean(axis=1)
         ground = np.repeat(prof, self.n_theta)
         return ground / math.sqrt(np.sum(self.weights * ground**2))
+
+    def angular_sectors(self):
+        """(U_m, zeta_m) for m = 0 .. n_theta - 1: U_m the orthonormal basis
+        kron(I, e^{i m theta} / sqrt(n_theta)) of the fields g(r) e^{i m theta},
+        on which the centered d_theta (-rotation_generator) acts as i zeta_m,
+        zeta_m = sin(m dtheta) / dtheta; the flat vertical form keeps them."""
+        e = np.exp(1j * np.outer(np.arange(self.n_theta), self.theta)) / math.sqrt(self.n_theta)
+        zeta = np.sin(np.arange(self.n_theta) * self.dtheta) / self.dtheta
+        return [(np.kron(np.eye(self.n_r), e_m[:, None]), z) for e_m, z in zip(e, zeta)]
 
     def vertical_form(self, vertical=None):
         """Form matrix of integral g_rr (d_r f)^2 + g_tt r^-2 (d_theta f)^2

@@ -2,16 +2,21 @@
 
 A point of the rescaled tube is a base coordinate together with a normal
 vector W of length at most one; the physical displacement is eps * W.
-All metric data is expressed in the block basis (tangent frame, parallel
-normal frame) at the base point, after the fiber rescaling that maps the
+All metric data is expressed in the block basis (tangent frame, normal
+frame) at the base point, after the fiber rescaling that maps the
 shrinking tube onto the fixed unit tube.  Conventions:
 
 * the Laplacian is the geometer's nonnegative one, Delta = -d*d, so the
   flat radial potential of an annulus is U = -1/(4 r^2);
 * base coordinates are arc length, so the base cometric block is the
   identity on the submanifold itself;
-* the normal frame along a curve is parallel (rotation minimizing), which
-  kills connection terms in the metric blocks.
+* the normal frame along a space curve co-rotates with it: it is the
+  Frenet frame (N, B), so the curvature vector is (kappa, 0).  With
+  N' = -kappa T + tau B and B' = -tau N, the coordinate field d_s of the
+  tube has the normal part eps * tau * d_theta, d_theta = w1 d_w2 - w2 d_w1;
+  the horizontal lift X = d_s - tau d_theta is orthogonal to the fibers,
+  so the metric blocks below carry no cross term and the torsion enters
+  only through X (discretize).
 
 Every operation takes arrays of points.  Base coordinates may have any
 shape and fiber coordinates have shape (..., q); the two broadcast against
@@ -30,7 +35,7 @@ import numpy as np
 from .errors import FocalRadiusExceeded
 
 _DEGENERACY_TOL = 1e-12
-# arc-length samples of the frame angle and of the ellipse parametrization
+# arc-length samples of the ellipse parametrization
 ARC_SAMPLES = 4096
 
 
@@ -65,11 +70,9 @@ class CircleInPlane:
 class CurveInSpace:
     """Closed arc-length curve in flat 3-space (codimension 2).
 
-    kappa and tau are callables of arc length.  The parallel normal frame
-    is obtained by rotating the Frenet normal through the integral of the
-    torsion; the curvature vector in that frame is
-    k(s) = kappa(s) * (cos phi(s), sin phi(s)) with phi' = tau.
-    """
+    kappa and tau are callables of arc length.  The normal frame is the
+    co-rotating one of the module docstring, which closes up for any total
+    torsion."""
 
     def __init__(self, kappa, tau, length):
         if length <= 0:
@@ -77,15 +80,6 @@ class CurveInSpace:
         self.kappa = kappa
         self.tau = tau
         self.length = float(length)
-        s = np.linspace(0.0, self.length, ARC_SAMPLES + 1)
-        tau_vals = np.array([float(tau(si)) for si in s])
-        # cumulative trapezoid for the frame angle phi(s)
-        phi = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (tau_vals[1:] + tau_vals[:-1]) * np.diff(s))]
-        )
-        self._s_samples = s
-        self._phi_samples = phi
-        self.total_torsion = float(phi[-1])
 
     @property
     def dim_base(self):
@@ -99,17 +93,12 @@ class CurveInSpace:
     def base_length(self):
         return self.length
 
-    def frame_angle(self, s):
-        s = np.mod(s, self.length)
-        return np.interp(s, self._s_samples, self._phi_samples)
-
     def curvature_vector(self, s):
         """Normal-frame components of the curvature vector at arc length s,
         shape s.shape + (2,)."""
-        phi = self.frame_angle(s)
-        kap = np.asarray(self.kappa(np.mod(s, self.length)), dtype=float)
-        kap = np.broadcast_to(kap, phi.shape)
-        return np.stack([kap * np.cos(phi), kap * np.sin(phi)], axis=-1)
+        s = np.asarray(s, dtype=float)
+        kap = np.broadcast_to(np.asarray(self.kappa(np.mod(s, self.length)), dtype=float), s.shape)
+        return np.stack([kap, np.zeros_like(kap)], axis=-1)
 
 
 def constant_curve(kappa0, tau0, length):

@@ -6,39 +6,33 @@ is w^-1 Q, symmetric in the weighted inner product.  One spectral core,
 and size of the pencil choose the spectral path.
 
 Block path.  A tube whose geometry does not change along the base (the
-circle, a constant curve without torsion, the Sasaki forms of any of them,
-the base Laplacian itself) gives a form that is block-circulant in the base
-index.  With S the cyclic base shift (S[i, i+1] = 1) the form is
+circle, a constant curve with or without torsion, the Sasaki forms of any
+of them, the base Laplacian itself) gives a form that is block-circulant in
+the base index: with S the cyclic base shift (S[i, i+1] = 1),
 
-    Q = kron(I, D) + kron(S, N) + kron(S^T, N^T),   N = N^T,
+    Q = kron(I, D) + kron(S, N) + kron(S^T, N^T),
 
-so Q = kron(I, D) + kron(S + S^T, N).  The real orthonormal Fourier vectors
-of the base, c_k(i) ~ cos(2 pi k i / n_base) and s_k(i) ~ sin(2 pi k i /
-n_base), are eigenvectors of S + S^T with eigenvalue 2 cos(2 pi k / n_base)
-(Davis, Circulant Matrices, 1979).  When the weights also repeat per base
-node, w = kron(1, w_row), the pencil splits into the n_base // 2 + 1 fiber
-pencils
-
-    (B_k, diag(w_row)),   B_k = D + 2 cos(2 pi k / n_base) N,
-
-each of size n_fiber; mode k carries c_k and s_k (one vector for k = 0 and,
-for even n_base, for k = n_base / 2).  The block size is read from the form
-itself: row 0 ends in the block N^T of the cyclic neighbour, and N is
-diagonal for every form assembled here, so the last nonzero of row 0 sits
-at column n - n_fiber.  That reading is only a guess; the pencil is split
-only when the split is exact: the weights repeat bitwise, N is symmetric
+where torsion makes N non-symmetric (discretize).  Give the field
+a c_k + b s_k, with c_k(i) ~ cos(w_k i) and s_k(i) ~ sin(w_k i) the real
+orthonormal Fourier vectors of the base, w_k = 2 pi k / n_base (Davis,
+Circulant Matrices, 1979), the coefficient z = a + i b.  Q maps it to the
+mode-k field of coefficient B_k z, B_k = D + e^{-i w_k} N + e^{i w_k} N^T:
+Hermitian, and the real D + 2 cos(w_k) N for a symmetric N and for the
+modes k = 0 and, for even n_base, k = n_base / 2, which carry c_k alone.
+When the weights repeat per base node, w = kron(1, w_row), the pencil splits
+into the n_base // 2 + 1 fiber pencils (B_k, diag(w_row)).  The block size
+is read from the form: row 0 ends in the block N^T, whose diagonal is
+nonzero for every form assembled here, so the first nonzero of row 0 past
+column n / 2 sits at column n - n_fiber.  That reading is only a guess; the
+pencil is split only when the split is exact: the weights repeat bitwise
 and the form equals the reassembled block matrix entry for entry.  A wrong
 guess costs speed, never accuracy.
 
 Dense path.  Any other pencil is the one-block case n_base = 1, whose only
 basis vector is c_0 = 1.  Up to DENSE_CUTOFF nodes it gets one dense
 generalized eigendecomposition, so semigroup laws hold to solver accuracy.
-
-Truncated path.  Above the cutoff a propagator keeps, as its one block,
-only the spectrally relevant bottom of the spectrum: a mode at distance d
-above the bottom contributes a factor exp(-t*d/2) <= 1e-18 over times >=
-t_min and is dropped.  The propagator refuses earlier times.  eigsh starts
-from a fixed vector, so reruns repeat bit for bit.
+Above it propagators and resolvent solves refuse it (ResolutionError); of
+the shipped models only the library's ellipse_curve makes such a pencil.
 
 Resolvent solves are accepted by their normwise backward error against a
 small multiple of the unit roundoff (BACKWARD_ERROR_BOUND), which does not
@@ -82,20 +76,16 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 BACKWARD_ERROR_BOUND = 32 * UNIT_ROUNDOFF
 
 
-def _start_vector(n):
-    """Fixed eigsh start vector: reruns repeat and no mode is left out."""
-    return np.random.Generator(np.random.Philox(key=0)).standard_normal(n)
-
-
 class FourierBlocks:
     """A pencil in the real Fourier basis of its base, one block per mode.
 
     blocks[k] is B_k of the module docstring.  Fields move between nodes and
     modes as arrays of shape (n_base // 2 + 1, 2, n_fiber): row [k, 0] holds
-    the c_k coefficients, row [k, 1] the s_k ones (zero where s_k is absent).
-    A pencil without base structure is the one-block case n_base = 1: its
-    block is the whole form, kept sparse until `blocks` is first read, and
-    its modes have the one row of c_0 = 1."""
+    the c_k coefficients, row [k, 1] the s_k ones (zero where s_k is absent);
+    complex blocks take the one row z = c + i s.  A pencil without base
+    structure is the one-block case n_base = 1: its block is the whole form,
+    kept sparse until `blocks` is first read, and its modes have the one row
+    of c_0 = 1."""
 
     def __init__(self, blocks, w_row, n_base):
         self.n_base = n_base
@@ -123,13 +113,19 @@ class FourierBlocks:
         """The spectral path of the pencil (module docstring)."""
         if self.n_base > 1:
             return "block"
-        return "dense" if len(self.w_row) <= DENSE_CUTOFF else "truncated"
+        if len(self.w_row) > DENSE_CUTOFF:
+            raise ResolutionError(f"a pencil of {len(self.w_row)} nodes without base "
+                                  f"structure is above DENSE_CUTOFF = {DENSE_CUTOFF}")
+        return "dense"
 
     def to_modes(self, f):
         g = self.basis.T @ np.asarray(f).reshape(self.n_base, -1)
-        return g.reshape(len(self.multiplicity), -1, len(self.w_row))
+        g = g.reshape(len(self.multiplicity), -1, len(self.w_row))
+        return g[:, :1] + 1j * g[:, 1:] if np.iscomplexobj(self._blocks) else g
 
     def from_modes(self, g):
+        if np.iscomplexobj(g):
+            g = np.concatenate([g.real, g.imag], axis=1)
         return (self.basis @ g.reshape(self.basis.shape[1], -1)).ravel()
 
     def eigh(self, eigvals_only=False):
@@ -148,25 +144,30 @@ class FourierBlocks:
 
 def fourier_blocks(form, weights):
     """FourierBlocks of the pencil (form, diag(weights)): split over the base
-    when the form is exactly block-circulant with a symmetric neighbour
-    block, the block size read from row 0 (module docstring); else the whole
-    pencil as one block."""
+    when the form is exactly block-circulant, the block size read from row 0
+    (module docstring); else the whole pencil as one block."""
     weights = np.asarray(weights, dtype=float)
     Q = sp.csr_matrix(form)
     n = len(weights)
     row0 = Q[0].nonzero()[1]
-    nf = n - row0.max() if len(row0) else n
+    past = row0[row0 > n / 2]
+    nf = n - past.min() if len(past) else n
     n_base = n // nf
     if n_base >= 3 and n % nf == 0:
         w = weights.reshape(n_base, nf)
         D = Q[:nf, :nf].toarray()
         N = Q[:nf, nf : 2 * nf].toarray()
-        if np.array_equal(w, np.broadcast_to(w[0], w.shape)) and np.array_equal(N, N.T):
+        if np.array_equal(w, np.broadcast_to(w[0], w.shape)):
             S = sp.eye(n_base, k=1) + sp.eye(n_base, k=1 - n_base)
             rebuilt = sp.kron(sp.identity(n_base), D) + sp.kron(S, N) + sp.kron(S.T, N.T)
             if not (Q != rebuilt).nnz:
                 k = np.arange(n_base // 2 + 1)
-                blocks = D + 2.0 * np.cos(2.0 * np.pi * k / n_base)[:, None, None] * N
+                angle = 2.0 * np.pi * k / n_base
+                blocks = D + np.cos(angle)[:, None, None] * (N + N.T)
+                if not np.array_equal(N, N.T):
+                    # zero on the modes that carry no s_k, whose blocks are real
+                    sine = np.where(2 * k % n_base, np.sin(angle), 0.0)
+                    blocks = blocks - 1j * sine[:, None, None] * (N - N.T)
                 return FourierBlocks(blocks, w[0].copy(), n_base)
     return FourierBlocks(Q, weights, 1)
 
@@ -181,63 +182,33 @@ class Propagator:
     """exp(-t * A / 2) for the operator of a weighted form pencil.
 
     The structure is read from the pencil (fourier_blocks); `path` names the
-    spectral path it selects (module docstring): "block", "dense" (the one
-    block of a pencil without base structure) or "truncated" (one block of
-    the bottom eigenpairs).  Eigenvalues and eigenvectors are stacked per
-    block (FourierBlocks.eigh)."""
+    spectral path it selects (module docstring): "block", or "dense" for the
+    one block of a pencil without base structure.  Eigenvalues and
+    eigenvectors are stacked per block (FourierBlocks.eigh)."""
 
-    def __init__(self, form, weights, t_min=0.05):
+    # no path keeps only part of the spectrum; perfbench/layers.py reads this
+    truncated = False
+
+    def __init__(self, form, weights):
         self.weights = np.asarray(weights, dtype=float)
-        n = len(self.weights)
-        self.t_min = t_min
         self.blocks = fourier_blocks(form, self.weights)
         self.path = self.blocks.path
-        if not self.truncated:
-            self.eigenvalues, self.eigenvectors = self.blocks.eigh()
-            return
-        # keep the bottom of the spectrum; modes further than `span` above
-        # the minimum are invisible at times >= t_min in double precision
-        span = 2.0 * 41.0 / t_min
-        Qc = form.tocsc()
-        M = sp.diags(self.weights).tocsc()
-        rowsum = np.asarray(abs(Qc).sum(axis=1)).ravel()
-        diag = Qc.diagonal()
-        lower = float(np.min((diag - (rowsum - np.abs(diag))) / self.weights))
-        k = min(max(64, n // 50), n - 2)
-        v0 = _start_vector(n)
-        while True:
-            vals, vecs = spla.eigsh(Qc, k=k, M=M, sigma=lower - 1.0, which="LM", v0=v0)
-            order = np.argsort(vals)
-            vals, vecs = vals[order], vecs[:, order]
-            if vals[-1] - vals[0] >= span or k >= n - 2:
-                break
-            k = min(2 * k, n - 2)
-        self.eigenvalues, self.eigenvectors = vals[None], vecs[None]
-
-    @property
-    def truncated(self):
-        return self.path == "truncated"
+        self.eigenvalues, self.eigenvectors = self.blocks.eigh()
+        # the forward product takes U^H; conj() of a real array is the array
+        self._forward = self.eigenvectors.conj()
 
     def apply(self, t, f):
         if t < 0:
             raise ValueError("time must be nonnegative")
-        if self.truncated and t < self.t_min:
-            raise ValueError(
-                f"time {t} below t_min={self.t_min} of a truncated propagator"
-            )
         decay = np.exp(-0.5 * t * self.eigenvalues)
+        coef = (self.blocks.to_modes(f) * self.blocks.w_row) @ self._forward
         U = self.eigenvectors
-        coef = (self.blocks.to_modes(f) * self.blocks.w_row) @ U
         return self.blocks.from_modes((decay[:, None, :] * coef) @ U.transpose(0, 2, 1))
 
 
 def base_laplacian(grid):
     """(form, weights) of the Laplacian on the base circle alone."""
-    if grid.n_base == 1:
-        return sp.csr_matrix((1, 1)), grid.base_w
-    Db = discretize._base_difference(grid)
-    Q = (Db.T @ sp.diags(np.full(grid.n_base, grid.base_h)) @ Db).tocsr()
-    return Q, grid.base_w
+    return discretize.base_form(grid, 0.0), grid.base_w
 
 
 def limit_propagate(grid, spectrum, t_grid, f):
@@ -274,47 +245,35 @@ def _coercive(mineig):
 def resolvent_minimizer(op_h0, alpha, w_field):
     """Minimize phi, i.e. solve (H0 + alpha) f = w in the weighted sense.
 
-    The structure is read from the pencil (fourier_blocks).  Up to
-    DENSE_CUTOFF nodes, or at any size when the base splits it, the minimum
+    The structure is read from the pencil (fourier_blocks): the minimum
     eigenvalue is the least over the blocks (one block for a dense pencil)
-    and each block is solved by its own Cholesky factor; above the cutoff a
-    pencil without base structure gets one shift-invert eigsh for the
-    minimum eigenvalue and one sparse solve.  The solve is accepted when the
-    normwise backward error of A f = b, with A = form + alpha diag(w) the
-    assembled sparse matrix and b = w * w_field, is at most
+    and each block is solved by its own Cholesky factor.  The solve is
+    accepted when the normwise backward error of A f = b, with A = form +
+    alpha diag(w) the assembled sparse matrix and b = w * w_field, is at most
     BACKWARD_ERROR_BOUND; info reports it as "backward_error" (0.0 for a
     zero datum) next to the weighted relative "residual", which is not
     checked.  Raises CoercivityViolation when the shifted
     pencil is not positive definite (epsilon outside the coercive range),
     ResolutionError when the backward error is above the bound or not
-    finite."""
+    finite, or when the pencil has no base structure and is above
+    DENSE_CUTOFF."""
     g = op_h0.grid
-    W = sp.diags(g.weights)
-    A = (op_h0.form + alpha * W).tocsc()
-    n = A.shape[0]
     blocks = fourier_blocks(op_h0.form, g.weights)
+    path = blocks.path
+    W_row = np.diag(blocks.w_row)
+    shifted = blocks.blocks + alpha * W_row
+    mineig = _coercive(min(
+        float(scipy.linalg.eigh(B, W_row, eigvals_only=True, subset_by_index=[0, 0])[0])
+        for B in shifted
+    ))
     rhs = g.weights * np.asarray(w_field)
-    if blocks.path == "truncated":
-        mineig = _coercive(float(
-            spla.eigsh(
-                A, k=1, M=W.tocsc(), sigma=-1e3, which="LM",
-                return_eigenvectors=False, v0=_start_vector(n),
-            )[0]
-        ))
-        f = spla.spsolve(A, rhs)
-    else:
-        W_row = np.diag(blocks.w_row)
-        shifted = blocks.blocks + alpha * W_row
-        mineig = _coercive(min(
-            float(scipy.linalg.eigh(B, W_row, eigvals_only=True, subset_by_index=[0, 0])[0])
-            for B in shifted
-        ))
-        modes = blocks.to_modes(rhs)
-        for k, block in enumerate(shifted):
-            factor = scipy.linalg.cho_factor(block)
-            # a non-finite datum propagates to the backward-error check
-            modes[k] = scipy.linalg.cho_solve(factor, modes[k].T, check_finite=False).T
-        f = blocks.from_modes(modes)
+    modes = blocks.to_modes(rhs)
+    for k, block in enumerate(shifted):
+        factor = scipy.linalg.cho_factor(block)
+        # a non-finite datum propagates to the backward-error check
+        modes[k] = scipy.linalg.cho_solve(factor, modes[k].T, check_finite=False).T
+    f = blocks.from_modes(modes)
+    A = (op_h0.form + alpha * sp.diags(g.weights)).tocsc()
     Af = A @ f
     rel = g.norm(Af / g.weights - np.asarray(w_field)) / max(g.norm(w_field), 1e-300)
     r = np.max(np.abs(Af - rhs))
@@ -324,7 +283,7 @@ def resolvent_minimizer(op_h0, alpha, w_field):
             f"resolvent backward error {r / scale:.3e} above {BACKWARD_ERROR_BOUND:.3e} "
             f"({BACKWARD_ERROR_BOUND / UNIT_ROUNDOFF:.0f} u)"
         )
-    info = {"residual": rel, "min_eigenvalue": mineig, "spectral_path": blocks.path}
+    info = {"residual": rel, "min_eigenvalue": mineig, "spectral_path": path}
     info["backward_error"] = float(r / scale) if scale else 0.0
     return f, info
 
@@ -417,7 +376,7 @@ def collapse_errors(grid, spectrum, which, eps_list, t_grid, f, order=0):
     for i, eps in enumerate(eps_list):
         t0 = time.perf_counter()
         op = discretize.renormalize(grid, which, eps, spectrum.lambda0)
-        prop = Propagator(op.form, op.weights, t_min=float(np.min(t_grid)))
+        prop = Propagator(op.form, op.weights)
         paths.append(prop.path)
         for j, t in enumerate(t_grid):
             diff = prop.apply(t, f) - limit[j]

@@ -26,25 +26,27 @@ SASAKI_ALLOWANCE_REL = 1e-8
 COMPOSITE_TOL = 1e-9
 
 
-def _full_fiber_eigenvalues(fib):
-    Q = fib.vertical_form()
-    return scipy.linalg.eigh(Q.toarray(), np.diag(fib.weights), eigvals_only=True)
-
-
 def admissible_eps_bound(spectrum):
     """Largest tube radius for which the vertical-energy bounds apply."""
     return 1.0 - spectrum.lambda0 / spectrum.lambda1
 
 
 def composite_spectrum_check(grid, eps):
-    """Every eigenvalue of the product operator is a fiber level over eps^2
-    plus a base level; checked against independent 1-dimensional solves."""
-    hsa = discretize.assemble_operator(grid, "HSa", eps)
-    vals2d = hsa.eig()
-    fib_vals = _full_fiber_eigenvalues(grid.fiber)
-    Qb, wb = semigroup.base_laplacian(grid)
-    base_vals = scipy.linalg.eigh(Qb.toarray(), np.diag(wb), eigvals_only=True)
-    composite = np.sort((fib_vals[:, None] / eps**2 + base_vals[None, :]).ravel())
+    """Every eigenvalue of the Sasaki operator is, in one angular sector m of
+    the fiber (angular_sectors; the interval is one sector), a level of the
+    sector's fiber form over eps^2 plus one of the base form twisted by
+    tau * zeta_m (discretize.base_form); checked by solves per sector."""
+    vals2d = discretize.assemble_operator(grid, "HSa", eps).eig()
+    fib = grid.fiber
+    V, W = fib.vertical_form().toarray(), np.diag(fib.weights)
+    parts = []
+    for U, zeta in fib.angular_sectors():
+        UH = U.conj().T
+        fib_vals = scipy.linalg.eigh(UH @ V @ U, UH @ W @ U, eigvals_only=True)
+        Qb = discretize.base_form(grid, zeta).toarray()
+        base_vals = scipy.linalg.eigh(Qb, np.diag(grid.base_w), eigvals_only=True)
+        parts.append((fib_vals[:, None] / eps**2 + base_vals[None, :]).ravel())
+    composite = np.sort(np.concatenate(parts))
     scale = np.maximum(np.abs(composite), 1.0)
     rel = float(np.max(np.abs(np.sort(vals2d) - composite) / scale))
     return {"eps": eps, "max_rel_error": rel, "ok": bool(rel <= COMPOSITE_TOL)}

@@ -72,9 +72,6 @@ BAD_CONFIGS = {
     "n_fiber_too_small": ("fiber", BASE.replace("n_fiber: 15", "n_fiber: 5")),
     "n_base_too_small": ("fiber", BASE.replace("n_base: 32", "n_base: 4")),
     "odd_n_theta": ("fiber", SYNTHETIC + "  n_theta: 15\n"),
-    "twisted_curve": (
-        "fiber", "model:\n  kind: curve\n  tau0: 0.3\ngrid:\n  n_base: 16\n  n_fiber: 8\n"
-    ),
     "synthetic_codim_3": ("fiber", SYNTHETIC.replace("synthetic\n", "synthetic\n  codim: 3\n")),
     "scalar_eps_list": ("sweep", BASE + "sweep:\n  eps_list: 0.1\n"),
     "eps_list_not_numbers": ("sweep", BASE + "sweep:\n  eps_list: [a]\n"),
@@ -325,6 +322,23 @@ class TestSweepCommand:
         assert header[0].startswith("# tubelab") and "config_hash=" in header[0]
         assert header[1] == "eps,t,err_L2,err_H1,err_H2"
         assert (out1 / "run.log").exists()
+
+
+def test_twisted_curve_runs_on_the_block_path(tmp_path):
+    # total torsion 0.6 pi: the co-rotating frame closes up for any torsion
+    text = (
+        "model:\n  kind: curve\n  tau0: 0.3\ngrid:\n  n_base: 16\n  n_fiber: 8\n"
+        "validate:\n  eps_list: [0.2, 0.1]\n  n_fields: 5\n"
+        "sweep:\n  eps_list: [0.2, 0.1]\n  n_t: 3\n"
+    )
+    cfg = write_cfg(tmp_path, "c.yaml", text)
+    out = tmp_path / "o"
+    for command in ("fiber", "validate", "sweep"):
+        assert run([command, "--config", cfg, "--out", str(out)]) == 0
+    validate = json.loads((out / "validate.json").read_text())
+    assert validate["sasaki_limit"]["spectral_path"] == ["block", "block"]
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary["spectral_path"] == ["block", "block"]
 
 
 class TestMcCommand:

@@ -32,9 +32,9 @@ class TestGrid:
             discretize.build_grid(circle_model, 4, 15)
         with pytest.raises(ValueError):
             discretize.build_grid(synthetic_model, 8, 16)
-        twisted = tl.constant_curve(1.0, 0.5, 2 * math.pi)  # holonomy pi
-        with pytest.raises(NotImplementedError):
-            discretize.build_grid(twisted, 16, 15)
+        # holonomy pi: the co-rotating frame closes up for any total torsion
+        twisted = tl.constant_curve(1.0, 0.5, 2 * math.pi)
+        assert discretize.build_grid(twisted, 16, 15).n == 16 * 15 * 16
 
     def test_refined_grid(self, circle_model):
         # 15 * 1.5 = 22.5 rounds to 22, made odd so a node stays at s = 0

@@ -83,12 +83,13 @@ class TestCurve:
         cm = tl.cometric(curve, tl.TubePoint(1.0, [0.3, 0.4], 0.1))
         assert np.allclose(cm.vertical, 100.0 * np.eye(2), atol=1e-10)
 
-    def test_torsion_rotates_curvature_vector(self):
+    def test_torsion_leaves_curvature_vector_fixed(self):
+        # the normal frame co-rotates: torsion enters only through the
+        # horizontal lift (discretize), never through the curvature vector
         curve = tl.constant_curve(1.0, 0.5, 4 * math.pi)
-        assert curve.total_torsion == pytest.approx(2 * math.pi, rel=1e-8)
-        k = curve.curvature_vector(math.pi)
-        phi = 0.5 * math.pi
-        assert k == pytest.approx([math.cos(phi), math.sin(phi)], abs=1e-8)
+        s = np.linspace(-1.0, 5 * math.pi, 7)
+        k = curve.curvature_vector(s)
+        assert np.array_equal(k, np.stack([np.ones(7), np.zeros(7)], axis=-1))
 
     def test_ellipse_curvature_range(self):
         curve = tl.ellipse_curve(2.0, 1.0)
@@ -212,16 +213,11 @@ mc: {eps_list: [0.2], n_paths: 2000, horizon: 0.1, t_eval: [0.05, 0.1]}
 """
 
 
-def test_benchmark_tracer_installs(tmp_path):
-    """perfbench/layers.py wraps package functions and reads attributes of
-    their results by name, so a rename or deletion it relies on fails here
-    rather than in a traced benchmark run.  The traced benchmark worker runs
-    all five subcommands in a subprocess, which keeps the wrappers out of
-    this session."""
+def _traced_run(tmp_path, config, commands):
+    """The traced benchmark worker's record of one run of the commands."""
     root = pathlib.Path(__file__).resolve().parents[1]
     cfg = tmp_path / "trace.yaml"
-    cfg.write_text(TRACE_CONFIG)
-    commands = ["fiber", "validate", "sweep", "resolvent", "mc"]
+    cfg.write_text(config)
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "worker.py"), "--config", str(cfg),
          "--workers", "1", "--out", str(tmp_path / "out"), "--trace", "--commands", *commands],
@@ -231,9 +227,35 @@ def test_benchmark_tracer_installs(tmp_path):
     record = json.loads(proc.stdout.splitlines()[-1])
     assert sorted(record["exit_codes"]) == sorted(commands)
     assert "exception" not in record["exit_codes"].values(), proc.stderr
+    return record
+
+
+def test_benchmark_tracer_installs(tmp_path):
+    """perfbench/layers.py wraps package functions and reads attributes of
+    their results by name, so a rename or deletion it relies on fails here
+    rather than in a traced benchmark run.  The traced benchmark worker runs
+    all five subcommands in a subprocess, which keeps the wrappers out of
+    this test process."""
+    record = _traced_run(tmp_path, TRACE_CONFIG, ["fiber", "validate", "sweep", "resolvent", "mc"])
     # one propagator per eps and one base propagator per collapse study
     # (validate, sweep), one per eps in mc; one fiber projection per field
     # of validate, per limit flow (validate, sweep) and in resolvent: a
     # copied study loop or a rebuild per time raises these counts
     assert record["layers"]["semigroup.propagator_builds"] == 7
     assert record["layers"]["fiber.projection_calls"] == 7
+
+
+# a twisted curve: complex Fourier blocks under the same tracer
+TWISTED_TRACE_CONFIG = """\
+seed: 7
+model: {kind: curve, kappa0: 1.0, tau0: 1.0}
+grid: {n_base: 16, n_fiber: 8, n_theta: 8}
+sweep: {eps_list: [0.2, 0.1], n_t: 2}
+validate: {eps_list: [0.2, 0.1], n_fields: 4}
+resolvent: {eps_list: [0.2, 0.1], n_perturbations: 2}
+"""
+
+
+def test_benchmark_tracer_on_a_twisted_tube(tmp_path):
+    record = _traced_run(tmp_path, TWISTED_TRACE_CONFIG, ["validate", "sweep", "resolvent"])
+    assert record["layers"]["semigroup.propagator_truncated_builds"] == 0

@@ -47,32 +47,17 @@ class TestPropagator:
         with pytest.raises(ValueError):
             prop.apply(-0.1, np.zeros(circle_grid.n))
 
-    def test_truncated_matches_dense(self, ellipse_2880):
-        # above the dense cutoff, without base structure: only the spectral
-        # bottom is kept; on a smooth field over the time grid that is
-        # indistinguishable from the full solve, computed here with eigh
-        grid, spectrum, op = ellipse_2880
-        prop = semigroup.Propagator(op.form, op.weights, t_min=0.1)
-        assert prop.path == "truncated"
-        vals, vecs = scipy.linalg.eigh(op.form.toarray(), np.diag(op.weights))
-        f = semigroup.default_sweep_field(grid, spectrum)
-        coef = vecs.T @ (op.weights * f)
-        for t in (0.1, 0.5, 1.0):
-            dense = vecs @ (np.exp(-0.5 * t * vals) * coef)
-            assert grid.norm(prop.apply(t, f) - dense) < 1e-9 * grid.norm(f)
-
-    def test_truncated_refuses_times_below_t_min(self, ellipse_2880):
-        # the dropped modes are visible before t_min
+    def test_one_block_above_the_cutoff_refused(self, ellipse_2880):
+        # no path keeps part of a spectrum: a pencil without base structure
+        # above the dense cutoff is refused with a one-line error
         grid, spectrum, op = ellipse_2880
         assert grid.n > semigroup.DENSE_CUTOFF
-        prop = semigroup.Propagator(op.form, op.weights, t_min=0.5)
-        assert prop.path == "truncated"
-        f = semigroup.default_sweep_field(grid, spectrum)
-        for t in (0.0, 0.1):
-            with pytest.raises(ValueError):
-                prop.apply(t, f)
-        again = semigroup.Propagator(op.form, op.weights, t_min=0.5)
-        assert np.array_equal(prop.apply(0.5, f), again.apply(0.5, f))
+        with pytest.raises(tl.ResolutionError, match="DENSE_CUTOFF") as refused:
+            semigroup.Propagator(op.form, op.weights)
+        assert len(str(refused.value).splitlines()) == 1
+        with pytest.raises(tl.ResolutionError, match="DENSE_CUTOFF") as refused:
+            semigroup.resolvent_minimizer(op, spectrum.lambda0 + 1.5, np.ones(grid.n))
+        assert len(str(refused.value).splitlines()) == 1
 
 
 class TestLimitSemigroup:
@@ -240,12 +225,14 @@ class TestSweep:
             semigroup.convergence_sweep(*grid32, [0.1, 0.2])
 
 
-# the three translation-invariant forms of the block tests: (model, n_base,
-# n_fiber, n_theta, operator)
+# the translation-invariant forms of the block tests: (model, n_base,
+# n_fiber, n_theta, operator); the twisted curve has complex Hermitian blocks,
+# whose conjugate has the same spectrum, so these tests compare results too
 BLOCK_CASES = {
     "circle-induced": (tl.CircleInPlane(1.0), 16, 13, 16, "H"),
     "circle-sasaki": (tl.CircleInPlane(1.0), 16, 13, 16, "HSa"),
     "curve-codim2": (tl.constant_curve(1.0, 0.0, 2.0 * math.pi), 12, 8, 8, "H"),
+    "twisted-curve": (tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 16, 8, 8, "H"),
 }
 
 
@@ -285,7 +272,7 @@ class TestBlockCore:
         vals, vecs = dense_eigh(op.form, op.weights)
         f = rng.standard_normal(grid.n)
         coef = vecs.T @ (op.weights * f)
-        for t in (0.0, 0.1, 1.0):
+        for t in (0.0, 0.1, 0.5, 1.0):
             dense = vecs @ (np.exp(-0.5 * t * vals) * coef)
             assert grid.norm(block.apply(t, f) - dense) < 1e-10 * grid.norm(f)
         assert grid.norm(block.apply(0.0, f) - f) < 1e-10 * grid.norm(f)
@@ -350,7 +337,7 @@ STRUCTURE_CASES = {
         lambda: _pencil(tl.constant_curve(1.0, 0.0, 2.0 * math.pi), 16, 10, 8), (16, 80)
     ),
     "twisted-curve": (
-        lambda: _pencil(tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 16, 8, 8), (1, 16 * 64)
+        lambda: _pencil(tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 16, 8, 8), (16, 64)
     ),
     "ellipse": (lambda: _pencil(tl.ellipse_curve(1.2, 0.8), 12, 8, 8), (1, 12 * 64)),
     "synthetic": (lambda: _pencil(tl.SyntheticFiberModel(2, 1.5), 1, 12, 8), (1, 96)),
@@ -368,3 +355,45 @@ def test_fourier_blocks_reads_the_structure(name):
         blocks.spectrum(blocks.eigh(eigvals_only=True)),
         dense_eigh(form, weights, eigvals_only=True),
     )
+
+
+def parallel_frame_sup_l2(grid, spectrum, eps, t_grid):
+    """The sweep's sup L2 error at one eps, with the induced form assembled
+    in the parallel normal frame of a constant curve with total torsion a
+    multiple of 2 pi and solved densely: there the curvature vector turns,
+    kappa (cos tau s, sin tau s), and the horizontal derivative is d_s."""
+    model, n, h = grid.model, grid.n_base, grid.base_h
+    xmid = grid.base_x + 0.5 * h
+    phi = model.tau(0.0) * xmid
+    w = grid.fiber.node_w()
+    kw = model.kappa(0.0) * (np.cos(phi)[:, None] * w[:, 0] + np.sin(phi)[:, None] * w[:, 1])
+    coeff = h * grid.fiber.weights[None, :] / (1.0 - eps * kw) ** 2
+    Db = (np.roll(np.eye(n), 1, axis=1) - np.eye(n)) / h
+    D = np.kron(Db, np.eye(grid.n_fiber))
+    Q = (
+        discretize.assemble_form(grid, "V").toarray() / eps**2
+        + D.T @ (coeff.ravel()[:, None] * D)
+        - spectrum.lambda0 / eps**2 * np.diag(grid.weights)
+    )
+    vals, vecs = scipy.linalg.eigh(Q, np.diag(grid.weights))
+    f = semigroup.default_sweep_field(grid, spectrum)
+    coef = vecs.T @ (grid.weights * f)
+    limit = semigroup.limit_propagate(grid, spectrum, t_grid, f)
+    return max(grid.norm(vecs @ (np.exp(-0.5 * t * vals) * coef) - lim)
+               for t, lim in zip(t_grid, limit))
+
+
+def test_twisted_sweep_matches_the_parallel_frame():
+    # two discretisations of one tube: they agree at discretisation order,
+    # closer as the tube shrinks onto the common limit
+    grid = discretize.build_grid(tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 16, 8, 8)
+    spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+    eps_list, t_grid = [0.2, 0.1, 0.05], semigroup.default_t_grid(5)
+    res = semigroup.convergence_sweep(grid, spectrum, eps_list, t_grid)
+    assert res.spectral_paths == ["block"] * 3
+    gaps = [
+        abs(sup / parallel_frame_sup_l2(grid, spectrum, eps, t_grid) - 1.0)
+        for eps, sup in zip(eps_list, res.sup_errors["L2"])
+    ]
+    assert max(gaps) < 1e-3
+    assert gaps[0] > gaps[1] > gaps[2]
