@@ -11,11 +11,11 @@ Killed sampler (guided=False).  Paths are planar Brownian motion.  A survival
 flag imposes the tube, with a Brownian-bridge exit correction in the radial
 coordinate, and the log-weight is the trapezoid integral of U/2.  Survival
 to T decays like exp(-pi^2 T / (8 eps^2)): about 4e-14 at T = 1, eps = 0.2,
-where no ensemble of practical size keeps a path.  The bridge test and the
-weight run on the live paths only; a dead path still gets its draws and
-its position updates, so its records hold the position of the free Brownian
-path it follows (until its whole block is dead, see _killed_block), with
-alive False and its log-weight the integral up to the step before it died.
+where no ensemble of practical size keeps a path.  Each step draws for the
+live paths only, in ascending order within the block: dx, dy, then one
+uniform that decides survival at both walls at once (see _killed_block).
+A dead path stops where it died: its records hold that position with
+alive False, and its log-weight is the integral up to that step.
 
 Guided sampler (the default).  Doob's h-transform (Pinsky,
 Positive Harmonic Functions and Diffusion, 1995) with
@@ -62,15 +62,18 @@ Randomness is counter-based: paths are processed in fixed-size blocks and
 block b draws from Philox(key=(seed, b)) (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011).
 
-Block parallelism.  The blocks run on a pool of min(workers, n_blocks)
-threads.  numpy releases the interpreter lock inside the Philox draws and
-the elementwise ufuncs on block-sized arrays, so the threads overlap.  A
-block reads only its own stream and writes only its own rows of the output
-arrays and its own survival part, a row of length n_steps + 1; the parts
-are added into the survival curve in block order b = 0, 1, ..., the same
-floating-point sums in the same order as one thread running the blocks one
-after another.  Which thread runs a block, and when, changes no bit of the
-result, so every result is bit-identical for any worker count.
+Block parallelism.  The blocks, of BLOCK_SIZE paths, run on a pool of
+min(workers, n_blocks) threads.  numpy releases the interpreter lock inside
+the Philox draws and the elementwise ufuncs, so the threads overlap; the
+per-call overhead is held under the lock, so a block must be large enough
+(32768 paths; the killed sampler's live arrays shrink as paths die) for the
+work outside it to dominate.  A block reads only its own stream and writes
+only its own rows of the output arrays and its own survival part, a row of
+length n_steps + 1; the parts are added into the survival curve in block
+order b = 0, 1, ..., the same floating-point sums in the same order as one
+thread running the blocks one after another.  Which thread runs a block,
+and when, changes no bit of the result, so every result is bit-identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ from .errors import (
 )
 from .geometry import CircleInPlane
 
-BLOCK_SIZE = 8192
+BLOCK_SIZE = 32768
 MIN_ESS = 50.0
 NEWTON_MAX_ITER = 50
 
@@ -159,7 +162,6 @@ def sample_conditioned(
     alive_rec = np.ones((n_paths, n_rec), dtype=bool)
     logw = np.empty(n_paths)
 
-    n_blocks = (n_paths + block_size - 1) // block_size
 
     def run_block(b):
         lo = b * block_size
@@ -176,7 +178,7 @@ def sample_conditioned(
     survival = np.zeros(n_steps + 1)
     with ThreadPoolExecutor(max_workers=pool_size(n_paths, workers, block_size)) as pool:
         # map yields in block order, whatever order the blocks finish in
-        for part in pool.map(run_block, range(n_blocks)):
+        for part in pool.map(run_block, range(block_count(n_paths, block_size))):
             survival += part
     survived = alive_rec[:, int(np.where(rec_steps == n_steps)[0][0])].copy()
     return PathEnsemble(
@@ -195,97 +197,114 @@ def sample_conditioned(
     )
 
 
+def block_count(n_paths, block_size=BLOCK_SIZE):
+    """Blocks sample_conditioned splits n_paths into."""
+    return (n_paths + block_size - 1) // block_size
+
+
 def pool_size(n_paths, workers, block_size=BLOCK_SIZE):
     """Threads sample_conditioned runs its blocks on: one per block at most."""
-    return min(workers, (n_paths + block_size - 1) // block_size)
+    return min(workers, block_count(n_paths, block_size))
 
 
 def _killed_block(rng, R, eps, theta0, dt, rec_steps, alive_rec, theta, rad, logw, alive_count):
     """Killed, weighted planar Brownian paths of one block, written into the
     block's output rows; alive_count[step] gains the block's survivors.
 
-    Every step draws the whole block and moves every path, dead or alive;
-    the kill test and the weight update run on the live paths only, kept
-    as contiguous arrays that are compacted after each step with a death.
-    A path's weight is written back to the block on the step it dies.
-    Compaction reorders the live paths; every operation on them is
-    elementwise, so the order changes no bit.
+    Each step draws for the n live paths only: n normals dx, n normals dy,
+    then n uniforms, draw i going to the i-th live path in ascending block
+    order.  A path's state is its position, its radius at the previous
+    step, its integral q of r^-2 and its block index, one row of buffers
+    allocated once.  Rows [0, n) hold the live paths in ascending block
+    order and rows [n, m) the dead ones in order of death: after a step
+    with deaths the first n rows are partitioned stably, survivors first,
+    so a dead path's row keeps the position, radius and q of the step on
+    which it died.
 
-    Once every path of the block is dead no later step can change a
-    survival count or a weight, so stepping stops there: the record times
-    that follow get alive_rec False and theta/rad frozen at the positions
-    of the step on which the block's last path died.  Dead paths carry no
-    weight in any estimate, and block b's stream is its own, so the other
-    blocks draw exactly what they would have drawn."""
+    One uniform u covers both walls: the path survives the step when
+
+        u < expm1(-2 g_up b_up / dt) * expm1(-2 g_dn b_dn / dt),
+
+    the probability (1 - p_up)(1 - p_dn) that the Brownian bridge between
+    the two radii touched neither wall, with g and b the distances to the
+    wall before and after the step.  A path outside the tube has b = 0, so
+    the product is 0 and the test holds the inside check too."""
     m = theta.shape[0]
     n_steps = len(alive_count) - 1
     x = np.full(m, R * math.cos(theta0))
     y = np.full(m, R * math.sin(theta0))
-    alive = np.ones(m, dtype=bool)
-    w = np.zeros(m)
-    # a fixed draw count per step keeps the stream alignment independent
-    # of how many paths are still alive: dx, dy, then one uniform per wall
-    normals = np.empty(2 * m)
-    uniforms = np.empty(2 * m)
-    # the live paths: block index, distance to the outer and inner wall,
-    # potential and weight
-    live = np.arange(m)
-    d = np.hypot(x, y) - R
-    gap_up = np.maximum(eps - d, 0.0)
-    gap_dn = np.maximum(eps + d, 0.0)
-    u_old = -1.0 / (4.0 * (x * x + y * y))
-    w_live = np.zeros(m)
+    r_prev = np.sqrt(x * x + y * y)
+    q = np.zeros(m)
+    idx = np.arange(m)
+    r = np.empty(m)
+    z = np.empty(m)   # the draws, then scratch
+    t1, t2 = np.empty(m), np.empty(m)
+    keep = np.empty(m, dtype=bool)
 
-    def record(rec_idx):
-        for k in rec_idx:
-            theta[:, k] = np.arctan2(y, x)
-            rad[:, k] = np.hypot(x, y)
-            alive_rec[:, k] = alive
+    def record(step, n):
+        for k in np.flatnonzero(rec_steps == step):
+            theta[idx, k] = np.arctan2(y, x)
+            rad[idx, k] = r_prev
+            alive_rec[idx[n:], k] = False
 
-    record(np.where(rec_steps == 0)[0])
+    record(0, m)
     alive_count[0] += m
+    n = m
     sdt = math.sqrt(dt)
+    c = -2.0 / dt
+    half_dt = 0.5 * dt
     for step in range(1, n_steps + 1):
-        if len(live) == 0:
-            record(np.where(rec_steps >= step)[0])
-            break
-        rng.standard_normal(out=normals)
-        rng.random(out=uniforms)
-        normals *= sdt
-        x += normals[:m]
-        y += normals[m:]
-        r = np.hypot(x.take(live), y.take(live))
-        # bridge correction: probability exp(-2 a b / dt) that the
-        # radial excursion touched a wall between the two endpoints.
-        # A path outside the tube has b = 0, so p = 1 and its uniform
-        # (< 1) kills it: the test holds the inside check too.
-        d = r - R
-        b_up = np.maximum(eps - d, 0.0)
-        b_dn = np.maximum(eps + d, 0.0)
-        keep = uniforms[:m].take(live) >= np.exp(-2.0 * gap_up * b_up / dt)
-        keep &= uniforms[m:].take(live) >= np.exp(-2.0 * gap_dn * b_dn / dt)
-        gap_up, gap_dn = b_up, b_dn
-        died = np.flatnonzero(~keep)
-        if len(died):
-            dead = live[died]
-            alive[dead] = False
-            w[dead] = w_live[died]
-            # compact by moving the survivors past the new length into
-            # the holes below it: the work is per death, not per path
-            n = len(live) - len(died)
-            holes = died[died < n]
-            movers = n + np.flatnonzero(keep[n:])
-            state = (live, r, gap_up, gap_dn, u_old, w_live)
-            for a in state:
-                a[holes] = a[movers]
-            live, r, gap_up, gap_dn, u_old, w_live = (a[:n] for a in state)
-        u_new = -1.0 / (4.0 * r * r)
-        w_live += 0.5 * dt * (u_old + u_new)
-        u_old = u_new
-        alive_count[step] += len(live)
-        record(np.where(rec_steps == step)[0])
-    w[live] = w_live
-    logw[:] = 0.5 * w
+        xs, ys, rp, qs, rs, zs = x[:n], y[:n], r_prev[:n], q[:n], r[:n], z[:n]
+        a, b, ks = t1[:n], t2[:n], keep[:n]
+        for coord in (xs, ys):
+            rng.standard_normal(out=zs)
+            zs *= sdt
+            coord += zs
+        np.multiply(xs, xs, out=rs)
+        np.multiply(ys, ys, out=zs)
+        rs += zs
+        np.sqrt(rs, out=rs)
+        # trapezoid step of the integral of r^-2
+        np.multiply(rp, rp, out=a)
+        np.divide(1.0, a, out=a)
+        np.multiply(rs, rs, out=b)
+        np.divide(1.0, b, out=b)
+        a += b
+        a *= half_dt
+        qs += a
+        # the survival probability of the step, wall by wall; rp turns
+        # into the distance before the step, d_old, and is rewritten below
+        np.subtract(rs, R, out=a)           # d_new
+        rp -= R
+        np.subtract(eps, a, out=b)
+        np.maximum(b, 0.0, out=b)
+        np.subtract(eps, rp, out=zs)
+        np.maximum(zs, 0.0, out=zs)
+        b *= zs
+        b *= c
+        np.expm1(b, out=b)                  # -(1 - p_up)
+        a += eps
+        np.maximum(a, 0.0, out=a)
+        rp += eps
+        np.maximum(rp, 0.0, out=rp)
+        a *= rp
+        a *= c
+        np.expm1(a, out=a)                  # -(1 - p_dn)
+        a *= b
+        rng.random(out=zs)
+        np.less(zs, a, out=ks)
+        k = int(np.count_nonzero(ks))
+        if k < n:
+            order = np.concatenate((np.flatnonzero(ks), np.flatnonzero(~ks)))
+            for buf in (xs, ys, qs, idx[:n]):
+                buf[:] = buf.take(order)
+            rs.take(order, out=rp)
+            n = k
+        else:
+            rp[:] = rs
+        alive_count[step] += n
+        record(step, n)
+    logw[idx] = -0.125 * q
 
 
 def _guided_block(rng, R, eps, theta0, dt, rec_steps, theta, rad, logw, survival):
@@ -358,29 +377,31 @@ class MarginalEstimate:
 def marginal_estimate(ensemble, f, t, min_ess=MIN_ESS):
     """Self-normalized estimate of the conditioned marginal E[f(theta_t)].
 
-    Standard error by the delta method for the ratio of weighted sums."""
+    The ratio of weighted sums runs over the survivors only, centred on the
+    first survivor's value c0: c0 + sum(b (f - c0)) / sum(b).  Standard
+    error by the delta method for that ratio."""
     k = int(np.argmin(np.abs(ensemble.t_record - t)))
     if abs(ensemble.t_record[k] - t) > 1e-9 * max(t, 1.0):
         raise ValueError(f"time {t} was not recorded")
-    s = ensemble.survived
-    n_surv = int(np.count_nonzero(s))
-    if n_surv == 0:
+    s = np.flatnonzero(ensemble.survived)
+    if len(s) == 0:
         raise DegenerateConditioning("no path survived the horizon")
-    lw = np.where(s, ensemble.log_weight, -np.inf)
-    m = np.max(lw)
-    b = np.exp(lw - m)
-    vals = np.asarray(f(ensemble.theta[:, k]), dtype=float)
-    a = b * vals
+    lw = ensemble.log_weight[s]
+    b = np.exp(lw - np.max(lw))
+    vals = np.asarray(f(ensemble.theta[s, k]), dtype=float)
+    # centred on the first survivor's value, so a constant f is exact
+    c0 = vals[0]
+    dev = vals - c0
     bsum = float(np.sum(b))
-    ratio = float(np.sum(a)) / bsum
-    resid = np.where(s, a - ratio * b, 0.0)
+    mean = float(np.sum(b * dev)) / bsum
+    resid = b * (dev - mean)
     se = math.sqrt(float(np.sum(resid**2))) / bsum
     ess = bsum**2 / float(np.sum(b**2))
     if ess < min_ess:
         raise LowEffectiveSampleSize(
             f"effective sample size {ess:.1f} below {min_ess}"
         )
-    return MarginalEstimate(ratio, se, ess, n_surv)
+    return MarginalEstimate(c0 + mean, se, ess, len(s))
 
 
 def circle_heat_oracle(radius, theta0, t, cos_coeffs):

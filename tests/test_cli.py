@@ -12,7 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from tubelab import cli, discretize, fiber, semigroup
+from tubelab import cli, discretize, fiber, semigroup, stochastic
 from tubelab.errors import ResolutionError
 
 BASE = """\
@@ -348,8 +348,12 @@ class TestMcCommand:
     )
 
     def test_worker_count_invariance(self, tmp_path):
-        # 20000 paths make three blocks, so 3 workers run three threads
-        cfg = write_cfg(tmp_path, "c.yaml", self.MC)
+        # 70000 paths make three blocks, so 3 workers run three threads
+        n_paths = 70000
+        assert 2 * stochastic.BLOCK_SIZE < n_paths <= 3 * stochastic.BLOCK_SIZE
+        cfg = write_cfg(
+            tmp_path, "c.yaml", self.MC.replace("n_paths: 20000", f"n_paths: {n_paths}")
+        )
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run(["mc", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
         assert run(["mc", "--config", cfg, "--out", str(out2), "--workers", "3"]) == 0
@@ -360,16 +364,33 @@ class TestMcCommand:
         diagnostics = summary["diagnostics"]
         assert len(diagnostics) == len(summary["rows"]) == 2
         for d in diagnostics:
-            assert d["sampler"] == "killed" and 0 < d["n_survived"] <= 20000
+            assert d["sampler"] == "killed" and 0 < d["n_survived"] <= n_paths
             assert 0 < d["ess"] <= d["n_survived"]
             # survival at t_eval = 0.05 is at least the survival to the horizon
-            assert d["n_survived"] / 20000 <= d["survival"] < 1.0
+            assert d["n_survived"] / n_paths <= d["survival"] < 1.0
         log = (out2 / "run.log").read_text().splitlines()
         assert [line.split()[0] for line in log] == ["eps=0.25", "eps=0.2"]
         assert all(line.endswith("workers=3") for line in log)
         for line in log:
             fields = dict(item.split("=") for item in line.split())
             assert 0.0 < float(fields["live_step_fraction"]) < 1.0
+            assert fields["blocks"] == "3"
+
+    @pytest.mark.parametrize("seed", [2, 12345])
+    def test_zero_time_matches_operator_route(self, tmp_path, seed):
+        # at t = 0 every path sits at theta0: the estimate is cos(theta0)
+        # exactly, with a standard error of 0, so the 3-SE check needs the
+        # estimate and the operator route to agree to the last bit
+        cfg = write_cfg(
+            tmp_path, "c.yaml",
+            BASE.replace("seed: 12345", f"seed: {seed}")
+            + "mc:\n  eps_list: [0.25]\n  n_paths: 20000\n  horizon: 0.1\n"
+            "  t_eval: [0, 0.03, 0.05, 0.1]\n  theta0: 0.5\n",
+        )
+        out = tmp_path / "o"
+        assert run(["mc", "--config", cfg, "--out", str(out)]) == 0
+        rows = json.loads((out / "mc_summary.json").read_text())["rows"]
+        assert rows[0][1] == 0.0 and rows[0][3] == 0.0
 
     def test_off_step_time_snapped(self, tmp_path):
         # eps = 0.3 runs ceil(0.1 / (0.09 / 20)) = 23 steps of 0.1 / 23, so

@@ -40,8 +40,8 @@ class TestSampler:
 
     def test_constant_observable(self, feasible_ensemble):
         est = stochastic.marginal_estimate(feasible_ensemble, np.ones_like, 0.05)
-        assert est.value == pytest.approx(1.0, abs=1e-14)
-        assert est.std_error == pytest.approx(0.0, abs=1e-14)
+        assert est.value == 1.0
+        assert est.std_error == 0.0
 
     def test_survivors_stay_inside(self, feasible_ensemble):
         ens = feasible_ensemble
@@ -125,10 +125,9 @@ class TestSampler:
 
 
 def killed_reference(R, eps, theta0, T, dt, n_paths, seed, t_record, block_size):
-    """The killed sampler as a plain full-array stepper: every step runs the
-    kill test and the weight update on every path of the block, dead or
-    alive, until the whole block is dead; records after that hold the
-    positions of the step on which the block's last path died."""
+    """The killed sampler as a plain masked stepper: each step draws dx, dy
+    and one uniform for the live paths of the block in ascending order; a
+    dead path stops where it died, so its records keep that position."""
     n_steps = round(T / dt)
     rec = np.round(np.asarray(t_record) / dt).astype(int)
     theta = np.empty((n_paths, len(rec)))
@@ -143,35 +142,30 @@ def killed_reference(R, eps, theta0, T, dt, n_paths, seed, t_record, block_size)
         x = np.full(m, R * math.cos(theta0))
         y = np.full(m, R * math.sin(theta0))
         alive = np.ones(m, dtype=bool)
-        w = np.zeros(m)
-        d_old = np.hypot(x, y) - R
-        u_old = -1.0 / (4.0 * (x * x + y * y))
+        r_prev = np.sqrt(x * x + y * y)
+        q = np.zeros(m)   # integral of r^-2 up to the step of death or T
         for step in range(n_steps + 1):
-            if step > 0 and alive.any():
-                dx = rng.standard_normal(m) * math.sqrt(dt)
-                dy = rng.standard_normal(m) * math.sqrt(dt)
-                u1 = rng.random(m)
-                u2 = rng.random(m)
-                x += dx
-                y += dy
-                r_new = np.hypot(x, y)
-                d_new = r_new - R
-                inside = np.abs(d_new) <= eps
-                p_up = np.exp(-2.0 * np.clip(eps - d_old, 0.0, None)
-                              * np.clip(eps - d_new, 0.0, None) / dt)
-                p_dn = np.exp(-2.0 * np.clip(eps + d_old, 0.0, None)
-                              * np.clip(eps + d_new, 0.0, None) / dt)
-                alive &= inside & (u1 >= p_up) & (u2 >= p_dn)
-                u_new = -1.0 / (4.0 * r_new * r_new)
-                w += np.where(alive, 0.5 * dt * (u_old + u_new), 0.0)
-                u_old = u_new
-                d_old = d_new
+            if step > 0:
+                live = np.flatnonzero(alive)
+                x[live] += rng.standard_normal(len(live)) * math.sqrt(dt)
+                y[live] += rng.standard_normal(len(live)) * math.sqrt(dt)
+                r = np.sqrt(x[live] ** 2 + y[live] ** 2)
+                d_new, d_old = r - R, r_prev[live] - R
+                # minus the probability that the bridge misses each wall
+                miss_up = np.expm1(-2.0 / dt * (np.maximum(eps - d_new, 0.0)
+                                                * np.maximum(eps - d_old, 0.0)))
+                miss_dn = np.expm1(-2.0 / dt * (np.maximum(eps + d_new, 0.0)
+                                                * np.maximum(eps + d_old, 0.0)))
+                keep = rng.random(len(live)) < miss_dn * miss_up
+                q[live] += 0.5 * dt * (1.0 / (r_prev[live] ** 2) + 1.0 / (r * r))
+                alive[live[~keep]] = False
+                r_prev[live] = r
             count[step] += np.count_nonzero(alive)
             for k in np.flatnonzero(rec == step):
                 theta[rows, k] = np.arctan2(y, x)
-                rad[rows, k] = np.hypot(x, y)
+                rad[rows, k] = np.sqrt(x * x + y * y)
                 alive_rec[rows, k] = alive
-        logw[rows] = 0.5 * w
+        logw[rows] = -0.125 * q
     return dict(
         theta=theta, r=rad, alive=alive_rec, survived=alive_rec[:, rec == n_steps][:, 0],
         log_weight=logw, survival_steps=count / n_paths,
@@ -181,7 +175,7 @@ def killed_reference(R, eps, theta0, T, dt, n_paths, seed, t_record, block_size)
 class TestKilledReference:
     # eps = 0.1 to T = 0.5: survival is about exp(-pi^2 T / (8 eps^2)) ~ 1e-27,
     # so every block dies out before T; t = 0.02 is recorded while part of
-    # each block lives, t = 0.3 and 0.5 after the blocks stopped.  650 paths
+    # each block lives, t = 0.3 and 0.5 after every path died.  650 paths
     # in blocks of 200, the last one short.
     KW = dict(eps=0.1, theta0=0.4, T=0.5, dt=0.001, n_paths=650, seed=11,
               t_record=[0.0, 0.02, 0.3, 0.5], block_size=200)
@@ -195,6 +189,20 @@ class TestKilledReference:
         assert 0 < ens.alive[:, 1].sum() < self.KW["n_paths"]
         assert not ens.alive[:, 2:].any()
         assert ens.survival_steps[-1] == 0.0
+
+    def test_dead_records_frozen(self, feasible_ensemble):
+        # a path that is dead at a record time keeps the angle and radius of
+        # the step on which it died at every later record time
+        ens = feasible_ensemble
+        n_rec = ens.alive.shape[1]
+        # t = 0.05 holds deaths that t = 0.1 must repeat
+        assert (~ens.alive[:, n_rec - 2]).any()
+        for k in range(n_rec - 1):
+            dead = ~ens.alive[:, k]
+            assert not ens.alive[dead, k + 1:].any()
+            for j in range(k + 1, n_rec):
+                assert np.array_equal(ens.theta[dead, j], ens.theta[dead, k])
+                assert np.array_equal(ens.r[dead, j], ens.r[dead, k])
 
 
 class TestBlockParallelism:
@@ -287,17 +295,19 @@ class TestGuidedSampler:
     def test_deterministic_per_block(self):
         # TestSampler.test_deterministic_in_seed covers reruns of the default
         # (guided) sampler; here each block's paths depend on (seed, block)
-        # only, not on how many blocks follow
+        # only, not on how many blocks follow, for either sampler
         m = tl.CircleInPlane(1.0)
-        kw = dict(eps=0.2, theta0=0.0, T=0.05, dt=0.002, seed=7,
-                  t_record=[0.02, 0.05], block_size=1000)
-        a = stochastic.sample_conditioned(m, n_paths=2000, **kw)
-        b = stochastic.sample_conditioned(m, n_paths=2500, **kw)
-        assert np.array_equal(a.theta, b.theta[:2000])
-        assert np.array_equal(a.r, b.r[:2000])
-        assert np.array_equal(a.log_weight, b.log_weight[:2000])
-        again = stochastic.sample_conditioned(m, n_paths=2500, **kw)
-        assert np.array_equal(b.survival_steps, again.survival_steps)
+        for guided in (True, False):
+            kw = dict(eps=0.2, theta0=0.0, T=0.05, dt=0.002, seed=7,
+                      t_record=[0.02, 0.05], block_size=1000, guided=guided)
+            a = stochastic.sample_conditioned(m, n_paths=2000, **kw)
+            b = stochastic.sample_conditioned(m, n_paths=2500, **kw)
+            assert np.array_equal(a.theta, b.theta[:2000])
+            assert np.array_equal(a.r, b.r[:2000])
+            assert np.array_equal(a.alive, b.alive[:2000])
+            assert np.array_equal(a.log_weight, b.log_weight[:2000])
+            again = stochastic.sample_conditioned(m, n_paths=2500, **kw)
+            assert np.array_equal(b.survival_steps, again.survival_steps)
 
     def test_tube_reaching_the_centre_rejected(self):
         m = tl.CircleInPlane(1.0)
