@@ -387,7 +387,7 @@ def cmd_mc(cfg, grid, spectrum, eps_list, seed, workers):
         log.append(
             f"eps={eps} sample_s={sample_s:.3f} path_steps={path_steps} "
             f"path_steps_per_s={path_steps / sample_s:.4g} "
-            f"live_step_fraction={np.mean(ens.survival_steps):.4g} "
+            f"live_step_fraction={np.mean(ens.survival_steps[:-1]):.4g} "
             f"blocks={stochastic.block_count(n_paths)} "
             f"workers={stochastic.pool_size(n_paths, workers)}"
         )

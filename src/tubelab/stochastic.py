@@ -12,7 +12,7 @@ flag imposes the tube, with a Brownian-bridge exit correction in the radial
 coordinate, and the log-weight is the trapezoid integral of U/2.  Survival
 to T decays like exp(-pi^2 T / (8 eps^2)): about 4e-14 at T = 1, eps = 0.2,
 where no ensemble of practical size keeps a path.  Each step draws for the
-live paths only, in ascending order within the block: dx, dy, then one
+live paths only, in the order of their rows in the block: dx, dy, then one
 uniform that decides survival at both walls at once (see _killed_block).
 A dead path stops where it died: its records hold that position with
 alive False, and its log-weight is the integral up to that step.
@@ -58,16 +58,18 @@ N(0, integral_s^t r^-2 du) exactly; it is drawn only at record times, with a
 trapezoid integral of r^-2 along the radial steps.  The guided sampler draws
 one normal per path per step plus one per path per record time.
 
-Randomness is counter-based: paths are processed in fixed-size blocks and
-block b draws from Philox(key=(seed, b)) (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC 2011).
+Randomness.  Paths are processed in fixed-size blocks, and block b draws
+from its own stream: an SFC64 generator seeded by SeedSequence([seed, b]),
+which hashes the pair into the generator's state.  A block's stream is a
+function of (seed, b) alone, not of the other blocks or of the thread that
+runs it.
 
 Block parallelism.  The blocks, of BLOCK_SIZE paths, run on a pool of
 min(workers, n_blocks) threads.  numpy releases the interpreter lock inside
-the Philox draws and the elementwise ufuncs, so the threads overlap; the
-per-call overhead is held under the lock, so a block must be large enough
-(32768 paths; the killed sampler's live arrays shrink as paths die) for the
-work outside it to dominate.  A block reads only its own stream and writes
+the draws and the elementwise ufuncs, so the threads overlap; the per-call
+overhead is held under the lock, so a block must be large enough (32768
+paths; the killed sampler's live arrays shrink as paths die) for the work
+outside it to dominate.  A block reads only its own stream and writes
 only its own rows of the output arrays and its own survival part, a row of
 length n_steps + 1; the parts are added into the survival curve in block
 order b = 0, 1, ..., the same floating-point sums in the same order as one
@@ -166,7 +168,7 @@ def sample_conditioned(
     def run_block(b):
         lo = b * block_size
         hi = min(lo + block_size, n_paths)
-        rng = np.random.Generator(np.random.Philox(key=[seed, b]))
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, b])))
         part = np.zeros(n_steps + 1)
         out = (theta[lo:hi], rad[lo:hi], logw[lo:hi], part)
         if guided:
@@ -212,14 +214,14 @@ def _killed_block(rng, R, eps, theta0, dt, rec_steps, alive_rec, theta, rad, log
     block's output rows; alive_count[step] gains the block's survivors.
 
     Each step draws for the n live paths only: n normals dx, n normals dy,
-    then n uniforms, draw i going to the i-th live path in ascending block
-    order.  A path's state is its position, its radius at the previous
-    step, its integral q of r^-2 and its block index, one row of buffers
-    allocated once.  Rows [0, n) hold the live paths in ascending block
-    order and rows [n, m) the dead ones in order of death: after a step
-    with deaths the first n rows are partitioned stably, survivors first,
-    so a dead path's row keeps the position, radius and q of the step on
-    which it died.
+    then n uniforms, draw i going to live row i.  A path's state is its
+    position, its radius at the previous step, its integral q of r^-2 and
+    its block index, one row of buffers allocated once.  Rows [0, n) hold
+    the live paths and rows [n, m) the dead ones.  After a step that leaves
+    k < n survivors, the survivors in rows [k, n) trade places with the
+    dead in rows [0, k), so the work is per death and the live rows are in
+    no fixed block order.  A dead path's row keeps the position, radius and
+    q of the step on which it died.
 
     One uniform u covers both walls: the path survives the step when
 
@@ -227,8 +229,10 @@ def _killed_block(rng, R, eps, theta0, dt, rec_steps, alive_rec, theta, rad, log
 
     the probability (1 - p_up)(1 - p_dn) that the Brownian bridge between
     the two radii touched neither wall, with g and b the distances to the
-    wall before and after the step.  A path outside the tube has b = 0, so
-    the product is 0 and the test holds the inside check too."""
+    wall before and after the step.  A live path has g > 0 at both walls;
+    one that lands outside the tube has b <= 0 at the wall it crossed and
+    b > 0 at the other, so the product is <= 0 and the test, which needs
+    no clip at the walls, holds the inside check too."""
     m = theta.shape[0]
     n_steps = len(alive_count) - 1
     x = np.full(m, R * math.cos(theta0))
@@ -277,31 +281,27 @@ def _killed_block(rng, R, eps, theta0, dt, rec_steps, alive_rec, theta, rad, log
         np.subtract(rs, R, out=a)           # d_new
         rp -= R
         np.subtract(eps, a, out=b)
-        np.maximum(b, 0.0, out=b)
         np.subtract(eps, rp, out=zs)
-        np.maximum(zs, 0.0, out=zs)
         b *= zs
         b *= c
         np.expm1(b, out=b)                  # -(1 - p_up)
         a += eps
-        np.maximum(a, 0.0, out=a)
         rp += eps
-        np.maximum(rp, 0.0, out=rp)
         a *= rp
         a *= c
         np.expm1(a, out=a)                  # -(1 - p_dn)
         a *= b
         rng.random(out=zs)
         np.less(zs, a, out=ks)
+        rp[:] = rs
         k = int(np.count_nonzero(ks))
         if k < n:
-            order = np.concatenate((np.flatnonzero(ks), np.flatnonzero(~ks)))
-            for buf in (xs, ys, qs, idx[:n]):
-                buf[:] = buf.take(order)
-            rs.take(order, out=rp)
+            # the survivors in rows [k, n) trade places with the dead in [0, k)
+            holes = np.flatnonzero(~ks[:k])
+            movers = k + np.flatnonzero(ks[k:])
+            for buf in (x, y, q, r_prev, idx):
+                buf[holes], buf[movers] = buf[movers], buf[holes]
             n = k
-        else:
-            rp[:] = rs
         alive_count[step] += n
         record(step, n)
     logw[idx] = -0.125 * q

@@ -12,7 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from tubelab import cli, discretize, fiber, semigroup, stochastic
+from tubelab import cli, discretize, fiber, geometry, semigroup, stochastic
 from tubelab.errors import ResolutionError
 
 BASE = """\
@@ -427,6 +427,46 @@ class TestMcCommand:
             op_route.append(row[4])
         # cos(. + 0.5) and cos(. - 0.5) mirror each other on the circle
         assert max(op_route) - min(op_route) < 1e-12
+
+    def test_live_step_fraction_without_deaths(self, tmp_path):
+        # dt = eps^2 / 1000 over four steps: a path moves about eps / 32 per
+        # step, so the chance that its bridge touches a wall is below
+        # exp(-1000); no path dies and every step draws for every path
+        cfg = write_cfg(
+            tmp_path, "c.yaml",
+            BASE + "mc:\n  eps_list: [0.25]\n  n_paths: 2000\n  dt_divisor: 1000\n"
+            "  horizon: 0.0002\n  t_eval: [0.0002]\n",
+        )
+        out = tmp_path / "o"
+        assert run(["mc", "--config", cfg, "--out", str(out)]) == 0
+        (diagnostics,) = json.loads((out / "mc_summary.json").read_text())["diagnostics"]
+        assert diagnostics["n_survived"] == 2000
+        (line,) = (out / "run.log").read_text().splitlines()
+        fields = dict(item.split("=") for item in line.split())
+        assert fields["path_steps"] == "8000"
+        assert float(fields["live_step_fraction"]) == 1.0
+
+    def test_live_step_fraction_counts_live_path_steps(self, tmp_path):
+        # the steps 1..n draw for the survivors of the steps 0..n-1, so
+        # live_step_fraction * path_steps is the number of live path-steps
+        cfg = write_cfg(
+            tmp_path, "c.yaml",
+            BASE + "mc:\n  eps_list: [0.3]\n  n_paths: 5000\n  horizon: 0.1\n"
+            "  t_eval: [0.05]\n",
+        )
+        out = tmp_path / "o"
+        assert run(["mc", "--config", cfg, "--out", str(out)]) == 0
+        (line,) = (out / "run.log").read_text().splitlines()
+        fields = dict(item.split("=") for item in line.split())
+        # eps = 0.3 runs 23 steps of 0.1 / 23, as in test_off_step_time_snapped
+        ens = stochastic.sample_conditioned(
+            geometry.CircleInPlane(1.0), 0.3, 0.0, 0.1, 0.1 / 23, 5000, 12345,
+            t_record=[0.05, 0.1], guided=False,
+        )
+        live_path_steps = 5000 * ens.survival_steps[:-1].sum()
+        assert int(fields["path_steps"]) == 5000 * 23
+        got = float(fields["live_step_fraction"]) * int(fields["path_steps"])
+        assert got == pytest.approx(live_path_steps, rel=1e-3)
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.yaml", self.MC)

@@ -59,6 +59,21 @@ class TestSampler:
         assert np.array_equal(a.log_weight, b.log_weight)
         assert not np.array_equal(a.theta, c.theta)
 
+    @pytest.mark.parametrize("guided", [False, True])
+    def test_largest_seed_repeats(self, guided):
+        # 2**64 - 1 is the largest seed the config accepts; its neighbour
+        # draws another stream
+        m = tl.CircleInPlane(1.0)
+        kw = dict(eps=0.2, theta0=0.0, T=0.05, dt=0.002, n_paths=700,
+                  t_record=[0.02, 0.05], guided=guided, block_size=300)
+        a = stochastic.sample_conditioned(m, seed=2**64 - 1, **kw)
+        b = stochastic.sample_conditioned(m, seed=2**64 - 1, **kw)
+        c = stochastic.sample_conditioned(m, seed=2**64 - 2, **kw)
+        for name in ("theta", "r", "alive", "log_weight", "survival_steps"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.all(np.isfinite(a.theta)) and a.seed == 2**64 - 1
+        assert not np.array_equal(a.theta, c.theta)
+
     def test_survival_slope_matches_fiber_ground_energy(self):
         # log-survival decays with slope -lambda0 / (2 eps^2)
         eps = 0.2
@@ -125,9 +140,12 @@ class TestSampler:
 
 
 def killed_reference(R, eps, theta0, T, dt, n_paths, seed, t_record, block_size):
-    """The killed sampler as a plain masked stepper: each step draws dx, dy
-    and one uniform for the live paths of the block in ascending order; a
-    dead path stops where it died, so its records keep that position."""
+    """The killed sampler as a plain masked stepper.  order[i] is the block
+    index of row i and rows [0, n) are live: each step draws dx, dy and one
+    uniform for order[:n] in row order, then the survivors in rows [k, n)
+    trade places with the dead in rows [0, k).  A dead path stops where it
+    died, so its records keep that position.  The wall products keep their
+    clips at 0, which the sampler does without."""
     n_steps = round(T / dt)
     rec = np.round(np.asarray(t_record) / dt).astype(int)
     theta = np.empty((n_paths, len(rec)))
@@ -138,17 +156,21 @@ def killed_reference(R, eps, theta0, T, dt, n_paths, seed, t_record, block_size)
     for lo in range(0, n_paths, block_size):
         m = min(block_size, n_paths - lo)
         rows = slice(lo, lo + m)
-        rng = np.random.Generator(np.random.Philox(key=[seed, lo // block_size]))
+        rng = np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence([seed, lo // block_size]))
+        )
         x = np.full(m, R * math.cos(theta0))
         y = np.full(m, R * math.sin(theta0))
         alive = np.ones(m, dtype=bool)
         r_prev = np.sqrt(x * x + y * y)
         q = np.zeros(m)   # integral of r^-2 up to the step of death or T
+        order = np.arange(m)
+        n = m
         for step in range(n_steps + 1):
             if step > 0:
-                live = np.flatnonzero(alive)
-                x[live] += rng.standard_normal(len(live)) * math.sqrt(dt)
-                y[live] += rng.standard_normal(len(live)) * math.sqrt(dt)
+                live = order[:n]
+                x[live] += rng.standard_normal(n) * math.sqrt(dt)
+                y[live] += rng.standard_normal(n) * math.sqrt(dt)
                 r = np.sqrt(x[live] ** 2 + y[live] ** 2)
                 d_new, d_old = r - R, r_prev[live] - R
                 # minus the probability that the bridge misses each wall
@@ -156,10 +178,14 @@ def killed_reference(R, eps, theta0, T, dt, n_paths, seed, t_record, block_size)
                                                 * np.maximum(eps - d_old, 0.0)))
                 miss_dn = np.expm1(-2.0 / dt * (np.maximum(eps + d_new, 0.0)
                                                 * np.maximum(eps + d_old, 0.0)))
-                keep = rng.random(len(live)) < miss_dn * miss_up
+                keep = rng.random(n) < miss_dn * miss_up
                 q[live] += 0.5 * dt * (1.0 / (r_prev[live] ** 2) + 1.0 / (r * r))
                 alive[live[~keep]] = False
                 r_prev[live] = r
+                n = int(np.count_nonzero(keep))
+                holes = np.flatnonzero(~keep[:n])
+                movers = n + np.flatnonzero(keep[n:])
+                order[holes], order[movers] = order[movers], order[holes]
             count[step] += np.count_nonzero(alive)
             for k in np.flatnonzero(rec == step):
                 theta[rows, k] = np.arctan2(y, x)
@@ -189,6 +215,9 @@ class TestKilledReference:
         assert 0 < ens.alive[:, 1].sum() < self.KW["n_paths"]
         assert not ens.alive[:, 2:].any()
         assert ens.survival_steps[-1] == 0.0
+        # some paths died by landing outside the tube, where the sampler's
+        # unclipped wall products are negative and the reference's are 0
+        assert (np.abs(ens.r[:, -1] - 1.0) >= self.KW["eps"]).any()
 
     def test_dead_records_frozen(self, feasible_ensemble):
         # a path that is dead at a record time keeps the angle and radius of
