@@ -30,7 +30,7 @@ for eps in (0.3, 0.2):
     )
     tq = float(ens.t_record[0])  # requested time snapped to the step grid
     est = stochastic.marginal_estimate(ens, np.cos, tq)
-    (op,) = semigroup.conditional_flow_operator(
+    (op,), _ = semigroup.conditional_flow_operator(
         grid, spectrum, eps, T, [tq], np.cos(grid.base_x)
     )
     print(

@@ -333,8 +333,9 @@ def cmd_sweep(cfg, grid, spectrum, eps_list, seed, workers):
         "n_fiber": cfg["grid"]["n_fiber"],
         "sup_errors": {k: v.tolist() for k, v in sup.items()},
         "spatial_error_estimate": result.spatial_error_estimate,
-        "spectral_path": result.spectral_paths,
-        "pre_check_spectral_path": result.pre_check_spectral_path,
+        **semigroup.by_key(result.propagators),
+        **{f"pre_check_{key}": (result.pre_check_propagator or {}).get(key)
+           for key in semigroup.PROPAGATOR_KEYS},
         "checks": checks,
     }
     return Result(
@@ -373,7 +374,7 @@ def cmd_mc(cfg, grid, spectrum, eps_list, seed, workers):
         ests = [stochastic.marginal_estimate(ens, np.cos, t) for t in times]
         # the circle is rotation invariant: the route for cos started at
         # theta0 is the route for cos(. + theta0) started at node 0
-        op_vals = semigroup.conditional_flow_operator(
+        op_vals, flow_info = semigroup.conditional_flow_operator(
             grid, spectrum, eps, T, times, np.cos(grid.base_x / model.radius + theta0)
         )
         for t, est, op in zip(times, ests, op_vals):
@@ -382,6 +383,7 @@ def cmd_mc(cfg, grid, spectrum, eps_list, seed, workers):
             diagnostics.append({
                 "ess": est.ess, "n_survived": est.n_survived, "sampler": "killed",
                 "survival": float(ens.survival_steps[round(t / ens.dt)]),
+                **flow_info,
             })
         path_steps = n_paths * n_steps
         log.append(
@@ -430,8 +432,9 @@ def cmd_resolvent(cfg, grid, spectrum, eps_list, seed, workers):
         "variational_minimum": variational_ok,
     }
     summary = {"alpha": alpha, "errors": errs, "checks": checks}
-    for key in ("residual", "backward_error", "min_eigenvalue", "spectral_path"):
-        summary[key] = [info[key] for info in infos]
+    summary.update(semigroup.by_key(
+        infos, ("residual", "backward_error", "min_eigenvalue") + semigroup.PROPAGATOR_KEYS
+    ))
     rows = [[eps, err] for eps, err in zip(eps_list, errs)]
     files = {"resolvent.csv": (["eps", "err_L2"], rows), "resolvent.json": summary}
     return Result(files, all(checks.values()))

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fiber as fiber_mod
 from . import geometry
@@ -38,6 +37,9 @@ from . import geometry
 FORM_NAMES = ("V", "H", "SasakiEps", "InducedEps", "Omega")
 # refinement of the grid-error pre-check (refined_grid)
 REFINE_FACTOR = 1.5
+# fields per smoothing solve of random_fields: few enough that the stacked
+# right-hand sides stay small next to the result
+FIELD_CHUNK = 20
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +296,11 @@ def residual_r_eps(grid, eps):
 
 
 def h1_form(grid):
-    """Sasaki energy at eps = 1 (the fixed reference H1 seminorm)."""
-    return (assemble_form(grid, "V") + assemble_form(grid, "H")).tocsr()
+    """Sasaki energy at eps = 1 (the fixed reference H1 seminorm); cached
+    on the grid."""
+    if "h1_form" not in grid.cache:
+        grid.cache["h1_form"] = (assemble_form(grid, "V") + assemble_form(grid, "H")).tocsr()
+    return grid.cache["h1_form"]
 
 
 def residual_h1_bound(grid, eps):
@@ -330,15 +335,22 @@ def random_fields(grid, n_fields, seed):
 
     White noise per node, then one smoothing solve (I + DeltaSa/s) f = noise
     with s a Gershgorin bound on the reference Laplacian, which tames the
-    grid-scale oscillation without killing high modes entirely."""
+    grid-scale oscillation without killing high modes entirely.  The pencil
+    (Q1 / s, diag(w)) is solved on its Fourier blocks, factored once
+    (semigroup.FourierBlocks.solve), FIELD_CHUNK fields at a time."""
+    from . import semigroup  # semigroup imports this module
+
     Q1 = h1_form(grid)
     w = grid.weights
     s = float(np.max(np.asarray(abs(Q1).sum(axis=1)).ravel() / w))
-    A = (sp.diags(w) + Q1 / s).tocsc()
-    solve = spla.factorized(A)
+    blocks = semigroup.fourier_blocks(Q1 / s, w)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    out = np.empty((n_fields, grid.n))
-    for i in range(n_fields):
-        noise = rng.standard_normal(grid.n)
-        out[i] = solve(w * noise)
+    # one draw of all the noise is the same stream as one draw per field
+    out = rng.standard_normal((n_fields, grid.n))
+    for i in range(0, n_fields, FIELD_CHUNK):
+        chunk = out[i : i + FIELD_CHUNK]
+        # the chunk's modes side by side, one group of rows per field
+        smooth = blocks.solve(1.0, np.concatenate([blocks.to_modes(w * f) for f in chunk], axis=1))
+        for f, modes in zip(chunk, np.split(smooth, len(chunk), axis=1)):
+            f[:] = blocks.from_modes(modes)
     return out

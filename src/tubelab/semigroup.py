@@ -25,8 +25,26 @@ is read from the form: row 0 ends in the block N^T, whose diagonal is
 nonzero for every form assembled here, so the first nonzero of row 0 past
 column n / 2 sits at column n - n_fiber.  That reading is only a guess; the
 pencil is split only when the split is exact: the weights repeat bitwise
-and the form equals the reassembled block matrix entry for entry.  A wrong
-guess costs speed, never accuracy.
+and the form equals the reassembled block matrix entry for entry, tested
+in O(nnz) on the stored entries and their count.  A wrong guess costs
+speed, never accuracy.  Work that needs every block (the spectrum, the
+coercivity certificate of a resolvent, the smoothing solve of
+discretize.random_fields) is one batched LAPACK call over the stacked
+blocks: FourierBlocks.eigh and FourierBlocks.solve.
+
+Reach.  Q maps each base mode to itself, so a datum f touches only the
+blocks it has mass in; FourierBlocks.to_modes computes that mass as a dense
+product with the basis, whose error is at most about n_base u |f|_W
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, Sec. 3.5).
+A block is reached when the datum's weighted mass in it is above
+n_base u |f|_W, or is not finite, so a NaN or infinite datum reaches every
+block and stays visible.  Work driven by a datum (Propagator.apply, the
+resolvent solve) touches only the blocks it reaches; each unreached block
+changes the result by at most its mass times max(1, exp(-t lambda_min / 2))
+for a propagator, lambda_min the least eigenvalue of that block, and the
+largest such mass relative to |f|_W is reported as dropped_mode_norm_rel
+next to the number of blocks decomposed.  Every datum the CLI propagates
+lives in base modes 0 and 1, so its propagators decompose two blocks.
 
 Dense path.  Any other pencil is the one-block case n_base = 1, whose only
 basis vector is c_0 = 1.  Up to DENSE_CUTOFF nodes it gets one dense
@@ -48,6 +66,7 @@ for all its times.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -66,47 +85,83 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # Largest accepted normwise backward error of a resolvent solve,
 #   eta = |A f - b|_inf / (|A|_inf |f|_inf + |b|_inf)
 # (Rigal & Gaches 1967; Higham, Accuracy and Stability of Numerical
-# Algorithms, 2002, Thm 7.1).  Cholesky and sparse LU are backward stable,
-# so a correct solve leaves eta at a few u however ill-conditioned A is, and
+# Algorithms, 2002, Thm 7.1).  Cholesky on the Fourier blocks and the real
+# orthonormal change of basis are backward stable, so a correct solve
+# leaves eta at a few u however ill-conditioned A is, and
 # forming A f - b adds at most (m + 1) u with m <= 7 nonzeros per row of A
 # (Higham 2002, Sec. 3.5).  Measured on every spectral path, grids up to
 # 512x127 and eps down to 0.00625: eta <= 3 u, while the relative residual
-# grows like eps^-2 (to 7.9e-9).  One Fourier block left unsolved gives
-# eta >= 7.7e-5.
+# grows like eps^-2 (to 7.9e-9).  One reached Fourier block left unsolved
+# gives eta >= 7.7e-5.
 BACKWARD_ERROR_BOUND = 32 * UNIT_ROUNDOFF
+
+
+@functools.lru_cache(maxsize=8)
+def _fourier_basis(n_base):
+    """(basis, multiplicity) of the real orthonormal Fourier basis of n_base
+    base nodes (FourierBlocks), shared read-only by every pencil of that base."""
+    k = np.arange(n_base // 2 + 1)
+    # basis[:, k, 0] = c_k, basis[:, k, 1] = s_k, orthonormal columns
+    angle = 2.0 * np.pi * np.outer(np.arange(n_base), k) / n_base
+    basis = np.sqrt(2.0 / n_base) * np.stack([np.cos(angle), np.sin(angle)], axis=2)
+    multiplicity = np.full(len(k), 2)
+    lone = [0] if n_base % 2 else [0, n_base // 2]
+    basis[:, lone, 0] /= math.sqrt(2.0)
+    basis[:, lone, 1] = 0.0
+    multiplicity[lone] = 1
+    basis = basis[:, :, : min(n_base, 2)].reshape(n_base, -1)
+    basis.flags.writeable = multiplicity.flags.writeable = False
+    return basis, multiplicity
 
 
 class FourierBlocks:
     """A pencil in the real Fourier basis of its base, one block per mode.
 
-    blocks[k] is B_k of the module docstring.  Fields move between nodes and
-    modes as arrays of shape (n_base // 2 + 1, 2, n_fiber): row [k, 0] holds
-    the c_k coefficients, row [k, 1] the s_k ones (zero where s_k is absent);
-    complex blocks take the one row z = c + i s.  A pencil without base
-    structure is the one-block case n_base = 1: its block is the whole form,
-    kept sparse until `blocks` is first read, and its modes have the one row
-    of c_0 = 1."""
+    blocks[k] is B_k of the module docstring, built from D and N: a block
+    is built when work first needs it, and every block when `blocks` is
+    first read.  Fields move between nodes and modes as arrays of shape
+    (n_base // 2 + 1, 2, n_fiber): row [k, 0] holds the c_k coefficients,
+    row [k, 1] the s_k ones (zero where s_k is absent); complex blocks take
+    the one row z = c + i s.  A pencil without base structure is the
+    one-block case n_base = 1, N = None: its block D is the whole form,
+    kept sparse until it is first needed, and its modes have the one row of
+    c_0 = 1.  The basis is built once per n_base and shared."""
 
-    def __init__(self, blocks, w_row, n_base):
+    def __init__(self, w_row, n_base, D, N=None):
         self.n_base = n_base
         self.w_row = w_row
-        self._blocks = blocks
-        k = np.arange(n_base // 2 + 1)
-        # basis[:, k, 0] = c_k, basis[:, k, 1] = s_k, orthonormal columns
-        angle = 2.0 * np.pi * np.outer(np.arange(n_base), k) / n_base
-        basis = np.sqrt(2.0 / n_base) * np.stack([np.cos(angle), np.sin(angle)], axis=2)
-        self.multiplicity = np.full(len(k), 2)
-        lone = [0] if n_base % 2 else [0, n_base // 2]
-        basis[:, lone, 0] /= math.sqrt(2.0)
-        basis[:, lone, 1] = 0.0
-        self.multiplicity[lone] = 1
-        self.basis = basis[:, :, : min(n_base, 2)].reshape(n_base, -1)
+        self._D, self._N = D, N
+        self._blocks = None
+        # torsion makes N non-symmetric and the blocks complex (module docstring)
+        self.complex = N is not None and not np.array_equal(N, N.T)
+        self.basis, self.multiplicity = _fourier_basis(n_base)
+        # (shift, blocks) of the Cholesky factors `solve` keeps, and the factors
+        self._factor = (None, None)
 
     @property
     def blocks(self):
-        if sp.issparse(self._blocks):
-            self._blocks = self._blocks.toarray()[None]
+        if self._blocks is None:
+            self._blocks = self._build(np.arange(len(self.multiplicity)))
         return self._blocks
+
+    def _stack(self, ks):
+        """The blocks ks (every block for None), stacked; a subset is built
+        on its own while not every block is."""
+        if ks is None or self._blocks is not None:
+            return self.blocks if ks is None else self.blocks[ks]
+        return self._build(np.asarray(ks))
+
+    def _build(self, k):
+        if self._N is None:
+            return self._D.toarray()[None]
+        angle = 2.0 * np.pi * k / self.n_base
+        D, N = self._D, self._N
+        blocks = D + np.cos(angle)[:, None, None] * (N + N.T)
+        if self.complex:
+            # zero on the modes that carry no s_k, whose blocks are real
+            sine = np.where(2 * k % self.n_base, np.sin(angle), 0.0)
+            blocks = blocks - 1j * sine[:, None, None] * (N - N.T)
+        return blocks
 
     @property
     def path(self):
@@ -121,25 +176,86 @@ class FourierBlocks:
     def to_modes(self, f):
         g = self.basis.T @ np.asarray(f).reshape(self.n_base, -1)
         g = g.reshape(len(self.multiplicity), -1, len(self.w_row))
-        return g[:, :1] + 1j * g[:, 1:] if np.iscomplexobj(self._blocks) else g
+        return g[:, :1] + 1j * g[:, 1:] if self.complex else g
 
     def from_modes(self, g):
         if np.iscomplexobj(g):
             g = np.concatenate([g.real, g.imag], axis=1)
         return (self.basis @ g.reshape(self.basis.shape[1], -1)).ravel()
 
-    def eigh(self, eigvals_only=False):
-        """Per-block generalized eigenpairs of (B_k, diag(w_row)), stacked;
+    def reach(self, modes):
+        """(reached, mass) of the datum f with these modes (to_modes):
+        mass[k] is the weighted norm of f's part in block k, so that
+        |f|_W = |mass| (Parseval), and block k is reached when mass[k] is
+        above n_base * u * |f|_W or not finite (module docstring)."""
+        mass = np.sqrt(np.einsum("krj,j->k", np.abs(modes) ** 2, self.w_row))
+        bound = self.n_base * UNIT_ROUNDOFF * np.sqrt(np.sum(mass**2))
+        return ~(np.isfinite(mass) & (mass <= bound)), mass
+
+    def eigh(self, ks=None, eigvals_only=False):
+        """Generalized eigenpairs of (B_k, diag(w_row)) for the blocks ks
+        (every block by default), stacked, from one batched eigh of the
+        blocks scaled by L^-1 on both sides, L = diag(w_row)^1/2;
         eigenvectors are diag(w_row)-orthonormal."""
-        W = np.diag(self.w_row)
-        pairs = [scipy.linalg.eigh(B, W, eigvals_only=eigvals_only) for B in self.blocks]
+        B = self._stack(ks)
+        root = np.sqrt(self.w_row)
+        # the lower triangle is scaled in LAPACK's own order (xSYGS2, xSYGST
+        # on blocks below its block size), so small blocks keep the bits of
+        # the generalized solver scipy.linalg.eigh(B, diag(w_row))
+        scaled = B * (1.0 / root)
+        scaled /= root[:, None]
+        diag = np.arange(len(root))
+        scaled[:, diag, diag] = B[:, diag, diag] / root**2
         if eigvals_only:
-            return np.array(pairs)
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+            return np.linalg.eigvalsh(scaled)
+        vals, vecs = np.linalg.eigh(scaled)
+        return vals, vecs * (1.0 / root)[:, None]
+
+    def solve(self, shift, rhs, ks=None):
+        """x[i] = (B_k + shift diag(w_row))^-1 rhs[i] for k = ks[i] (every
+        block by default), rhs stacked over those blocks in the row layout of
+        to_modes.  One batched Cholesky factors the shifted blocks; the
+        factors are kept for the next call with the same shift and blocks.
+        Raises LinAlgError when a shifted block is not positive definite."""
+        key = (shift, None if ks is None else tuple(ks))
+        if self._factor[0] != key:
+            shifted = self._stack(ks) + shift * np.diag(self.w_row)
+            self._factor = key, np.linalg.cholesky(shifted)
+        # a non-finite right-hand side passes through to the caller's checks
+        return np.array([
+            scipy.linalg.cho_solve((lower, True), b.T, check_finite=False).T
+            for lower, b in zip(self._factor[1], rhs)
+        ]).reshape(np.shape(rhs))
 
     def spectrum(self, block_vals):
         """All eigenvalues of the full pencil, ascending, with multiplicity."""
         return np.sort(np.repeat(block_vals, self.multiplicity, axis=0).ravel())
+
+
+def _dropped_mass_rel(mass, kept):
+    """The largest mass (FourierBlocks.reach) of a block outside `kept`,
+    relative to |f|_W; 0 when every block is kept or f = 0."""
+    left = mass[~kept]
+    norm = np.sqrt(np.sum(mass**2))
+    return float(left.max() / norm) if left.size and norm > 0 else 0.0
+
+
+def _block_circulant(Q, D, N, n_base):
+    """Whether the canonical CSR matrix Q equals kron(I, D) + kron(S, N) +
+    kron(S^T, N^T) entry for entry, in O(nnz): every stored nonzero equals
+    that matrix's entry, and there are as many as it has nonzeros."""
+    nf = len(D)
+    nz = Q.data != 0
+    rows = np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))[nz]
+    cols = Q.indices[nz]
+    offset = (cols // nf - rows // nf) % n_base
+    # base offsets 0, 1 and -1 hold D, N and N^T; no other offset may hold any
+    part = np.select([offset == 0, offset == 1, offset == n_base - 1], [0, 1, 2], -1)
+    if np.any(part < 0):
+        return False
+    count = n_base * (np.count_nonzero(D) + 2 * np.count_nonzero(N))
+    expected = np.stack([D, N, N.T])[part, rows % nf, cols % nf]
+    return np.count_nonzero(nz) == count and np.array_equal(Q.data[nz], expected)
 
 
 def fourier_blocks(form, weights):
@@ -148,28 +264,22 @@ def fourier_blocks(form, weights):
     (module docstring); else the whole pencil as one block."""
     weights = np.asarray(weights, dtype=float)
     Q = sp.csr_matrix(form)
+    if not Q.has_canonical_format:
+        Q = Q.copy()
+        Q.sum_duplicates()
     n = len(weights)
-    row0 = Q[0].nonzero()[1]
+    row0 = Q.indices[: Q.indptr[1]][Q.data[: Q.indptr[1]] != 0]
     past = row0[row0 > n / 2]
     nf = n - past.min() if len(past) else n
     n_base = n // nf
     if n_base >= 3 and n % nf == 0:
         w = weights.reshape(n_base, nf)
-        D = Q[:nf, :nf].toarray()
-        N = Q[:nf, nf : 2 * nf].toarray()
         if np.array_equal(w, np.broadcast_to(w[0], w.shape)):
-            S = sp.eye(n_base, k=1) + sp.eye(n_base, k=1 - n_base)
-            rebuilt = sp.kron(sp.identity(n_base), D) + sp.kron(S, N) + sp.kron(S.T, N.T)
-            if not (Q != rebuilt).nnz:
-                k = np.arange(n_base // 2 + 1)
-                angle = 2.0 * np.pi * k / n_base
-                blocks = D + np.cos(angle)[:, None, None] * (N + N.T)
-                if not np.array_equal(N, N.T):
-                    # zero on the modes that carry no s_k, whose blocks are real
-                    sine = np.where(2 * k % n_base, np.sin(angle), 0.0)
-                    blocks = blocks - 1j * sine[:, None, None] * (N - N.T)
-                return FourierBlocks(blocks, w[0].copy(), n_base)
-    return FourierBlocks(Q, weights, 1)
+            D = Q[:nf, :nf].toarray()
+            N = Q[:nf, nf : 2 * nf].toarray()
+            if _block_circulant(Q, D, N, n_base):
+                return FourierBlocks(w[0].copy(), n_base, D, N)
+    return FourierBlocks(weights, 1, Q)
 
 
 def pencil_eigenvalues(form, weights):
@@ -178,13 +288,27 @@ def pencil_eigenvalues(form, weights):
     return blocks.spectrum(blocks.eigh(eigvals_only=True))
 
 
+# the keys of Propagator.info, which every propagator record reports
+PROPAGATOR_KEYS = ("spectral_path", "blocks_decomposed", "dropped_mode_norm_rel")
+
+
+def by_key(infos, keys=PROPAGATOR_KEYS):
+    """{key: [info[key] for info in infos]} for each key."""
+    return {key: [info[key] for info in infos] for key in keys}
+
+
 class Propagator:
     """exp(-t * A / 2) for the operator of a weighted form pencil.
 
     The structure is read from the pencil (fourier_blocks); `path` names the
     spectral path it selects (module docstring): "block", or "dense" for the
-    one block of a pencil without base structure.  Eigenvalues and
-    eigenvectors are stacked per block (FourierBlocks.eigh)."""
+    one block of a pencil without base structure.  An apply works only on
+    the blocks its datum reaches (FourierBlocks.reach), so its result
+    depends on its t and f alone; a block is eigendecomposed
+    (FourierBlocks.eigh) at the first apply that reaches it, and kept.
+    `info` reports the path, the number of blocks decomposed and
+    dropped_mode_norm_rel, the largest mass relative to |f|_W that an apply
+    left in a block it did not reach."""
 
     # no path keeps only part of the spectrum; perfbench/layers.py reads this
     truncated = False
@@ -193,17 +317,45 @@ class Propagator:
         self.weights = np.asarray(weights, dtype=float)
         self.blocks = fourier_blocks(form, self.weights)
         self.path = self.blocks.path
-        self.eigenvalues, self.eigenvectors = self.blocks.eigh()
-        # the forward product takes U^H; conj() of a real array is the array
-        self._forward = self.eigenvectors.conj()
+        nf = len(self.blocks.w_row)
+        # block k's eigenpairs are row _row[k] of _vals and _vecs, -1 until
+        # it is decomposed
+        self._row = np.full(len(self.blocks.multiplicity), -1)
+        self._vals = np.zeros((0, nf))
+        self._vecs = np.zeros((0, nf, nf))
+        self.dropped_mode_norm_rel = 0.0
+
+    @property
+    def decomposed(self):
+        """The indices of the blocks decomposed so far, ascending."""
+        return np.flatnonzero(self._row >= 0)
+
+    @property
+    def info(self):
+        """The PROPAGATOR_KEYS record of this propagator's applies so far."""
+        return {"spectral_path": self.path, "blocks_decomposed": len(self.decomposed),
+                "dropped_mode_norm_rel": self.dropped_mode_norm_rel}
 
     def apply(self, t, f):
         if t < 0:
             raise ValueError("time must be nonnegative")
-        decay = np.exp(-0.5 * t * self.eigenvalues)
-        coef = (self.blocks.to_modes(f) * self.blocks.w_row) @ self._forward
-        U = self.eigenvectors
-        return self.blocks.from_modes((decay[:, None, :] * coef) @ U.transpose(0, 2, 1))
+        modes = self.blocks.to_modes(f)
+        reached, mass = self.blocks.reach(modes)
+        new = np.flatnonzero(reached & (self._row < 0))
+        if len(new):
+            vals, vecs = self.blocks.eigh(new)
+            self._row[new] = len(self._vals) + np.arange(len(new))
+            self._vals = np.concatenate([self._vals, vals])
+            self._vecs = np.concatenate([self._vecs, vecs])
+        self.dropped_mode_norm_rel = max(self.dropped_mode_norm_rel, _dropped_mass_rel(mass, reached))
+        ks = np.flatnonzero(reached)
+        U = self._vecs[self._row[ks]]
+        decay = np.exp(-0.5 * t * self._vals[self._row[ks]])
+        # the forward product takes U^H
+        coef = (modes[ks] * self.blocks.w_row) @ U.conj()
+        out = np.zeros_like(modes)
+        out[ks] = (decay[:, None, :] * coef) @ U.transpose(0, 2, 1)
+        return self.blocks.from_modes(out)
 
 
 def base_laplacian(grid):
@@ -245,34 +397,33 @@ def _coercive(mineig):
 def resolvent_minimizer(op_h0, alpha, w_field):
     """Minimize phi, i.e. solve (H0 + alpha) f = w in the weighted sense.
 
-    The structure is read from the pencil (fourier_blocks): the minimum
-    eigenvalue is the least over the blocks (one block for a dense pencil)
-    and each block is solved by its own Cholesky factor.  The solve is
+    The structure is read from the pencil (fourier_blocks).  The minimum
+    eigenvalue is the least over every block (one block for a dense pencil),
+    from one batched eigensolve; only the blocks the datum reaches
+    (FourierBlocks.reach) are solved, by FourierBlocks.solve.  The solve is
     accepted when the normwise backward error of A f = b, with A = form +
     alpha diag(w) the assembled sparse matrix and b = w * w_field, is at most
     BACKWARD_ERROR_BOUND; info reports it as "backward_error" (0.0 for a
     zero datum) next to the weighted relative "residual", which is not
-    checked.  Raises CoercivityViolation when the shifted
-    pencil is not positive definite (epsilon outside the coercive range),
+    checked, and the Propagator.info keys, "blocks_decomposed" counting the
+    blocks solved.  Raises CoercivityViolation when the shifted pencil is
+    not positive definite (epsilon outside the coercive range),
     ResolutionError when the backward error is above the bound or not
     finite, or when the pencil has no base structure and is above
     DENSE_CUTOFF."""
     g = op_h0.grid
     blocks = fourier_blocks(op_h0.form, g.weights)
     path = blocks.path
-    W_row = np.diag(blocks.w_row)
-    shifted = blocks.blocks + alpha * W_row
-    mineig = _coercive(min(
-        float(scipy.linalg.eigh(B, W_row, eigvals_only=True, subset_by_index=[0, 0])[0])
-        for B in shifted
-    ))
+    mineig = _coercive(float(np.min(blocks.eigh(eigvals_only=True)[:, 0])) + alpha)
+    modes = blocks.to_modes(w_field)
+    reached, mass = blocks.reach(modes)
+    ks = np.flatnonzero(reached)
+    solved = np.zeros_like(modes)
+    # a non-finite datum reaches every block and propagates to the
+    # backward-error check
+    solved[ks] = blocks.solve(alpha, modes[ks] * blocks.w_row, ks)
+    f = blocks.from_modes(solved)
     rhs = g.weights * np.asarray(w_field)
-    modes = blocks.to_modes(rhs)
-    for k, block in enumerate(shifted):
-        factor = scipy.linalg.cho_factor(block)
-        # a non-finite datum propagates to the backward-error check
-        modes[k] = scipy.linalg.cho_solve(factor, modes[k].T, check_finite=False).T
-    f = blocks.from_modes(modes)
     A = (op_h0.form + alpha * sp.diags(g.weights)).tocsc()
     Af = A @ f
     rel = g.norm(Af / g.weights - np.asarray(w_field)) / max(g.norm(w_field), 1e-300)
@@ -283,7 +434,8 @@ def resolvent_minimizer(op_h0, alpha, w_field):
             f"resolvent backward error {r / scale:.3e} above {BACKWARD_ERROR_BOUND:.3e} "
             f"({BACKWARD_ERROR_BOUND / UNIT_ROUNDOFF:.0f} u)"
         )
-    info = {"residual": rel, "min_eigenvalue": mineig, "spectral_path": path}
+    info = {"residual": rel, "min_eigenvalue": mineig, "spectral_path": path,
+            "blocks_decomposed": len(ks), "dropped_mode_norm_rel": _dropped_mass_rel(mass, reached)}
     info["backward_error"] = float(r / scale) if scale else 0.0
     return f, info
 
@@ -293,8 +445,9 @@ def resolvent_limit(grid, spectrum, alpha, w_field):
     (base Laplacian + alpha)^-1 of the projected datum, lifted by the fiber
     ground state."""
     Qb, wb = base_laplacian(grid)
+    blocks = fourier_blocks(Qb, wb)
     fb = fiber_mod.extract_fb(grid, spectrum, w_field)
-    gb = spla.spsolve((Qb + alpha * sp.diags(wb)).tocsc(), wb * fb)
+    gb = blocks.from_modes(blocks.solve(alpha, blocks.to_modes(wb * fb)))
     return np.outer(gb, spectrum.ground_state).ravel()
 
 
@@ -330,8 +483,9 @@ def conditional_flow_operator(grid, spectrum, eps, T, times, f_base):
     """Two-sided heat-flow ratio giving the conditioned marginal on the base.
 
     f_base: values of the observable on the base nodes (lifted fiberwise).
-    Returns the ratio field on the submanifold (fiber center) at each time,
-    shape (len(times), n_base), from one propagator and one survival flow."""
+    Returns (ratios, info): the ratio field on the submanifold (fiber
+    center) at each time, shape (len(times), n_base), from one propagator
+    and one survival flow, and that propagator's Propagator.info."""
     if not all(0 <= t <= T for t in times):
         raise ValueError("need 0 <= t <= T")
     h0 = discretize.renormalize(grid, "H", eps, spectrum.lambda0)
@@ -349,10 +503,11 @@ def conditional_flow_operator(grid, spectrum, eps, T, times, f_base):
     if np.any(np.abs(den_c) < 1e-12):
         raise DegenerateConditioning("survival factor vanishes on the base")
     # at t = 0 the ratio is f_base itself; f * den / den would round
-    return np.array([
+    ratios = np.array([
         grid.reshape(flow(t, f_lift * flow(T - t, sqrt_rho)))[:, jc] / den_c if t else f_base
         for t in times
     ], dtype=float)
+    return ratios, propagator.info
 
 
 # ---------------------------------------------------------------------------
@@ -368,21 +523,21 @@ def collapse_errors(grid, spectrum, which, eps_list, t_grid, f, order=0):
     """errors[i, j, k] = |P_t^eps f - P_t^0 f|_k, the Sobolev norm of order
     k = 0..order (discretize.sobolev_norm) of the distance from the flow of
     the renormalized operator `which` ("HSa" or "H") at eps = eps_list[i] to
-    the limit flow, at t = t_grid[j].  Returns (errors, paths, seconds): the
-    spectral path and the seconds of each eps."""
+    the limit flow, at t = t_grid[j].  Returns (errors, infos, seconds): the
+    Propagator.info and the seconds of each eps."""
     limit = limit_propagate(grid, spectrum, t_grid, f)
     errors = np.empty((len(eps_list), len(t_grid), order + 1))
-    paths, seconds = [], []
+    infos, seconds = [], []
     for i, eps in enumerate(eps_list):
         t0 = time.perf_counter()
         op = discretize.renormalize(grid, which, eps, spectrum.lambda0)
         prop = Propagator(op.form, op.weights)
-        paths.append(prop.path)
         for j, t in enumerate(t_grid):
             diff = prop.apply(t, f) - limit[j]
             errors[i, j] = [discretize.sobolev_norm(grid, diff, k) for k in range(order + 1)]
+        infos.append(prop.info)
         seconds.append(time.perf_counter() - t0)
-    return errors, paths, seconds
+    return errors, infos, seconds
 
 
 @dataclass
@@ -393,9 +548,9 @@ class SweepResult:
     fitted_order: float
     r_squared: float
     runtimes: list           # seconds per eps
-    spectral_paths: list     # Propagator.path per eps
+    propagators: list        # Propagator.info per eps
     spatial_error_estimate: float | None = None
-    pre_check_spectral_path: str | None = None
+    pre_check_propagator: dict | None = None
 
     @property
     def sup_errors(self):
@@ -442,15 +597,15 @@ def convergence_sweep(grid, spectrum, eps_list, t_grid=None, pre_check=False):
         raise ValueError("eps_list must be strictly decreasing")
     t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     u = default_sweep_field(grid, spectrum)
-    errors, paths, runtimes = collapse_errors(
+    errors, infos, runtimes = collapse_errors(
         grid, spectrum, "H", eps_list, t_grid, u, order=max(NORMS.values())
     )
     p, r2 = _loglog_fit(eps_list, errors[:, :, NORMS["L2"]].max(axis=1))
-    result = SweepResult(eps_list, t_grid, errors, p, r2, runtimes, paths)
+    result = SweepResult(eps_list, t_grid, errors, p, r2, runtimes, infos)
     if pre_check:
         fine = discretize.refined_grid(grid)
         fine_spectrum = fiber_mod.fiber_spectrum(fine.fiber)
-        fine_errors, (result.pre_check_spectral_path,), _ = collapse_errors(
+        fine_errors, (result.pre_check_propagator,), _ = collapse_errors(
             fine, fine_spectrum, "H", eps_list[:1], t_grid,
             default_sweep_field(fine, fine_spectrum),
         )

@@ -168,7 +168,8 @@ def sasaki_limit_check(grid, spectrum, eps_list, t_grid):
     of SASAKI_ALLOWANCE_REL * |f| because the bound underflows for small eps
     while the eigensolver leaves roundoff of that order in the propagated
     field; worst_margin_rel is the largest (lhs - rhs) / |f|, to be read
-    against allowance_rel."""
+    against allowance_rel.  The Propagator.info of each eps is reported as
+    one list per key."""
     lam0, lam1 = spectrum.lambda0, spectrum.lambda1
     phi0 = spectrum.ground_state
     phi1 = spectrum.eigenfunctions[:, spectrum.multiplets[1][0]]
@@ -176,7 +177,7 @@ def sasaki_limit_check(grid, spectrum, eps_list, t_grid):
     g1 = EXCITED_MIXING * (1.0 + np.cos(grid.base_angle))
     f = (np.outer(g0, phi0) + np.outer(g1, phi1)).ravel()
     nf = grid.norm(f)
-    errors, paths, _ = semigroup.collapse_errors(grid, spectrum, "HSa", eps_list, t_grid, f)
+    errors, infos, _ = semigroup.collapse_errors(grid, spectrum, "HSa", eps_list, t_grid, f)
     lhs = errors[:, :, 0]
     rhs = np.array([
         [math.exp(-t * (lam1 - lam0) / (2.0 * eps**2)) * nf for t in t_grid] for eps in eps_list
@@ -186,7 +187,7 @@ def sasaki_limit_check(grid, spectrum, eps_list, t_grid):
         "ok": bool(ok),
         "worst_margin_rel": float(np.max(lhs - rhs)) / nf,
         "allowance_rel": SASAKI_ALLOWANCE_REL,
-        "spectral_path": paths,
+        **semigroup.by_key(infos),
     }
 
 

@@ -181,7 +181,7 @@ def test_criterion_8_mc_vs_operator_route(circle_model, grid64, spec64):
     except (tl.DegenerateConditioning, tl.LowEffectiveSampleSize) as exc:
         assert verdict(8, False, f"{detail}; {type(exc).__name__}: {exc}")
         return
-    (op,) = semigroup.conditional_flow_operator(
+    (op,), _ = semigroup.conditional_flow_operator(
         grid64, spec64, eps, T, [t], np.cos(grid64.base_x)
     )
     ok = abs(est.value - op[0]) <= 3 * est.std_error

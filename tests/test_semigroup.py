@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import tubelab as tl
-from tubelab import discretize, fiber as fiber_mod, semigroup
+from tubelab import discretize, fiber as fiber_mod, semigroup, suites
 
 
 @pytest.fixture(scope="module")
@@ -128,14 +129,14 @@ class TestResolvent:
 class TestConditionalFlow:
     def test_zero_time_recovers_observable(self, circle_grid, circle_spectrum):
         fb = np.cos(circle_grid.base_x)
-        (out,) = semigroup.conditional_flow_operator(
+        (out,), _ = semigroup.conditional_flow_operator(
             circle_grid, circle_spectrum, 0.2, 1.0, [0.0], fb
         )
         assert np.max(np.abs(out - fb)) < 1e-8
 
     def test_constant_observable_is_one(self, circle_grid, circle_spectrum):
         fb = np.ones(circle_grid.n_base)
-        out = semigroup.conditional_flow_operator(
+        out, _ = semigroup.conditional_flow_operator(
             circle_grid, circle_spectrum, 0.2, 1.0, [0.0, 0.5, 1.0], fb
         )
         assert np.max(np.abs(out - 1.0)) < 1e-8
@@ -147,7 +148,7 @@ class TestConditionalFlow:
         exact = math.exp(-0.25)  # heat decay of cos at t = 1/2 on the unit circle
         errs = []
         for eps in (0.2, 0.1, 0.05):
-            (out,) = semigroup.conditional_flow_operator(
+            (out,), _ = semigroup.conditional_flow_operator(
                 circle_grid, circle_spectrum, eps, 1.0, [0.5], fb
             )
             errs.append(abs(out[0] - exact))
@@ -165,12 +166,12 @@ class TestConditionalFlow:
         # bit, and its t = 0 row is the observable itself
         fb = np.cos(circle_grid.base_x + 0.5)
         times = [0.0, 0.03, 0.05, 0.1]
-        out = semigroup.conditional_flow_operator(
+        out, _ = semigroup.conditional_flow_operator(
             circle_grid, circle_spectrum, 0.2, 0.1, times, fb
         )
         assert out.shape == (len(times), circle_grid.n_base)
         for t, row in zip(times, out):
-            (single,) = semigroup.conditional_flow_operator(
+            (single,), _ = semigroup.conditional_flow_operator(
                 circle_grid, circle_spectrum, 0.2, 0.1, [t], fb
             )
             assert np.array_equal(row, single)
@@ -181,11 +182,12 @@ class TestCollapseErrors:
     def test_entry_matches_hand_written_route(self, circle_grid, circle_spectrum):
         eps_list, t_grid = [0.2, 0.1], np.array([0.1, 0.4])
         f = semigroup.default_sweep_field(circle_grid, circle_spectrum)
-        errors, paths, seconds = semigroup.collapse_errors(
+        errors, infos, seconds = semigroup.collapse_errors(
             circle_grid, circle_spectrum, "H", eps_list, t_grid, f, order=2
         )
         assert errors.shape == (2, 2, 3)
-        assert paths == ["block", "block"] and len(seconds) == 2
+        assert [i["spectral_path"] for i in infos] == ["block", "block"]
+        assert len(seconds) == 2
         op = discretize.renormalize(circle_grid, "H", 0.1, circle_spectrum.lambda0)
         prop = semigroup.Propagator(op.form, op.weights)
         (limit,) = semigroup.limit_propagate(circle_grid, circle_spectrum, [0.4], f)
@@ -209,7 +211,7 @@ class TestSweep:
         assert [len(row) for row in res.rows()] == [5] * 6
         assert res.rows()[0][:2] == [0.2, 0.2]
         assert res.rows()[-1][2:] == res.errors[1, 2].tolist()
-        assert res.spectral_paths == ["block", "block"]
+        assert [p["spectral_path"] for p in res.propagators] == ["block", "block"]
         assert res.spatial_error_estimate is None
 
     def test_pre_check_reports_spatial_estimate(self, grid32):
@@ -218,7 +220,7 @@ class TestSweep:
         )
         assert res.spatial_error_estimate is not None
         assert res.spatial_error_estimate <= res.sup_errors["L2"][0] / 10.0
-        assert res.pre_check_spectral_path == "block"
+        assert res.pre_check_propagator["spectral_path"] == "block"
 
     def test_eps_list_must_decrease(self, grid32):
         with pytest.raises(ValueError):
@@ -281,8 +283,8 @@ class TestBlockCore:
         _, _, op = block_case
         ref = dense_eigh(op.form, op.weights, eigvals_only=True)
         assert_spectra_match(semigroup.pencil_eigenvalues(op.form, op.weights), ref)
-        block = semigroup.Propagator(op.form, op.weights)
-        assert_spectra_match(block.blocks.spectrum(block.eigenvalues), ref)
+        blocks = semigroup.fourier_blocks(op.form, op.weights)
+        assert_spectra_match(blocks.spectrum(blocks.eigh()[0]), ref)
 
     def test_operator_eig_matches_dense(self, block_case):
         _, _, op = block_case
@@ -300,6 +302,26 @@ class TestBlockCore:
         mineig = scipy.linalg.eigh(A, np.diag(op.weights), eigvals_only=True)[0]
         assert abs(info["min_eigenvalue"] - mineig) < 1e-9 * max(abs(mineig), 1.0)
 
+    def test_batched_eigh_and_solve_match_per_block_scipy(self, block_case, rng):
+        grid, spectrum, op = block_case
+        blocks = semigroup.fourier_blocks(op.form, op.weights)
+        W = np.diag(blocks.w_row)
+        vals, vecs = blocks.eigh()
+        alpha = spectrum.lambda0 + 1.5
+        rhs = blocks.to_modes(rng.standard_normal(grid.n))
+        x = blocks.solve(alpha, rhs)
+        for k, B in enumerate(blocks.blocks):
+            assert_spectra_match(vals[k], scipy.linalg.eigh(B, W, eigvals_only=True))
+            V = vecs[k]
+            assert np.max(np.abs(V.conj().T @ W @ V - np.eye(len(W)))) < 1e-10
+            scale = np.maximum(np.abs(vals[k]), 1.0)
+            assert np.max(np.abs(B @ V - W @ V * vals[k]) / scale) < 1e-9
+            ref = scipy.linalg.solve(B + alpha * W, rhs[k].T, assume_a="pos").T
+            assert np.max(np.abs(x[k] - ref)) < 1e-10 * np.max(np.abs(ref))
+        # a subset of the blocks is factored on its own, not read from the
+        # factors kept for every block
+        assert np.array_equal(blocks.solve(alpha, rhs[[1, 3]], [1, 3]), x[[1, 3]])
+
     def test_ellipse_falls_back_to_dense(self, rng):
         grid = discretize.build_grid(tl.ellipse_curve(1.2, 0.8), 12, 8, 8)
         spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
@@ -307,7 +329,7 @@ class TestBlockCore:
         prop = semigroup.Propagator(op.form, op.weights)
         assert prop.path == "dense"
         vals = dense_eigh(op.form, op.weights, eigvals_only=True)
-        assert_spectra_match(prop.blocks.spectrum(prop.eigenvalues), vals)
+        assert_spectra_match(semigroup.pencil_eigenvalues(op.form, op.weights), vals)
         alpha = spectrum.lambda0 + 1.5
         w = rng.standard_normal(grid.n)
         f, info = semigroup.resolvent_minimizer(op, alpha, w)
@@ -357,6 +379,125 @@ def test_fourier_blocks_reads_the_structure(name):
     )
 
 
+def _restored(Q, row, col, value, duplicate=False):
+    """Q with its stored entry (row, col) replaced by `value`; with
+    duplicate, stored as two entries of `value / 2`, which is no longer a
+    canonical CSR matrix."""
+    Q = Q.tocsr()
+    j = Q.indptr[row] + np.flatnonzero(Q.indices[Q.indptr[row] : Q.indptr[row + 1]] == col)[0]
+    data, indices, indptr = Q.data.copy(), Q.indices.copy(), Q.indptr.copy()
+    data[j] = value / 2 if duplicate else value
+    if duplicate:
+        data, indices = np.insert(data, j, value / 2), np.insert(indices, j, col)
+        indptr[row + 1 :] += 1
+    return type(Q)((data, indices, indptr), shape=Q.shape)
+
+
+class TestStructuralCheck:
+    """fourier_blocks splits a pencil exactly when its form is the
+    reassembled block matrix, entry for entry; any other form is one block."""
+
+    @pytest.fixture(scope="class")
+    def pencil(self):
+        form, weights = _pencil(tl.CircleInPlane(1.0), 16, 13)
+        return form.tocsr(), weights
+
+    def test_equal_forms_split(self, pencil):
+        form, weights = pencil
+        nf, r = 13, 5 * 13 + 2
+        # the same matrix as a non-canonical one, and with an explicit zero
+        split = _restored(form, r, r, form[r, r], duplicate=True)
+        assert not split.has_canonical_format
+        assert semigroup.fourier_blocks(split, weights).n_base == 16
+        padded = (form + sp.csr_matrix(([0.0], ([r], [r + 3 * nf])), shape=form.shape)).tocsr()
+        assert semigroup.fourier_blocks(padded, weights).n_base == 16
+
+    def test_unequal_forms_are_one_block(self, pencil):
+        form, weights = pencil
+        nf, r = 13, 5 * 13 + 2
+        changed = _restored(form, r, r, form[r, r] * (1 + 1e-15))
+        # an entry two base nodes away; an entry dropped; and the sum of a
+        # doubled entry where another is dropped: every stored value is a
+        # block entry, and so is their count, but the matrix differs
+        far = (form + sp.csr_matrix(([1e-12], ([r], [r + 2 * nf])), shape=form.shape)).tocsr()
+        dropped = _restored(form, r, r + 1, 0.0)
+        dropped.eliminate_zeros()
+        doubled = _restored(dropped, r, r, 2 * form[r, r], duplicate=True)
+        for bad in (changed, far, dropped, doubled):
+            assert semigroup.fourier_blocks(bad, weights).n_base == 1
+        w = weights.copy()
+        w[r] = np.nextafter(w[r], 1.0)
+        assert semigroup.fourier_blocks(form, w).n_base == 1
+
+
+def _mode_field(grid, spectrum, modes):
+    """phi0 times the sum of cos(k theta) + sin(k theta) over the base modes k."""
+    fb = sum(np.cos(k * grid.base_angle) + np.sin(k * grid.base_angle) for k in modes)
+    return np.outer(fb, spectrum.ground_state).ravel()
+
+
+class TestReach:
+    """A propagator decomposes exactly the blocks its data reach."""
+
+    def test_band_limited_datum_matches_full_decomposition(self, circle_grid, circle_spectrum):
+        grid = circle_grid
+        op = discretize.renormalize(grid, "H", 0.05, circle_spectrum.lambda0)
+        prop = semigroup.Propagator(op.form, op.weights)
+        f = semigroup.default_sweep_field(grid, circle_spectrum)
+        vals, vecs = dense_eigh(op.form, op.weights)
+        coef = vecs.T @ (op.weights * f)
+        for t in (0.0, 0.1, 1.0):
+            dense = vecs @ (np.exp(-0.5 * t * vals) * coef)
+            assert grid.norm(prop.apply(t, f) - dense) < 1e-10 * grid.norm(f)
+        assert prop.decomposed.tolist() == [0, 1]
+        assert prop.info["blocks_decomposed"] == 2
+        assert 0 < prop.info["dropped_mode_norm_rel"] <= grid.n_base * semigroup.UNIT_ROUNDOFF
+
+    def test_decomposed_blocks_are_the_reached_ones(self, circle_grid, circle_spectrum):
+        op = discretize.renormalize(circle_grid, "HSa", 0.1, circle_spectrum.lambda0)
+        prop = semigroup.Propagator(op.form, op.weights)
+        prop.apply(0.5, _mode_field(circle_grid, circle_spectrum, [3, 7]))
+        assert prop.decomposed.tolist() == [3, 7]
+        prop.apply(0.5, _mode_field(circle_grid, circle_spectrum, [0, 7, 32]))
+        assert prop.decomposed.tolist() == [0, 3, 7, 32]
+        # a zero datum reaches no block
+        assert not np.any(prop.apply(0.5, np.zeros(circle_grid.n)))
+        assert prop.decomposed.tolist() == [0, 3, 7, 32]
+
+    def test_broadband_datum_decomposes_every_block(self, circle_grid, circle_spectrum):
+        op = discretize.renormalize(circle_grid, "H", 0.1, circle_spectrum.lambda0)
+        prop = semigroup.Propagator(op.form, op.weights)
+        prop.apply(0.5, discretize.random_fields(circle_grid, 1, 3)[0])
+        assert prop.info["blocks_decomposed"] == circle_grid.n_base // 2 + 1
+        assert prop.info["dropped_mode_norm_rel"] == 0.0
+
+    def test_nan_datum_reaches_every_block(self, circle_grid, circle_spectrum):
+        op = discretize.renormalize(circle_grid, "H", 0.1, circle_spectrum.lambda0)
+        prop = semigroup.Propagator(op.form, op.weights)
+        f = semigroup.default_sweep_field(circle_grid, circle_spectrum)
+        f[7] = np.nan
+        assert np.all(np.isnan(prop.apply(0.5, f)))
+        assert prop.info["blocks_decomposed"] == circle_grid.n_base // 2 + 1
+
+    def test_readme_routes_decompose_two_blocks(self, circle_grid, circle_spectrum):
+        # every datum of the README config lives in base modes 0 and 1
+        eps_list, n_blocks = [0.2, 0.1, 0.05, 0.025], circle_grid.n_base // 2 + 1
+        assert n_blocks == 33
+        sweep = semigroup.convergence_sweep(circle_grid, circle_spectrum, eps_list)
+        sasaki = suites.sasaki_limit_check(
+            circle_grid, circle_spectrum, eps_list, semigroup.default_t_grid(5)
+        )
+        _, mc_route = semigroup.conditional_flow_operator(
+            circle_grid, circle_spectrum, 0.2, 0.1, [0.05], np.cos(circle_grid.base_x)
+        )
+        assert [p["blocks_decomposed"] for p in sweep.propagators] == [2] * 4
+        assert sasaki["blocks_decomposed"] == [2] * 4
+        assert mc_route["blocks_decomposed"] == 2
+        dropped = ([p["dropped_mode_norm_rel"] for p in sweep.propagators]
+                   + sasaki["dropped_mode_norm_rel"] + [mc_route["dropped_mode_norm_rel"]])
+        assert max(dropped) <= circle_grid.n_base * semigroup.UNIT_ROUNDOFF
+
+
 def parallel_frame_sup_l2(grid, spectrum, eps, t_grid):
     """The sweep's sup L2 error at one eps, with the induced form assembled
     in the parallel normal frame of a constant curve with total torsion a
@@ -390,7 +531,7 @@ def test_twisted_sweep_matches_the_parallel_frame():
     spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
     eps_list, t_grid = [0.2, 0.1, 0.05], semigroup.default_t_grid(5)
     res = semigroup.convergence_sweep(grid, spectrum, eps_list, t_grid)
-    assert res.spectral_paths == ["block"] * 3
+    assert [p["spectral_path"] for p in res.propagators] == ["block"] * 3
     gaps = [
         abs(sup / parallel_frame_sup_l2(grid, spectrum, eps, t_grid) - 1.0)
         for eps, sup in zip(eps_list, res.sup_errors["L2"])

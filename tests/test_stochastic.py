@@ -281,7 +281,7 @@ class TestCrossValidation:
         # the central cross-check: path estimator vs the two-sided heat-flow
         # ratio at the same tube radius (small dt-bias allowance)
         est = stochastic.marginal_estimate(feasible_ensemble, np.cos, 0.05)
-        (op,) = semigroup.conditional_flow_operator(
+        (op,), _ = semigroup.conditional_flow_operator(
             circle_grid, circle_spectrum, 0.2, 0.1, [0.05], np.cos(circle_grid.base_x)
         )
         assert abs(est.value - op[0]) < 3.0 * est.std_error + 2e-3
@@ -314,7 +314,7 @@ class TestGuidedSampler:
     def test_matches_operator_route(self, guided_ensemble, circle_grid,
                                     circle_spectrum):
         times = (0.05, 0.1)
-        op = semigroup.conditional_flow_operator(
+        op, _ = semigroup.conditional_flow_operator(
             circle_grid, circle_spectrum, 0.2, 0.1, times, np.cos(circle_grid.base_x)
         )
         for t, row in zip(times, op):
