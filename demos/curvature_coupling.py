@@ -1,6 +1,6 @@
 """Structure of the curvature coupling on the synthetic disc-fiber model.
 
-With one curvature component switched on, the induced vertical metric
+With the ambient curvature c switched on, the induced vertical metric
 deviates from the product one at second order; the resulting coupling form
 is nonpositive, blind to the fiber ground band, and its operator version
 commutes with the fiber Laplacian exactly on the tensor grid.
@@ -10,7 +10,7 @@ import numpy as np
 
 from tubelab import SyntheticFiberModel, discretize, fiber
 
-model = SyntheticFiberModel(codim=2, curvature=1.5)
+model = SyntheticFiberModel(curvature=1.5)
 grid = discretize.build_grid(model, 1, 48, 32)
 spectrum = fiber.fiber_spectrum(grid.fiber, n_modes=6)
 

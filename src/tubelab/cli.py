@@ -111,7 +111,6 @@ SCHEMA = {
         "kappa0": (REAL, 1.0),
         "tau0": (REAL, 0.0),
         "length": (POSITIVE, 2.0 * math.pi),
-        "codim": (COUNT, 2),
         "curvature": (REAL, 0.0),
     },
     "grid": {"n_base": (COUNT, None), "n_fiber": (COUNT, 31), "n_theta": (COUNT, 16)},
@@ -219,7 +218,7 @@ def build_model(cfg):
         if m["kind"] == "curve":
             return geometry.constant_curve(m["kappa0"], m["tau0"], m["length"])
         if m["kind"] == "synthetic":
-            return geometry.SyntheticFiberModel(m["codim"], m["curvature"])
+            return geometry.SyntheticFiberModel(m["curvature"])
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
     raise ConfigError("model.kind is required")

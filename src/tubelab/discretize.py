@@ -199,13 +199,6 @@ def base_form(grid, zeta):
     return (X.conj().T @ sp.diags(np.full(grid.n_base, grid.base_h)) @ X).tocsr()
 
 
-def _rotation_cometric(w):
-    """Z Z^T for the rotation field Z = (-w2, w1) of a disc fiber: its
-    vertical form is the angular energy integral (d_theta f)^2."""
-    z = np.stack([-w[..., 1], w[..., 0]], axis=-1)
-    return z[..., :, None] * z[..., None, :]
-
-
 def assemble_form(grid, which, eps=None):
     """Assemble one of the named quadratic forms; results are cached."""
     if which not in FORM_NAMES:
@@ -236,13 +229,9 @@ def assemble_form(grid, which, eps=None):
             Q = (Q + _horizontal_form(grid, hor)).tocsr()
     elif which == "Omega":
         model = grid.model
-        if (
-            isinstance(model, geometry.SyntheticFiberModel)
-            and np.any(model.curvature != 0.0)
-        ):
-            rot = grid.fiber.vertical_form(_rotation_cometric)
-            c = model.pair_component
-            Q = (-c / 3.0) * sp.kron(sp.diags(grid.base_w), rot, format="csr")
+        if isinstance(model, geometry.SyntheticFiberModel) and model.curvature != 0.0:
+            rot = grid.fiber.vertical_form(geometry.rotation_cometric)
+            Q = (-model.curvature / 3.0) * sp.kron(sp.diags(grid.base_w), rot, format="csr")
         else:
             # flat-ambient models have no curvature coupling
             Q = sp.csr_matrix((grid.n, grid.n))
@@ -268,10 +257,9 @@ def assemble_operator(grid, which, eps=None):
         model = grid.model
         if not isinstance(model, geometry.SyntheticFiberModel):
             return DiscreteOperator(grid, sp.csr_matrix((grid.n, grid.n)))
-        c = model.pair_component
         Z = grid.fiber.rotation_generator()
         Zfull = sp.kron(sp.identity(grid.n_base, format="csr"), Z, format="csr")
-        Pmat = (c / 3.0) * (Zfull @ Zfull)
+        Pmat = (model.curvature / 3.0) * (Zfull @ Zfull)
         Q = (sp.diags(grid.weights) @ Pmat).tocsr()
         Q = ((Q + Q.T) * 0.5).tocsr()  # symmetric up to roundoff already
         return DiscreteOperator(grid, Q)

@@ -1,10 +1,13 @@
 """Fermi-coordinate geometry of unit-radius tubes around a closed submanifold.
 
-A point of the rescaled tube is a base coordinate together with a normal
-vector W of length at most one; the physical displacement is eps * W.
-All metric data is expressed in the block basis (tangent frame, normal
-frame) at the base point, after the fiber rescaling that maps the
-shrinking tube onto the fixed unit tube.  Conventions:
+Three models ship: a circle in the plane (codimension 1), a closed curve
+in flat 3-space (codimension 2), and a synthetic fiber-only model, a point
+base with a disc fiber (codimension 2) in an ambient space of constant
+curvature.  A point of the rescaled tube is a base coordinate together
+with a normal vector W of length at most one; the physical displacement
+is eps * W.  All metric data is expressed in the block basis (tangent
+frame, normal frame) at the base point, after the fiber rescaling that
+maps the shrinking tube onto the fixed unit tube.  Conventions:
 
 * the Laplacian is the geometer's nonnegative one, Delta = -d*d, so the
   flat radial potential of an annulus is U = -1/(4 r^2);
@@ -15,8 +18,9 @@ shrinking tube onto the fixed unit tube.  Conventions:
   N' = -kappa T + tau B and B' = -tau N, the coordinate field d_s of the
   tube has the normal part eps * tau * d_theta, d_theta = w1 d_w2 - w2 d_w1;
   the horizontal lift X = d_s - tau d_theta is orthogonal to the fibers,
-  so the metric blocks below carry no cross term and the torsion enters
-  only through X (discretize).
+  so the metric has no cross block between tangent and normal directions
+  (CometricAt holds the other two) and the torsion enters only through X
+  (discretize).
 
 Every operation takes arrays of points.  Base coordinates may have any
 shape and fiber coordinates have shape (..., q); the two broadcast against
@@ -49,18 +53,12 @@ class CircleInPlane:
     """Circle of the given radius in the flat plane (codimension 1)."""
 
     radius: float
+    dim_base = 1
+    codim = 1
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-
-    @property
-    def dim_base(self):
-        return 1
-
-    @property
-    def codim(self):
-        return 1
 
     @property
     def base_length(self):
@@ -74,6 +72,9 @@ class CurveInSpace:
     co-rotating one of the module docstring, which closes up for any total
     torsion."""
 
+    dim_base = 1
+    codim = 2
+
     def __init__(self, kappa, tau, length):
         if length <= 0:
             raise ValueError("length must be positive")
@@ -82,23 +83,8 @@ class CurveInSpace:
         self.length = float(length)
 
     @property
-    def dim_base(self):
-        return 1
-
-    @property
-    def codim(self):
-        return 2
-
-    @property
     def base_length(self):
         return self.length
-
-    def curvature_vector(self, s):
-        """Normal-frame components of the curvature vector at arc length s,
-        shape s.shape + (2,)."""
-        s = np.asarray(s, dtype=float)
-        kap = np.broadcast_to(np.asarray(self.kappa(np.mod(s, self.length)), dtype=float), s.shape)
-        return np.stack([kap, np.zeros_like(kap)], axis=-1)
 
 
 def constant_curve(kappa0, tau0, length):
@@ -119,65 +105,35 @@ def ellipse_curve(a, b):
     return CurveInSpace(kappa, lambda sv: 0.0, length)
 
 
+def rotation_cometric(w):
+    """Z Z^T for the rotation field Z = (-w2, w1) of a disc fiber: its
+    vertical form is the angular energy integral (d_theta f)^2."""
+    w = np.asarray(w, dtype=float)
+    z = np.stack([-w[..., 1], w[..., 0]], axis=-1)
+    return z[..., :, None] * z[..., None, :]
+
+
 class SyntheticFiberModel:
-    """Fiber-only model (a point base) with prescribed constant ambient
-    curvature components c[mu, alpha, nu, beta] = <R(e_mu, e_alpha) e_nu, e_beta>.
+    """Fiber-only model: a point base with a disc fiber (codimension 2) in an
+    ambient space of constant curvature.  In codimension 2 the symmetries of
+    the curvature tensor leave one independent component,
+    curvature = c = <R(e2, e1) e2, e1>.
 
     Exists to exercise the curvature coupling in isolation; the metric is the
     exact inversion of the second-order truncated Jacobi endomorphism.
     """
 
-    def __init__(self, codim=2, curvature=0.0):
-        if codim < 2:
-            raise ValueError("synthetic fiber model needs codimension >= 2")
-        self.codim_value = int(codim)
-        q = self.codim_value
-        c = np.asarray(curvature, dtype=float)
-        if c.ndim == 0:
-            if q != 2:
-                raise ValueError("scalar curvature shorthand only for codim 2")
-            comp = np.zeros((2, 2, 2, 2))
-            val = float(c)
-            # single independent component <R(e2,e1)e2,e1> = val
-            comp[1, 0, 1, 0] = val
-            comp[0, 1, 0, 1] = val
-            comp[1, 0, 0, 1] = -val
-            comp[0, 1, 1, 0] = -val
-            c = comp
-        if c.shape != (q, q, q, q):
-            raise ValueError("curvature tensor has wrong shape")
-        if not (
-            np.allclose(c, -np.transpose(c, (1, 0, 2, 3)))
-            and np.allclose(c, -np.transpose(c, (0, 1, 3, 2)))
-            and np.allclose(c, np.transpose(c, (2, 3, 0, 1)))
-        ):
-            raise ValueError("curvature components violate the symmetries")
-        self.curvature = c
+    dim_base = 0
+    codim = 2
+    base_length = 0.0
 
-    @property
-    def dim_base(self):
-        return 0
-
-    @property
-    def codim(self):
-        return self.codim_value
-
-    @property
-    def base_length(self):
-        return 0.0
-
-    @property
-    def pair_component(self):
-        """The single independent component for codim 2."""
-        if self.codim_value != 2:
-            raise NotImplementedError("only defined for codimension 2")
-        return float(self.curvature[1, 0, 1, 0])
+    def __init__(self, curvature=0.0):
+        self.curvature = float(curvature)
 
     def curvature_operator(self, w):
-        """Matrix of V -> R(W, V) W in the normal frame, shape w.shape + (q,)."""
-        w = np.asarray(w, dtype=float)
-        # M[..., beta, alpha] = w_mu w_nu c[mu, alpha, nu, beta]
-        return np.einsum("...m,...n,manb->...ba", w, w, self.curvature)
+        """Matrix of V -> R(W, V) W in the normal frame, c Z Z^T with the
+        rotation field Z = (-w2, w1); shape w.shape + (2,)."""
+        return self.curvature * rotation_cometric(w)
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +168,11 @@ class TubePoint:
 @dataclass(frozen=True)
 class CometricAt:
     """Cometric blocks in the (tangent, normal) frame, after the fiber
-    rescaling of covectors, stacked over the points: (..., l, l),
-    (..., q, q) and (..., l, q)."""
+    rescaling of covectors, stacked over the points: (..., l, l) and
+    (..., q, q).  The tangent-normal block is zero for every model."""
 
     horizontal: np.ndarray
     vertical: np.ndarray
-    cross: np.ndarray
-
-    def full(self):
-        l = self.horizontal.shape[-1]
-        q = self.vertical.shape[-1]
-        g = np.zeros(self.vertical.shape[:-2] + (l + q, l + q))
-        g[..., :l, :l] = self.horizontal
-        g[..., l:, l:] = self.vertical
-        g[..., :l, l:] = self.cross
-        g[..., l:, :l] = np.swapaxes(self.cross, -1, -2)
-        return g
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +181,8 @@ class CometricAt:
 
 
 def weingarten(model, base, w):
-    """Shape operator A_W on the tangent space, W = sum_i w_i n_i.
+    """Shape operator A_W on the tangent space of a base curve (circle or
+    space curve), W = sum_i w_i n_i.
 
     Sign convention is frozen against the annulus: for the circle of radius R
     and W the outward unit normal, A_W = [-1/R] (the tube's horizontal metric
@@ -246,9 +192,9 @@ def weingarten(model, base, w):
     if isinstance(model, CircleInPlane):
         return np.broadcast_to(-w[..., 0] / model.radius, shape)[..., None, None]
     if isinstance(model, CurveInSpace):
-        return model.curvature_vector(base)[..., None, :] @ w[..., :, None]
-    if isinstance(model, SyntheticFiberModel):
-        return np.zeros(shape + (0, 0))
+        # the curvature vector is (kappa, 0) in the co-rotating frame
+        kap = np.asarray(model.kappa(np.mod(base, model.length)), dtype=float)
+        return np.broadcast_to(kap * w[..., 0], shape)[..., None, None]
     raise NotImplementedError(f"unsupported model kind: {type(model).__name__}")
 
 
@@ -291,14 +237,11 @@ def cometric(model, point):
     l = model.dim_base
     q = model.codim
     A = jacobi_endomorphism(model, point.base, point.w, eps)
-    G = np.swapaxes(A, -1, -2) @ A
-    try:
-        Ginv = np.linalg.inv(G)
-    except np.linalg.LinAlgError as exc:
-        raise FocalRadiusExceeded("tube metric singular") from exc
+    # jacobi_endomorphism has refused a degenerate A, so G is invertible
+    Ginv = np.linalg.inv(np.swapaxes(A, -1, -2) @ A)
     scale = np.concatenate([np.ones(l), np.full(q, 1.0 / eps)])
     full = Ginv * np.outer(scale, scale)
-    return CometricAt(full[..., :l, :l], full[..., l:, l:], full[..., :l, l:])
+    return CometricAt(full[..., :l, :l], full[..., l:, l:])
 
 
 def density_rho(model, point):

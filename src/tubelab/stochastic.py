@@ -374,12 +374,13 @@ class MarginalEstimate:
     n_survived: int
 
 
-def marginal_estimate(ensemble, f, t, min_ess=MIN_ESS):
+def marginal_estimate(ensemble, f, t):
     """Self-normalized estimate of the conditioned marginal E[f(theta_t)].
 
     The ratio of weighted sums runs over the survivors only, centred on the
     first survivor's value c0: c0 + sum(b (f - c0)) / sum(b).  Standard
-    error by the delta method for that ratio."""
+    error by the delta method for that ratio.  Raises LowEffectiveSampleSize
+    when the effective sample size is below MIN_ESS."""
     k = int(np.argmin(np.abs(ensemble.t_record - t)))
     if abs(ensemble.t_record[k] - t) > 1e-9 * max(t, 1.0):
         raise ValueError(f"time {t} was not recorded")
@@ -397,10 +398,8 @@ def marginal_estimate(ensemble, f, t, min_ess=MIN_ESS):
     resid = b * (dev - mean)
     se = math.sqrt(float(np.sum(resid**2))) / bsum
     ess = bsum**2 / float(np.sum(b**2))
-    if ess < min_ess:
-        raise LowEffectiveSampleSize(
-            f"effective sample size {ess:.1f} below {min_ess}"
-        )
+    if ess < MIN_ESS:
+        raise LowEffectiveSampleSize(f"effective sample size {ess:.1f} below {MIN_ESS}")
     return MarginalEstimate(c0 + mean, se, ess, len(s))
 
 

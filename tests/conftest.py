@@ -22,7 +22,7 @@ def circle_spectrum(circle_grid):
 
 @pytest.fixture(scope="session")
 def synthetic_model():
-    return tl.SyntheticFiberModel(2, 1.5)
+    return tl.SyntheticFiberModel(1.5)
 
 
 @pytest.fixture(scope="session")

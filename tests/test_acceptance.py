@@ -135,7 +135,7 @@ def test_criterion_6_resolvent_convergence(grid64, spec64, rng):
 
 
 def test_criterion_7_curvature_coupling():
-    model = tl.SyntheticFiberModel(2, 1.5)
+    model = tl.SyntheticFiberModel(1.5)
 
     def suite(n_fiber):
         grid = discretize.build_grid(model, 1, n_fiber, 16)

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -186,6 +189,17 @@ def test_readme_config_table_names_every_schema_key():
         for key in (spec if isinstance(spec, dict) else [None])
     }
     assert documented == schema
+
+
+def test_cli_import_leaves_sparse_linalg_unloaded():
+    # no subcommand needs scipy's sparse solvers, and importing them costs
+    # start-up time on every run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, tubelab.cli; assert 'scipy.sparse.linalg' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # Values the property test writes over config entries, valid and invalid.

@@ -92,7 +92,7 @@ class TestForms:
     def test_omega_sign_and_vertical_bound(self, synthetic_grid, synthetic_model):
         # Omega is nonpositive and |Omega(f)| <= (c/3) q_V(f): the angular
         # derivative is one part of the flat fiber energy
-        c = synthetic_model.pair_component
+        c = synthetic_model.curvature
         Om = discretize.assemble_form(synthetic_grid, "Omega")
         qv = discretize.assemble_form(synthetic_grid, "V")
         fields = discretize.random_fields(synthetic_grid, 10, 5)

@@ -362,7 +362,7 @@ STRUCTURE_CASES = {
         lambda: _pencil(tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 16, 8, 8), (16, 64)
     ),
     "ellipse": (lambda: _pencil(tl.ellipse_curve(1.2, 0.8), 12, 8, 8), (1, 12 * 64)),
-    "synthetic": (lambda: _pencil(tl.SyntheticFiberModel(2, 1.5), 1, 12, 8), (1, 96)),
+    "synthetic": (lambda: _pencil(tl.SyntheticFiberModel(1.5), 1, 12, 8), (1, 96)),
 }
 
 

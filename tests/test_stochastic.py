@@ -102,11 +102,12 @@ class TestSampler:
                 tl.constant_curve(1.0, 0.0, 6.0), 0.5, 0.0, 0.1, 0.01, 100, 1
             )
 
-    def test_estimator_guards(self, feasible_ensemble):
+    def test_estimator_guards(self, feasible_ensemble, monkeypatch):
         with pytest.raises(ValueError):
             stochastic.marginal_estimate(feasible_ensemble, np.cos, 0.033)
+        monkeypatch.setattr(stochastic, "MIN_ESS", 1e9)
         with pytest.raises(tl.LowEffectiveSampleSize):
-            stochastic.marginal_estimate(feasible_ensemble, np.cos, 0.05, min_ess=1e9)
+            stochastic.marginal_estimate(feasible_ensemble, np.cos, 0.05)
 
     def test_no_survivors_degenerate(self):
         # one path over many steps in a thin tube dies almost surely
