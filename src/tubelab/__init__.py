@@ -51,7 +51,6 @@ from .discretize import (
     random_fields,
     renormalize,
     residual_h1_bound,
-    residual_r_eps,
     sobolev_norm,
 )
 from .semigroup import (

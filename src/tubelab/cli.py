@@ -283,14 +283,11 @@ class Result:
 
 
 def cmd_validate(cfg, grid, spectrum, eps_list, seed, workers):
-    n_fields = cfg["validate"]["n_fields"]
     results = {"composite_spectrum": suites.composite_spectrum_check(grid, eps_list[0])}
+    fields = discretize.random_fields(grid, cfg["validate"]["n_fields"], seed)
     if isinstance(grid.model, geometry.SyntheticFiberModel):
-        results["curvature_coupling"] = suites.curvature_coupling_suite(
-            grid, spectrum, seed, min(n_fields, 25)
-        )
+        results["curvature_coupling"] = suites.curvature_coupling_suite(grid, spectrum, fields)
     else:
-        fields = discretize.random_fields(grid, n_fields, seed)
         bound = suites.admissible_eps_bound(spectrum)
         adm = [e for e in eps_list if e <= bound]
         values = suites.form_values(grid, spectrum, adm, fields)

@@ -273,49 +273,39 @@ def renormalize(grid, which, eps, lam0):
     return DiscreteOperator(grid, (op.form - (lam0 / eps**2) * sp.diags(op.weights)).tocsr())
 
 
-def residual_r_eps(grid, eps):
-    """First-order metric residual (Induced - Sasaki - Omega) / eps as a form."""
-    Q = (
-        assemble_form(grid, "InducedEps", eps)
-        - assemble_form(grid, "SasakiEps", eps)
-        - assemble_form(grid, "Omega")
-    ) / eps
-    return DiscreteOperator(grid, Q.tocsr())
-
-
 def h1_form(grid):
-    """Sasaki energy at eps = 1 (the fixed reference H1 seminorm); cached
-    on the grid."""
-    if "h1_form" not in grid.cache:
-        grid.cache["h1_form"] = (assemble_form(grid, "V") + assemble_form(grid, "H")).tocsr()
-    return grid.cache["h1_form"]
+    """Sasaki energy at eps = 1, the fixed reference H1 seminorm: the
+    ("SasakiEps", 1.0) form of the form cache."""
+    return assemble_form(grid, "SasakiEps", 1.0)
 
 
 def residual_h1_bound(grid, eps):
-    """Largest |r_eps(f)| over the discrete H1 unit ball (dense pencil)."""
-    Q = residual_r_eps(grid, eps).form.toarray()
+    """Largest |r_eps(f)| over the discrete H1 unit ball (dense pencil), r_eps
+    = (Induced - Sasaki - Omega) / eps the first-order metric residual form."""
+    Q = ((assemble_form(grid, "InducedEps", eps) - assemble_form(grid, "SasakiEps", eps)
+          - assemble_form(grid, "Omega")) / eps).toarray()
     B = np.diag(grid.weights) + h1_form(grid).toarray()
     vals = scipy.linalg.eigh(0.5 * (Q + Q.T), B, eigvals_only=True)
     return float(np.max(np.abs(vals)))
 
 
 def sobolev_norm(grid, f, order):
-    """Discrete Sobolev norm of a field: order 0, 1 or 2.
-
-    Order 1 adds the reference tube energy; order 2 adds the squared weighted
-    norm of the reference tube Laplacian applied to the field."""
-    f = np.asarray(f)
-    n0sq = grid.inner(f, f)
-    if order == 0:
-        return math.sqrt(n0sq)
-    Q1 = h1_form(grid)
-    n1sq = n0sq + float(f @ (Q1 @ f))
-    if order == 1:
-        return math.sqrt(n1sq)
-    if order == 2:
-        lap = (Q1 @ f) / grid.weights
-        return math.sqrt(n1sq + grid.inner(lap, lap))
-    raise ValueError("order must be 0, 1 or 2")
+    """Discrete Sobolev norm of a field, of any order k >= 0:
+    |f|_k^2 = sum_{j <= k} <f, L^j f>_W with L = W^-1 Q1 the reference tube
+    Laplacian (Q1 = h1_form): j = 2i + 1 adds L^i f . Q1 L^i f and
+    j = 2i + 2 adds |L^(i+1) f|_W^2."""
+    if order < 0:
+        raise ValueError("order must be at least 0")
+    g = np.asarray(f)
+    total = grid.inner(g, g)
+    for j in range(1, order + 1):
+        if j % 2:
+            Qg = h1_form(grid) @ g
+            total += float(g @ Qg)
+        else:
+            g = Qg / grid.weights
+            total += grid.inner(g, g)
+    return math.sqrt(total)
 
 
 def random_fields(grid, n_fields, seed):

@@ -46,6 +46,12 @@ largest such mass relative to |f|_W is reported as dropped_mode_norm_rel
 next to the number of blocks decomposed.  Every datum the CLI propagates
 lives in base modes 0 and 1, so its propagators decompose two blocks.
 
+Caches.  One per quantity: the forms by (name, eps) on the grid
+(discretize.assemble_form), the Fourier basis by n_base, the Cholesky
+factors of FourierBlocks.solve's last shift and blocks, and a Propagator's
+eigenpairs by block.  Blocks are rebuilt from D and N on demand, at
+O(n_fiber^2) each, below the cost of any solve on them.
+
 Dense path.  Any other pencil is the one-block case n_base = 1, whose only
 basis vector is c_0 = 1.  Up to DENSE_CUTOFF nodes it gets one dense
 generalized eigendecomposition, so semigroup laws hold to solver accuracy.
@@ -125,43 +131,30 @@ def _fourier_basis(n_base):
 class FourierBlocks:
     """A pencil in the real Fourier basis of its base, one block per mode.
 
-    blocks[k] is B_k of the module docstring, built from D and N: a block
-    is built when work first needs it, and every block when `blocks` is
-    first read.  Fields move between nodes and modes as arrays of shape
-    (n_base // 2 + 1, 2, n_fiber): row [k, 0] holds the c_k coefficients,
-    row [k, 1] the s_k ones (zero where s_k is absent); complex blocks take
-    the one row z = c + i s.  A pencil without base structure is the
-    one-block case n_base = 1, N = None: its block D is the whole form,
-    kept sparse until it is first needed, and its modes have the one row of
-    c_0 = 1.  The basis is built once per n_base and shared."""
+    blocks(ks) builds the blocks B_k of the module docstring for the modes
+    ks from D and N, on demand.  Fields move between nodes and modes as
+    arrays of shape (n_base // 2 + 1, 2, n_fiber): row [k, 0] holds the c_k
+    coefficients, row [k, 1] the s_k ones (zero where s_k is absent);
+    complex blocks take the one row z = c + i s.  A pencil without base
+    structure is the one-block case n_base = 1, N = None: its block D is
+    the whole form, kept sparse until it is needed, and its modes have the
+    one row of c_0 = 1."""
 
     def __init__(self, w_row, n_base, D, N=None):
         self.n_base = n_base
         self.w_row = w_row
         self._D, self._N = D, N
-        self._blocks = None
         # torsion makes N non-symmetric and the blocks complex (module docstring)
         self.complex = N is not None and not np.array_equal(N, N.T)
         self.basis, self.multiplicity = _fourier_basis(n_base)
         # (shift, blocks) of the Cholesky factors `solve` keeps, and the factors
         self._factor = (None, None)
 
-    @property
-    def blocks(self):
-        if self._blocks is None:
-            self._blocks = self._build(np.arange(len(self.multiplicity)))
-        return self._blocks
-
-    def _stack(self, ks):
-        """The blocks ks (every block for None), stacked; a subset is built
-        on its own while not every block is."""
-        if ks is None or self._blocks is not None:
-            return self.blocks if ks is None else self.blocks[ks]
-        return self._build(np.asarray(ks))
-
-    def _build(self, k):
+    def blocks(self, ks=None):
+        """The blocks B_k for k in ks (every block for None), stacked."""
         if self._N is None:
             return self._D.toarray()[None]
+        k = np.arange(len(self.multiplicity)) if ks is None else np.asarray(ks)
         angle = 2.0 * np.pi * k / self.n_base
         D, N = self._D, self._N
         blocks = D + np.cos(angle)[:, None, None] * (N + N.T)
@@ -192,20 +185,25 @@ class FourierBlocks:
         return (self.basis @ g.reshape(self.basis.shape[1], -1)).ravel()
 
     def reach(self, modes):
-        """(reached, mass) of the datum f with these modes (to_modes):
-        mass[k] is the weighted norm of f's part in block k, so that
-        |f|_W = |mass| (Parseval), and block k is reached when mass[k] is
-        above n_base * u * |f|_W or not finite (module docstring)."""
+        """(ks, dropped) of the datum f with these modes (to_modes).  With
+        mass[k] the weighted norm of f's part in block k, so that |f|_W =
+        |mass| (Parseval), block k is reached when mass[k] is above
+        n_base * u * |f|_W or not finite (module docstring); ks lists the
+        reached blocks, ascending, and dropped is the largest mass of an
+        unreached block relative to |f|_W (0 when none is, or f = 0)."""
         mass = np.sqrt(np.einsum("krj,j->k", np.abs(modes) ** 2, self.w_row))
-        bound = self.n_base * UNIT_ROUNDOFF * np.sqrt(np.sum(mass**2))
-        return ~(np.isfinite(mass) & (mass <= bound)), mass
+        norm = np.sqrt(np.sum(mass**2))
+        reached = ~(np.isfinite(mass) & (mass <= self.n_base * UNIT_ROUNDOFF * norm))
+        left = mass[~reached]
+        dropped = float(left.max() / norm) if left.size and norm > 0 else 0.0
+        return np.flatnonzero(reached), dropped
 
     def eigh(self, ks=None, eigvals_only=False):
         """Generalized eigenpairs of (B_k, diag(w_row)) for the blocks ks
         (every block by default), stacked, from one batched eigh of the
         blocks scaled by L^-1 on both sides, L = diag(w_row)^1/2;
         eigenvectors are diag(w_row)-orthonormal."""
-        B = self._stack(ks)
+        B = self.blocks(ks)
         root = np.sqrt(self.w_row)
         # the lower triangle is scaled in LAPACK's own order (xSYGS2, xSYGST
         # on blocks below its block size), so small blocks keep the bits of
@@ -227,7 +225,7 @@ class FourierBlocks:
         Raises LinAlgError when a shifted block is not positive definite."""
         key = (shift, None if ks is None else tuple(ks))
         if self._factor[0] != key:
-            shifted = self._stack(ks) + shift * np.diag(self.w_row)
+            shifted = self.blocks(ks) + shift * np.diag(self.w_row)
             self._factor = key, np.linalg.cholesky(shifted)
         # a non-finite right-hand side passes through to the caller's checks
         return np.array([
@@ -238,14 +236,6 @@ class FourierBlocks:
     def spectrum(self, block_vals):
         """All eigenvalues of the full pencil, ascending, with multiplicity."""
         return np.sort(np.repeat(block_vals, self.multiplicity, axis=0).ravel())
-
-
-def _dropped_mass_rel(mass, kept):
-    """The largest mass (FourierBlocks.reach) of a block outside `kept`,
-    relative to |f|_W; 0 when every block is kept or f = 0."""
-    left = mass[~kept]
-    norm = np.sqrt(np.sum(mass**2))
-    return float(left.max() / norm) if left.size and norm > 0 else 0.0
 
 
 def _block_circulant(Q, D, N, n_base):
@@ -325,44 +315,37 @@ class Propagator:
         self.weights = np.asarray(weights, dtype=float)
         self.blocks = fourier_blocks(form, self.weights)
         self.path = self.blocks.path
-        nf = len(self.blocks.w_row)
-        # block k's eigenpairs are row _row[k] of _vals and _vecs, -1 until
-        # it is decomposed
-        self._row = np.full(len(self.blocks.multiplicity), -1)
-        self._vals = np.zeros((0, nf))
-        self._vecs = np.zeros((0, nf, nf))
+        # block index -> (eigenvalues, eigenvectors) of each block decomposed
+        self._eig = {}
         self.dropped_mode_norm_rel = 0.0
 
     @property
     def decomposed(self):
         """The indices of the blocks decomposed so far, ascending."""
-        return np.flatnonzero(self._row >= 0)
+        return np.array(sorted(self._eig), dtype=int)
 
     @property
     def info(self):
         """The PROPAGATOR_KEYS record of this propagator's applies so far."""
-        return {"spectral_path": self.path, "blocks_decomposed": len(self.decomposed),
+        return {"spectral_path": self.path, "blocks_decomposed": len(self._eig),
                 "dropped_mode_norm_rel": self.dropped_mode_norm_rel}
 
     def apply(self, t, f):
         if t < 0:
             raise ValueError("time must be nonnegative")
         modes = self.blocks.to_modes(f)
-        reached, mass = self.blocks.reach(modes)
-        new = np.flatnonzero(reached & (self._row < 0))
-        if len(new):
+        ks, dropped = self.blocks.reach(modes)
+        self.dropped_mode_norm_rel = max(self.dropped_mode_norm_rel, dropped)
+        new = [int(k) for k in ks if k not in self._eig]
+        if new:
             vals, vecs = self.blocks.eigh(new)
-            self._row[new] = len(self._vals) + np.arange(len(new))
-            self._vals = np.concatenate([self._vals, vals])
-            self._vecs = np.concatenate([self._vecs, vecs])
-        self.dropped_mode_norm_rel = max(self.dropped_mode_norm_rel, _dropped_mass_rel(mass, reached))
-        ks = np.flatnonzero(reached)
-        U = self._vecs[self._row[ks]]
-        decay = np.exp(-0.5 * t * self._vals[self._row[ks]])
-        # the forward product takes U^H
-        coef = (modes[ks] * self.blocks.w_row) @ U.conj()
+            self._eig.update(zip(new, zip(vals, vecs)))
         out = np.zeros_like(modes)
-        out[ks] = (decay[:, None, :] * coef) @ U.transpose(0, 2, 1)
+        if len(ks):
+            vals, U = map(np.stack, zip(*(self._eig[k] for k in ks)))
+            # the forward product takes U^H
+            coef = (modes[ks] * self.blocks.w_row) @ U.conj()
+            out[ks] = (np.exp(-0.5 * t * vals)[:, None, :] * coef) @ U.transpose(0, 2, 1)
         return self.blocks.from_modes(out)
 
 
@@ -424,8 +407,7 @@ def resolvent_minimizer(op_h0, alpha, w_field):
     path = blocks.path
     mineig = _coercive(float(np.min(blocks.eigh(eigvals_only=True)[:, 0])) + alpha)
     modes = blocks.to_modes(w_field)
-    reached, mass = blocks.reach(modes)
-    ks = np.flatnonzero(reached)
+    ks, dropped = blocks.reach(modes)
     solved = np.zeros_like(modes)
     # a non-finite datum reaches every block and propagates to the
     # backward-error check
@@ -444,7 +426,7 @@ def resolvent_minimizer(op_h0, alpha, w_field):
             f"({BACKWARD_ERROR_BOUND / UNIT_ROUNDOFF:.0f} u)"
         )
     info = {"residual": rel, "min_eigenvalue": mineig, "spectral_path": path,
-            "blocks_decomposed": len(ks), "dropped_mode_norm_rel": _dropped_mass_rel(mass, reached)}
+            "blocks_decomposed": len(ks), "dropped_mode_norm_rel": dropped}
     info["backward_error"] = float(r / scale) if scale else 0.0
     return f, info
 

@@ -124,8 +124,7 @@ class PathEnsemble:
 
 
 def sample_conditioned(
-    model, eps, theta0, T, dt, n_paths, seed, t_record=None, guided=True,
-    block_size=BLOCK_SIZE, workers=1,
+    model, eps, theta0, T, dt, n_paths, seed, t_record=None, guided=True, workers=1,
 ):
     """Sample an ensemble for the conditioned law; see the module docstring.
 
@@ -166,8 +165,8 @@ def sample_conditioned(
 
 
     def run_block(b):
-        lo = b * block_size
-        hi = min(lo + block_size, n_paths)
+        lo = b * BLOCK_SIZE
+        hi = min(lo + BLOCK_SIZE, n_paths)
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, b])))
         part = np.zeros(n_steps + 1)
         out = (theta[lo:hi], rad[lo:hi], logw[lo:hi], part)
@@ -178,9 +177,9 @@ def sample_conditioned(
         return part
 
     survival = np.zeros(n_steps + 1)
-    with ThreadPoolExecutor(max_workers=pool_size(n_paths, workers, block_size)) as pool:
+    with ThreadPoolExecutor(max_workers=pool_size(n_paths, workers)) as pool:
         # map yields in block order, whatever order the blocks finish in
-        for part in pool.map(run_block, range(block_count(n_paths, block_size))):
+        for part in pool.map(run_block, range(block_count(n_paths))):
             survival += part
     survived = alive_rec[:, int(np.where(rec_steps == n_steps)[0][0])].copy()
     return PathEnsemble(
@@ -199,14 +198,14 @@ def sample_conditioned(
     )
 
 
-def block_count(n_paths, block_size=BLOCK_SIZE):
-    """Blocks sample_conditioned splits n_paths into."""
-    return (n_paths + block_size - 1) // block_size
+def block_count(n_paths):
+    """Blocks of BLOCK_SIZE paths sample_conditioned splits n_paths into."""
+    return (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
 
 
-def pool_size(n_paths, workers, block_size=BLOCK_SIZE):
+def pool_size(n_paths, workers):
     """Threads sample_conditioned runs its blocks on: one per block at most."""
-    return min(workers, block_count(n_paths, block_size))
+    return min(workers, block_count(n_paths))
 
 
 def _killed_block(rng, R, eps, theta0, dt, rec_steps, alive_rec, theta, rad, logw, alive_count):

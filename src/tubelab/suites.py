@@ -191,13 +191,12 @@ def sasaki_limit_check(grid, spectrum, eps_list, t_grid):
     }
 
 
-def curvature_coupling_suite(grid, spectrum, seed, n_fields):
+def curvature_coupling_suite(grid, spectrum, fields):
     """The coupling operator kills the ground band and commutes with the
-    fiber Laplacian; both checked on n_fields random smoothed fields of a
-    disc-fiber grid."""
+    fiber Laplacian; both checked on the random smoothed fields of a
+    disc-fiber grid (discretize.random_fields)."""
     P = discretize.assemble_operator(grid, "P")
     dv = discretize.assemble_operator(grid, "DeltaV")
-    fields = discretize.random_fields(grid, n_fields, seed)
     r_proj, r_comm = 0.0, 0.0
     for f in fields:
         e0 = fiber_mod.project_E0(grid, spectrum, f)
@@ -206,6 +205,7 @@ def curvature_coupling_suite(grid, spectrum, seed, n_fields):
         r_comm = max(r_comm, grid.norm(comm) / discretize.sobolev_norm(grid, f, 2))
     return {
         "n_fiber": grid.fiber.n_r,
+        "n_fields": len(fields),
         "proj_ratio": r_proj,
         "commutator_ratio": r_comm,
         "ok": bool(r_proj <= 1e-6 and r_comm <= 1e-4),

@@ -140,7 +140,8 @@ def test_criterion_7_curvature_coupling():
     def suite(n_fiber):
         grid = discretize.build_grid(model, 1, n_fiber, 16)
         spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-        return suites.curvature_coupling_suite(grid, spectrum, 12345, 20)
+        fields = discretize.random_fields(grid, 20, 12345)
+        return suites.curvature_coupling_suite(grid, spectrum, fields)
 
     coarse, fine = suite(63), suite(127)
     # both ratios vanish identically by the circulant structure; refinement

@@ -314,6 +314,13 @@ class TestValidateCommand:
         rep = json.loads((out / "validate.json").read_text())
         assert rep["curvature_coupling"]["ok"] is True
 
+    def test_synthetic_runs_the_configured_field_count(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.yaml", SYNTHETIC + "validate:\n  n_fields: 30\n")
+        out = tmp_path / "o"
+        assert run(["validate", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "validate.json").read_text())
+        assert rep["curvature_coupling"]["n_fields"] == 30
+
 
 class TestSweepCommand:
     SWEEP = BASE + (
@@ -336,6 +343,36 @@ class TestSweepCommand:
         assert header[0].startswith("# tubelab") and "config_hash=" in header[0]
         assert header[1] == "eps,t,err_L2,err_H1,err_H2"
         assert (out1 / "run.log").exists()
+
+
+# name -> config of the in-process rerun test: a circle (an interval fiber
+# of 13 nodes resolves the 6 modes every subcommand needs) and a twisted
+# curve, whose blocks are complex
+RERUN_CONFIGS = {
+    "circle": "model:\n  kind: circle\ngrid:\n  n_base: 16\n  n_fiber: 13\n",
+    "twisted": "model:\n  kind: curve\n  tau0: 1.0\ngrid:\n  n_base: 16\n  n_fiber: 8\n"
+               "  n_theta: 8\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RERUN_CONFIGS))
+def test_in_process_reruns_are_byte_identical(tmp_path, name):
+    # the second run of each subcommand finds the module-level caches (the
+    # Fourier basis by n_base) warm, and must write the same bytes
+    text = RERUN_CONFIGS[name] + (
+        "validate:\n  eps_list: [0.2, 0.1]\n  n_fields: 5\n"
+        "resolvent:\n  eps_list: [0.2, 0.1]\n  n_perturbations: 2\n"
+    )
+    cfg = write_cfg(tmp_path, "c.yaml", text)
+    for command in ("fiber", "validate", "resolvent"):
+        outs = [tmp_path / f"{command}{i}" for i in range(2)]
+        for out in outs:
+            assert run([command, "--config", cfg, "--out", str(out)]) == 0
+        files = sorted(p.name for p in outs[0].iterdir() if p.name != "run.log")
+        assert files == sorted(p.name for p in outs[1].iterdir() if p.name != "run.log")
+        assert files
+        for file in files:
+            assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes(), file
 
 
 def test_twisted_curve_runs_on_the_block_path(tmp_path):

@@ -201,7 +201,28 @@ class TestResidualAndNorms:
         n2 = discretize.sobolev_norm(circle_grid, f, 2)
         assert n0 <= n1 <= n2
         with pytest.raises(ValueError):
-            discretize.sobolev_norm(circle_grid, f, 3)
+            discretize.sobolev_norm(circle_grid, f, -1)
+
+    def test_sobolev_norm_any_order_matches_dense(self, circle_model, rng):
+        # |f|_k^2 = sum_{j <= k} <f, L^j f>_W, L = W^-1 Q1, built densely
+        g = discretize.build_grid(circle_model, 16, 8)
+        L = discretize.h1_form(g).toarray() / g.weights[:, None]
+        f = rng.standard_normal(g.n)
+        powers = [f]
+        for _ in range(4):
+            powers.append(L @ powers[-1])
+        terms = [g.inner(f, p) for p in powers]
+        for k in range(5):
+            ref = math.sqrt(sum(terms[: k + 1]))
+            assert discretize.sobolev_norm(g, f, k) == pytest.approx(ref, rel=1e-12)
+
+    def test_h1_form_is_the_cached_sasaki_form_at_eps_1(self, circle_model):
+        g = discretize.build_grid(circle_model, 16, 8)
+        q1 = discretize.h1_form(g)
+        assert q1 is discretize.assemble_form(g, "SasakiEps", 1.0)
+        ref = (discretize.assemble_form(g, "V") + discretize.assemble_form(g, "H")).tocsr()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(q1, name), getattr(ref, name))
 
     def test_random_fields_deterministic(self, circle_grid):
         a = discretize.random_fields(circle_grid, 3, 42)

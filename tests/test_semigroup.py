@@ -264,7 +264,7 @@ class TestBlockCore:
         blocks = semigroup.fourier_blocks(op.form, op.weights)
         assert blocks.path == "block"
         assert blocks.n_base == grid.n_base
-        assert blocks.blocks.shape == (grid.n_base // 2 + 1, grid.n_fiber, grid.n_fiber)
+        assert blocks.blocks().shape == (grid.n_base // 2 + 1, grid.n_fiber, grid.n_fiber)
         assert blocks.multiplicity.sum() == grid.n_base
 
     def test_propagator_matches_dense(self, block_case, rng):
@@ -310,7 +310,7 @@ class TestBlockCore:
         alpha = spectrum.lambda0 + 1.5
         rhs = blocks.to_modes(rng.standard_normal(grid.n))
         x = blocks.solve(alpha, rhs)
-        for k, B in enumerate(blocks.blocks):
+        for k, B in enumerate(blocks.blocks()):
             assert_spectra_match(vals[k], scipy.linalg.eigh(B, W, eigvals_only=True))
             V = vecs[k]
             assert np.max(np.abs(V.conj().T @ W @ V - np.eye(len(W)))) < 1e-10

@@ -60,12 +60,13 @@ class TestSampler:
         assert not np.array_equal(a.theta, c.theta)
 
     @pytest.mark.parametrize("guided", [False, True])
-    def test_largest_seed_repeats(self, guided):
+    def test_largest_seed_repeats(self, guided, monkeypatch):
         # 2**64 - 1 is the largest seed the config accepts; its neighbour
         # draws another stream
+        monkeypatch.setattr(stochastic, "BLOCK_SIZE", 300)
         m = tl.CircleInPlane(1.0)
         kw = dict(eps=0.2, theta0=0.0, T=0.05, dt=0.002, n_paths=700,
-                  t_record=[0.02, 0.05], guided=guided, block_size=300)
+                  t_record=[0.02, 0.05], guided=guided)
         a = stochastic.sample_conditioned(m, seed=2**64 - 1, **kw)
         b = stochastic.sample_conditioned(m, seed=2**64 - 1, **kw)
         c = stochastic.sample_conditioned(m, seed=2**64 - 2, **kw)
@@ -119,14 +120,15 @@ class TestSampler:
             with pytest.raises(tl.DegenerateConditioning):
                 stochastic.marginal_estimate(ens, np.cos, 0.1)
 
-    def test_dead_block_stops_stepping(self):
+    def test_dead_block_stops_stepping(self, monkeypatch):
         # survival to t = 0.5 is about exp(-pi^2 t / (8 eps^2)) ~ 1e-27, so every
         # block dies early; its later records are frozen and flagged dead, and
         # nothing depends on how long the horizon runs past the last death
+        monkeypatch.setattr(stochastic, "BLOCK_SIZE", 200)
         m = tl.CircleInPlane(1.0)
         eps = 0.1
         kw = dict(eps=eps, theta0=0.0, dt=eps**2 / 10, n_paths=600, seed=5,
-                  guided=False, block_size=200)
+                  guided=False)
         long = stochastic.sample_conditioned(m, T=1.0, t_record=[0.5, 1.0], **kw)
         short = stochastic.sample_conditioned(m, T=0.5, t_record=[0.5], **kw)
         assert not long.alive.any() and long.survival_fraction() == 0.0
@@ -205,11 +207,12 @@ class TestKilledReference:
     # each block lives, t = 0.3 and 0.5 after every path died.  650 paths
     # in blocks of 200, the last one short.
     KW = dict(eps=0.1, theta0=0.4, T=0.5, dt=0.001, n_paths=650, seed=11,
-              t_record=[0.0, 0.02, 0.3, 0.5], block_size=200)
+              t_record=[0.0, 0.02, 0.3, 0.5])
 
-    def test_matches_full_array_stepper(self):
+    def test_matches_full_array_stepper(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "BLOCK_SIZE", 200)
         ens = stochastic.sample_conditioned(tl.CircleInPlane(1.0), guided=False, **self.KW)
-        want = killed_reference(1.0, **self.KW)
+        want = killed_reference(1.0, block_size=200, **self.KW)
         for name, value in want.items():
             assert np.array_equal(getattr(ens, name), value), name
         # deaths before the first record after 0, none alive at T
@@ -239,10 +242,11 @@ class TestBlockParallelism:
     # 650 paths in blocks of 200: four blocks, the last one short; five
     # workers are more than the blocks
     KW = dict(eps=0.2, theta0=0.0, T=0.05, dt=0.002, n_paths=650, seed=7,
-              t_record=[0.02, 0.05], block_size=200)
+              t_record=[0.02, 0.05])
 
     @pytest.mark.parametrize("guided", [False, True])
-    def test_worker_count_invariance(self, guided):
+    def test_worker_count_invariance(self, guided, monkeypatch):
+        monkeypatch.setattr(stochastic, "BLOCK_SIZE", 200)
         m = tl.CircleInPlane(1.0)
         # a short switch interval interleaves the block threads finely, so
         # the short last block tends to finish first; summing the survival
@@ -269,11 +273,12 @@ class TestBlockParallelism:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(stochastic, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(stochastic, "BLOCK_SIZE", 200)
         m = tl.CircleInPlane(1.0)
         stochastic.sample_conditioned(m, workers=10**6, **self.KW)
         stochastic.sample_conditioned(m, workers=3, **self.KW)
         assert sizes == [4, 3]
-        assert stochastic.pool_size(650, 10**6, 200) == 4
+        assert stochastic.pool_size(650, 10**6) == 4
 
 
 class TestCrossValidation:
@@ -322,14 +327,15 @@ class TestGuidedSampler:
             est = stochastic.marginal_estimate(guided_ensemble, np.cos, t)
             assert abs(est.value - row[0]) < 3.0 * est.std_error + 2e-3
 
-    def test_deterministic_per_block(self):
+    def test_deterministic_per_block(self, monkeypatch):
         # TestSampler.test_deterministic_in_seed covers reruns of the default
         # (guided) sampler; here each block's paths depend on (seed, block)
         # only, not on how many blocks follow, for either sampler
+        monkeypatch.setattr(stochastic, "BLOCK_SIZE", 1000)
         m = tl.CircleInPlane(1.0)
         for guided in (True, False):
             kw = dict(eps=0.2, theta0=0.0, T=0.05, dt=0.002, seed=7,
-                      t_record=[0.02, 0.05], block_size=1000, guided=guided)
+                      t_record=[0.02, 0.05], guided=guided)
             a = stochastic.sample_conditioned(m, n_paths=2000, **kw)
             b = stochastic.sample_conditioned(m, n_paths=2500, **kw)
             assert np.array_equal(a.theta, b.theta[:2000])
