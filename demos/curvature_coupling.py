@@ -15,8 +15,8 @@ grid = discretize.build_grid(model, 1, 48, 32)
 spectrum = fiber.fiber_spectrum(grid.fiber, n_modes=6)
 
 Om = discretize.assemble_form(grid, "Omega")
-P = discretize.assemble_operator(grid, "P")
-dv = discretize.assemble_operator(grid, "DeltaV")
+P = discretize.DiscreteOperator(grid, discretize.assemble_form(grid, "P"))
+dv = discretize.DiscreteOperator(grid, discretize.assemble_form(grid, "V"))
 
 fields = discretize.random_fields(grid, 5, 2024)
 print("coupling form on smoothed random fields (always <= 0):")

@@ -46,7 +46,6 @@ from .discretize import (
     DiscreteOperator,
     ProductGrid,
     assemble_form,
-    assemble_operator,
     build_grid,
     random_fields,
     renormalize,

@@ -13,13 +13,18 @@ lift X = d_s - tau d_theta of the co-rotating normal frame (geometry), so
 Sasaki and induced forms share one frame, and a constant curve's forms are
 block-circulant with or without torsion (semigroup.fourier_blocks).
 
-Form names:
+Form names (FORM_NAMES), the one operator vocabulary: the operator of a
+form is DiscreteOperator(grid, form).  The tube forms (TUBE_FORMS) take eps.
   V           flat fiber Dirichlet energy (no epsilon)
   H           horizontal energy with unit coefficient (no epsilon)
   SasakiEps   eps^-2 V + H, exact at the matrix level
   InducedEps  exact induced cometric of the model at radius eps
   Omega       curvature coupling term, -c/3 times the fiber rotation energy
-              (nonzero only for the curved synthetic model)
+              by one-sided differences; residual_h1_bound subtracts it
+  P           the coupling operator c/3 Z^2 as a form, Z the centred fiber
+              rotation generator: it commutes with the fiber Laplacian and
+              kills the ground band exactly (suites.curvature_coupling_suite)
+Both coupling forms are zero except on the curved synthetic model.
 """
 
 from __future__ import annotations
@@ -34,7 +39,9 @@ import scipy.sparse as sp
 from . import fiber as fiber_mod
 from . import geometry
 
-FORM_NAMES = ("V", "H", "SasakiEps", "InducedEps", "Omega")
+FORM_NAMES = ("V", "H", "SasakiEps", "InducedEps", "Omega", "P")
+# the forms that take eps: the Sasaki and induced tube forms
+TUBE_FORMS = ("SasakiEps", "InducedEps")
 # refinement of the grid-error pre-check (refined_grid)
 REFINE_FACTOR = 1.5
 # fields per smoothing solve of random_fields: few enough that the stacked
@@ -200,14 +207,20 @@ def base_form(grid, zeta):
 
 
 def assemble_form(grid, which, eps=None):
-    """Assemble one of the named quadratic forms; results are cached."""
+    """Assemble one of the named quadratic forms; results are cached on the
+    grid, a tube form by (name, eps) and any other by name alone: an eps
+    passed with an eps-free form is ignored."""
     if which not in FORM_NAMES:
         raise ValueError(f"unknown form {which!r}")
-    if which in ("SasakiEps", "InducedEps") and (eps is None or not 0 < eps <= 1):
+    if which not in TUBE_FORMS:
+        eps = None
+    elif eps is None or not 0 < eps <= 1:
         raise ValueError("these forms need epsilon in (0, 1]")
     key = (which, eps)
     if key in grid.cache:
         return grid.cache[key]
+    model = grid.model
+    synthetic = isinstance(model, geometry.SyntheticFiberModel)
     if which == "V":
         Q = sp.kron(sp.diags(grid.base_w), grid.fiber.vertical_form(), format="csr")
     elif which == "H":
@@ -217,7 +230,6 @@ def assemble_form(grid, which, eps=None):
     elif which == "InducedEps":
         # one cometric call per block; the vertical block is base-independent
         # for every shipped model
-        model = grid.model
         vert = grid.fiber.vertical_form(
             lambda w: geometry.cometric(model, geometry.TubePoint(0.0, w, eps)).vertical
         )
@@ -227,50 +239,28 @@ def assemble_form(grid, which, eps=None):
             points = geometry.TubePoint(xmid[:, None], grid.fiber.node_w()[None], eps)
             hor = geometry.cometric(model, points).horizontal[..., 0, 0]
             Q = (Q + _horizontal_form(grid, hor)).tocsr()
-    elif which == "Omega":
-        model = grid.model
-        if isinstance(model, geometry.SyntheticFiberModel) and model.curvature != 0.0:
-            rot = grid.fiber.vertical_form(geometry.rotation_cometric)
-            Q = (-model.curvature / 3.0) * sp.kron(sp.diags(grid.base_w), rot, format="csr")
-        else:
-            # flat-ambient models have no curvature coupling
-            Q = sp.csr_matrix((grid.n, grid.n))
+    elif which == "Omega" and synthetic and model.curvature != 0.0:
+        rot = grid.fiber.vertical_form(geometry.rotation_cometric)
+        Q = (-model.curvature / 3.0) * sp.kron(sp.diags(grid.base_w), rot, format="csr")
+    elif which == "P" and synthetic:
+        Z = sp.kron(sp.identity(grid.n_base, format="csr"),
+                    grid.fiber.rotation_generator(), format="csr")
+        Q = (sp.diags(grid.weights) @ ((model.curvature / 3.0) * (Z @ Z))).tocsr()
+        Q = (Q + Q.T) * 0.5  # symmetric up to roundoff already
+    else:
+        # Omega and P: flat-ambient models have no curvature coupling
+        Q = sp.csr_matrix((grid.n, grid.n))
     grid.cache[key] = Q.tocsr()
     return grid.cache[key]
 
 
-def assemble_operator(grid, which, eps=None):
-    """Named operators over the grid.
-
-    DeltaV, DeltaH: flat fiber and horizontal Laplacians (commute exactly);
-    HSa(eps), H(eps): Sasaki and induced tube operators; P: curvature
-    coupling operator built from the fiber rotation generator."""
-    if which == "DeltaV":
-        return DiscreteOperator(grid, assemble_form(grid, "V"))
-    if which == "DeltaH":
-        return DiscreteOperator(grid, assemble_form(grid, "H"))
-    if which == "HSa":
-        return DiscreteOperator(grid, assemble_form(grid, "SasakiEps", eps))
-    if which == "H":
-        return DiscreteOperator(grid, assemble_form(grid, "InducedEps", eps))
-    if which == "P":
-        model = grid.model
-        if not isinstance(model, geometry.SyntheticFiberModel):
-            return DiscreteOperator(grid, sp.csr_matrix((grid.n, grid.n)))
-        Z = grid.fiber.rotation_generator()
-        Zfull = sp.kron(sp.identity(grid.n_base, format="csr"), Z, format="csr")
-        Pmat = (model.curvature / 3.0) * (Zfull @ Zfull)
-        Q = (sp.diags(grid.weights) @ Pmat).tocsr()
-        Q = ((Q + Q.T) * 0.5).tocsr()  # symmetric up to roundoff already
-        return DiscreteOperator(grid, Q)
-    raise ValueError(f"unknown operator {which!r}")
-
-
 def renormalize(grid, which, eps, lam0):
-    """The renormalized tube operator "HSa" or "H" at radius eps: its form
-    minus the fiber ground energy, form - (lam0/eps^2) * weights."""
-    op = assemble_operator(grid, which, eps)
-    return DiscreteOperator(grid, (op.form - (lam0 / eps**2) * sp.diags(op.weights)).tocsr())
+    """The renormalized operator of the tube form `which` (TUBE_FORMS) at
+    radius eps: form - (lam0/eps^2) * weights."""
+    if which not in TUBE_FORMS:
+        raise ValueError(f"renormalize takes a tube form {TUBE_FORMS}, not {which!r}")
+    Q = assemble_form(grid, which, eps)
+    return DiscreteOperator(grid, (Q - (lam0 / eps**2) * sp.diags(grid.weights)).tocsr())
 
 
 def h1_form(grid):

@@ -46,17 +46,20 @@ largest such mass relative to |f|_W is reported as dropped_mode_norm_rel
 next to the number of blocks decomposed.  Every datum the CLI propagates
 lives in base modes 0 and 1, so its propagators decompose two blocks.
 
-Caches.  One per quantity: the forms by (name, eps) on the grid
-(discretize.assemble_form), the Fourier basis by n_base, the Cholesky
-factors of FourierBlocks.solve's last shift and blocks, and a Propagator's
-eigenpairs by block.  Blocks are rebuilt from D and N on demand, at
-O(n_fiber^2) each, below the cost of any solve on them.
+Caches.  One per quantity: the forms on the grid, a tube form by
+(name, eps) and any other by name (discretize.assemble_form), the Fourier
+basis by n_base, the Cholesky factors of FourierBlocks.solve's last shift
+and blocks, and a Propagator's eigenpairs by block.  Blocks are rebuilt
+from D and N on demand, at O(n_fiber^2) each, below the cost of any solve
+on them.
 
 Dense path.  Any other pencil is the one-block case n_base = 1, whose only
-basis vector is c_0 = 1.  Up to DENSE_CUTOFF nodes it gets one dense
-generalized eigendecomposition, so semigroup laws hold to solver accuracy.
-Above it propagators and resolvent solves refuse it (ResolutionError); of
-the shipped models only the library's ellipse_curve makes such a pencil.
+basis vector is c_0 = 1: every synthetic-model pencil, and the library's
+ellipse_curve.  It gets one dense generalized eigendecomposition, so
+semigroup laws hold to solver accuracy.  Above DENSE_CUTOFF nodes
+Propagator and resolvent_minimizer refuse it (ResolutionError); they alone
+read the path, and pencil_eigenvalues and FourierBlocks.solve run at any
+size.
 
 Accuracy on fine grids.  An eigensolve is accurate to about u |B_k| in
 each eigenvalue, and the renormalized pencil's spread grows like eps^-2.
@@ -349,16 +352,10 @@ class Propagator:
         return self.blocks.from_modes(out)
 
 
-def base_laplacian(grid):
-    """(form, weights) of the Laplacian on the base circle alone."""
-    return discretize.base_form(grid, 0.0), grid.base_w
-
-
 def limit_propagate(grid, spectrum, t_grid, f):
     """Limit semigroup at each time of t_grid, shape (len(t_grid), grid.n):
     project f to the ground fiber state once, run the base heat flow."""
-    Qb, wb = base_laplacian(grid)
-    base_prop = Propagator(Qb, wb)
+    base_prop = Propagator(discretize.base_form(grid, 0.0), grid.base_w)
     fb = fiber_mod.extract_fb(grid, spectrum, f)
     return np.array([np.outer(base_prop.apply(t, fb), spectrum.ground_state).ravel()
                      for t in t_grid])
@@ -435,10 +432,9 @@ def resolvent_limit(grid, spectrum, alpha, w_field):
     """Ground-band limit of the resolvent: the base resolvent
     (base Laplacian + alpha)^-1 of the projected datum, lifted by the fiber
     ground state."""
-    Qb, wb = base_laplacian(grid)
-    blocks = fourier_blocks(Qb, wb)
+    blocks = fourier_blocks(discretize.base_form(grid, 0.0), grid.base_w)
     fb = fiber_mod.extract_fb(grid, spectrum, w_field)
-    gb = blocks.from_modes(blocks.solve(alpha, blocks.to_modes(wb * fb)))
+    gb = blocks.from_modes(blocks.solve(alpha, blocks.to_modes(grid.base_w * fb)))
     return np.outer(gb, spectrum.ground_state).ravel()
 
 
@@ -452,7 +448,7 @@ def resolvent_study(grid, spectrum, eps_list, alpha, w_field, rng, n_perturbatio
     limit = resolvent_limit(grid, spectrum, alpha, w_field)
     errors, infos, variational_ok = [], [], True
     for eps in eps_list:
-        h0 = discretize.renormalize(grid, "H", eps, spectrum.lambda0)
+        h0 = discretize.renormalize(grid, "InducedEps", eps, spectrum.lambda0)
         f, info = resolvent_minimizer(h0, alpha, w_field)
         base_phi = phi_functional(h0, alpha, w_field, f)
         for _ in range(n_perturbations):
@@ -479,7 +475,7 @@ def conditional_flow_operator(grid, spectrum, eps, T, times, f_base):
     and one survival flow, and that propagator's Propagator.info."""
     if not all(0 <= t <= T for t in times):
         raise ValueError("need 0 <= t <= T")
-    h0 = discretize.renormalize(grid, "H", eps, spectrum.lambda0)
+    h0 = discretize.renormalize(grid, "InducedEps", eps, spectrum.lambda0)
     propagator = Propagator(h0.form, h0.weights)
 
     def flow(s, g):
@@ -513,9 +509,10 @@ NORMS = {"L2": 0, "H1": 1, "H2": 2}
 def collapse_errors(grid, spectrum, which, eps_list, t_grid, f, order=0):
     """errors[i, j, k] = |P_t^eps f - P_t^0 f|_k, the Sobolev norm of order
     k = 0..order (discretize.sobolev_norm) of the distance from the flow of
-    the renormalized operator `which` ("HSa" or "H") at eps = eps_list[i] to
-    the limit flow, at t = t_grid[j].  Returns (errors, infos, seconds): the
-    Propagator.info and the seconds of each eps."""
+    the renormalized tube form `which` (discretize.TUBE_FORMS) at
+    eps = eps_list[i] to the limit flow, at t = t_grid[j].  Returns
+    (errors, infos, seconds): the Propagator.info and the seconds of each
+    eps."""
     limit = limit_propagate(grid, spectrum, t_grid, f)
     errors = np.empty((len(eps_list), len(t_grid), order + 1))
     infos, seconds = [], []
@@ -589,7 +586,7 @@ def convergence_sweep(grid, spectrum, eps_list, t_grid=None, pre_check=False):
     t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     u = default_sweep_field(grid, spectrum)
     errors, infos, runtimes = collapse_errors(
-        grid, spectrum, "H", eps_list, t_grid, u, order=max(NORMS.values())
+        grid, spectrum, "InducedEps", eps_list, t_grid, u, order=max(NORMS.values())
     )
     p, r2 = _loglog_fit(eps_list, errors[:, :, NORMS["L2"]].max(axis=1))
     result = SweepResult(eps_list, t_grid, errors, p, r2, runtimes, infos)
@@ -597,7 +594,7 @@ def convergence_sweep(grid, spectrum, eps_list, t_grid=None, pre_check=False):
         fine = discretize.refined_grid(grid)
         fine_spectrum = fiber_mod.fiber_spectrum(fine.fiber)
         fine_errors, (result.pre_check_propagator,), _ = collapse_errors(
-            fine, fine_spectrum, "H", eps_list[:1], t_grid,
+            fine, fine_spectrum, "InducedEps", eps_list[:1], t_grid,
             default_sweep_field(fine, fine_spectrum),
         )
         coarsest = float(result.sup_errors["L2"][0])

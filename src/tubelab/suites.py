@@ -36,7 +36,8 @@ def composite_spectrum_check(grid, eps):
     the fiber (angular_sectors; the interval is one sector), a level of the
     sector's fiber form over eps^2 plus one of the base form twisted by
     tau * zeta_m (discretize.base_form); checked by solves per sector."""
-    vals2d = discretize.assemble_operator(grid, "HSa", eps).eig()
+    qs = discretize.assemble_form(grid, "SasakiEps", eps)
+    vals2d = discretize.DiscreteOperator(grid, qs).eig()
     fib = grid.fiber
     V, W = fib.vertical_form().toarray(), np.diag(fib.weights)
     parts = []
@@ -177,7 +178,7 @@ def sasaki_limit_check(grid, spectrum, eps_list, t_grid):
     g1 = EXCITED_MIXING * (1.0 + np.cos(grid.base_angle))
     f = (np.outer(g0, phi0) + np.outer(g1, phi1)).ravel()
     nf = grid.norm(f)
-    errors, infos, _ = semigroup.collapse_errors(grid, spectrum, "HSa", eps_list, t_grid, f)
+    errors, infos, _ = semigroup.collapse_errors(grid, spectrum, "SasakiEps", eps_list, t_grid, f)
     lhs = errors[:, :, 0]
     rhs = np.array([
         [math.exp(-t * (lam1 - lam0) / (2.0 * eps**2)) * nf for t in t_grid] for eps in eps_list
@@ -195,8 +196,8 @@ def curvature_coupling_suite(grid, spectrum, fields):
     """The coupling operator kills the ground band and commutes with the
     fiber Laplacian; both checked on the random smoothed fields of a
     disc-fiber grid (discretize.random_fields)."""
-    P = discretize.assemble_operator(grid, "P")
-    dv = discretize.assemble_operator(grid, "DeltaV")
+    P = discretize.DiscreteOperator(grid, discretize.assemble_form(grid, "P"))
+    dv = discretize.DiscreteOperator(grid, discretize.assemble_form(grid, "V"))
     r_proj, r_comm = 0.0, 0.0
     for f in fields:
         e0 = fiber_mod.project_E0(grid, spectrum, f)

@@ -67,7 +67,7 @@ def test_criterion_3_excited_mode_decay_bound(grid64, spec64):
     f = np.outer(1.0 + np.cos(grid64.base_x), phi1).ravel()
     nf = grid64.norm(f)
     eps_list, t_grid = (0.2, 0.1, 0.05, 0.025), semigroup.default_t_grid()
-    errors, _, _ = semigroup.collapse_errors(grid64, spec64, "HSa", eps_list, t_grid, f)
+    errors, _, _ = semigroup.collapse_errors(grid64, spec64, "SasakiEps", eps_list, t_grid, f)
     lhs = errors[:, :, 0]
     rhs = np.array([
         [math.exp(-t * (lam1 - lam0) / (2 * eps**2)) * nf for t in t_grid] for eps in eps_list

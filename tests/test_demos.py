@@ -22,7 +22,8 @@ def test_demo_exits_0(demo):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        # warnings fail the demos as they fail the test suite
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -86,6 +86,15 @@ class TestForms:
         with pytest.raises(ValueError):
             discretize.assemble_form(circle_grid, "InducedEps")
 
+    def test_eps_free_forms_cached_by_name(self, circle_model):
+        # an eps passed with an eps-free form is ignored: one cache entry
+        g = discretize.build_grid(circle_model, 16, 8)
+        for which in ("V", "H", "Omega", "P"):
+            Q = discretize.assemble_form(g, which)
+            assert discretize.assemble_form(g, which, 0.2) is Q
+            assert discretize.assemble_form(g, which, 5.0) is Q
+            assert [key for key in g.cache if key[0] == which] == [(which, None)]
+
     def test_omega_zero_for_flat_models(self, circle_grid):
         assert discretize.assemble_form(circle_grid, "Omega").nnz == 0
 
@@ -112,7 +121,8 @@ class TestForms:
 
 class TestOperators:
     def test_apply_symmetric(self, circle_grid, rng):
-        op = discretize.assemble_operator(circle_grid, "H", 0.2)
+        form = discretize.assemble_form(circle_grid, "InducedEps", 0.2)
+        op = discretize.DiscreteOperator(circle_grid, form)
         f = rng.standard_normal(circle_grid.n)
         g = rng.standard_normal(circle_grid.n)
         assert circle_grid.inner(op.apply(f), g) == pytest.approx(
@@ -120,8 +130,8 @@ class TestOperators:
         )
 
     def test_flat_laplacians_commute(self, circle_grid, rng):
-        dv = discretize.assemble_operator(circle_grid, "DeltaV")
-        dh = discretize.assemble_operator(circle_grid, "DeltaH")
+        dv = discretize.DiscreteOperator(circle_grid, discretize.assemble_form(circle_grid, "V"))
+        dh = discretize.DiscreteOperator(circle_grid, discretize.assemble_form(circle_grid, "H"))
         f = rng.standard_normal(circle_grid.n)
         comm = dv.apply(dh.apply(f)) - dh.apply(dv.apply(f))
         scale = circle_grid.norm(dv.apply(dh.apply(f)))
@@ -129,7 +139,7 @@ class TestOperators:
 
     def test_renormalize_reference_identity(self, circle_grid, circle_spectrum):
         lam0 = circle_spectrum.lambda0
-        op0 = discretize.renormalize(circle_grid, "HSa", 1.0, lam0)
+        op0 = discretize.renormalize(circle_grid, "SasakiEps", 1.0, lam0)
         expect = (
             discretize.assemble_form(circle_grid, "V")
             + discretize.assemble_form(circle_grid, "H")
@@ -139,43 +149,68 @@ class TestOperators:
 
     def test_renormalized_ground_energy_vanishes(self, circle_grid, circle_spectrum):
         eps = 0.2
-        op0 = discretize.renormalize(circle_grid, "HSa", eps, circle_spectrum.lambda0)
+        op0 = discretize.renormalize(circle_grid, "SasakiEps", eps, circle_spectrum.lambda0)
         f = np.outer(np.ones(circle_grid.n_base), circle_spectrum.ground_state).ravel()
         assert abs(op0.form_value(f)) < 1e-9 * circle_grid.inner(f, f)
 
+    def test_renormalize_takes_tube_forms_only(self, circle_grid, circle_spectrum):
+        # eps-free forms and a name of no form
+        for which in "V P HSa".split():
+            with pytest.raises(ValueError):
+                discretize.renormalize(circle_grid, which, 0.2, circle_spectrum.lambda0)
+
     def test_p_zero_for_flat_models(self, circle_grid):
-        assert discretize.assemble_operator(circle_grid, "P").form.nnz == 0
+        P = discretize.assemble_form(circle_grid, "P")
+        assert P.shape == (circle_grid.n, circle_grid.n) and P.nnz == 0
+        # the form is cached on the grid like every named form
+        assert discretize.assemble_form(circle_grid, "P") is P
+
+    def test_p_is_the_weighted_square_of_the_rotation_generator(self, synthetic_grid):
+        # c/3 diag(W) kron(I, Z)^2, symmetrized, operation for operation
+        g, c = synthetic_grid, synthetic_grid.model.curvature
+        Z = g.fiber.rotation_generator()
+        Z = sp.kron(sp.identity(g.n_base, format="csr"), Z, format="csr")
+        ref = (sp.diags(g.weights) @ ((c / 3.0) * (Z @ Z))).tocsr()
+        ref = ((ref + ref.T) * 0.5).tocsr()
+        P = discretize.assemble_form(g, "P")
+        assert discretize.assemble_form(g, "P") is P
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(P, name), getattr(ref, name))
 
     def test_p_kills_ground_band_exactly(self, synthetic_grid, rng):
-        spec = fiber_mod.fiber_spectrum(synthetic_grid.fiber, n_modes=6)
-        P = discretize.assemble_operator(synthetic_grid, "P")
-        f = rng.standard_normal(synthetic_grid.n)
-        e0 = fiber_mod.project_E0(synthetic_grid, spec, f)
-        assert synthetic_grid.norm(P.apply(e0)) == 0.0
+        g = synthetic_grid
+        spec = fiber_mod.fiber_spectrum(g.fiber, n_modes=6)
+        P = discretize.DiscreteOperator(g, discretize.assemble_form(g, "P"))
+        f = rng.standard_normal(g.n)
+        e0 = fiber_mod.project_E0(g, spec, f)
+        assert g.norm(P.apply(e0)) == 0.0
 
     def test_p_commutes_with_fiber_laplacian(self, synthetic_grid, rng):
-        P = discretize.assemble_operator(synthetic_grid, "P")
-        dv = discretize.assemble_operator(synthetic_grid, "DeltaV")
-        f = rng.standard_normal(synthetic_grid.n)
+        g = synthetic_grid
+        P = discretize.DiscreteOperator(g, discretize.assemble_form(g, "P"))
+        dv = discretize.DiscreteOperator(g, discretize.assemble_form(g, "V"))
+        f = rng.standard_normal(g.n)
         comm = dv.apply(P.apply(f)) - P.apply(dv.apply(f))
-        scale = synthetic_grid.norm(dv.apply(f)) + synthetic_grid.norm(P.apply(f))
-        assert synthetic_grid.norm(comm) < 1e-10 * scale
+        scale = g.norm(dv.apply(f)) + g.norm(P.apply(f))
+        assert g.norm(comm) < 1e-10 * scale
 
     def test_p_matches_omega_on_smooth_field(self, synthetic_grid):
         # centered (P) vs one-sided (Omega) angular differences agree on a
         # smooth field to the angular discretization order
-        r, t = synthetic_grid.fiber.node_rt()
+        g = synthetic_grid
+        r, t = g.fiber.node_rt()
         f = (1 - r**2) * r**2 * np.sin(2 * t)
-        P = discretize.assemble_operator(synthetic_grid, "P")
-        Om = discretize.assemble_form(synthetic_grid, "Omega")
-        pv = synthetic_grid.inner(f, P.apply(f))
+        P = discretize.DiscreteOperator(g, discretize.assemble_form(g, "P"))
+        Om = discretize.assemble_form(g, "Omega")
+        pv = g.inner(f, P.apply(f))
         ov = float(f @ (Om @ f))
         assert pv == pytest.approx(ov, rel=0.08)
         # and the agreement tightens under angular refinement
-        g2 = discretize.build_grid(synthetic_grid.model, 1, 48, 64)
+        g2 = discretize.build_grid(g.model, 1, 48, 64)
         r2, t2 = g2.fiber.node_rt()
         f2 = (1 - r2**2) * r2**2 * np.sin(2 * t2)
-        pv2 = g2.inner(f2, discretize.assemble_operator(g2, "P").apply(f2))
+        P2 = discretize.DiscreteOperator(g2, discretize.assemble_form(g2, "P"))
+        pv2 = g2.inner(f2, P2.apply(f2))
         ov2 = float(f2 @ (discretize.assemble_form(g2, "Omega") @ f2))
         assert abs(pv2 / ov2 - 1.0) < abs(pv / ov - 1.0)
 

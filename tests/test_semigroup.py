@@ -18,18 +18,18 @@ def ellipse_2880():
     # the ellipse changes along the base, so it has no block structure
     grid = discretize.build_grid(tl.ellipse_curve(1.2, 0.8), 36, 10, 8)
     spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-    return grid, spectrum, discretize.renormalize(grid, "H", 0.1, spectrum.lambda0)
+    return grid, spectrum, discretize.renormalize(grid, "InducedEps", 0.1, spectrum.lambda0)
 
 
 class TestPropagator:
     def test_identity_at_zero(self, circle_grid, circle_spectrum, rng):
-        op = discretize.renormalize(circle_grid, "HSa", 0.2, circle_spectrum.lambda0)
+        op = discretize.renormalize(circle_grid, "SasakiEps", 0.2, circle_spectrum.lambda0)
         prop = semigroup.Propagator(op.form, op.weights)
         f = rng.standard_normal(circle_grid.n)
         assert circle_grid.norm(prop.apply(0.0, f) - f) < 1e-9 * circle_grid.norm(f)
 
     def test_semigroup_law(self, circle_grid, circle_spectrum, rng):
-        op = discretize.renormalize(circle_grid, "HSa", 0.2, circle_spectrum.lambda0)
+        op = discretize.renormalize(circle_grid, "SasakiEps", 0.2, circle_spectrum.lambda0)
         prop = semigroup.Propagator(op.form, op.weights)
         f = rng.standard_normal(circle_grid.n)
         lhs = prop.apply(0.3, prop.apply(0.2, f))
@@ -37,14 +37,14 @@ class TestPropagator:
         assert circle_grid.norm(lhs - rhs) < 1e-9 * circle_grid.norm(f)
 
     def test_contraction_for_psd_form(self, circle_grid, rng):
-        qs = discretize.assemble_operator(circle_grid, "HSa", 0.3)
-        prop = semigroup.Propagator(qs.form, qs.weights)
+        qs = discretize.assemble_form(circle_grid, "SasakiEps", 0.3)
+        prop = semigroup.Propagator(qs, circle_grid.weights)
         f = rng.standard_normal(circle_grid.n)
         assert circle_grid.norm(prop.apply(1.0, f)) <= circle_grid.norm(f) * (1 + 1e-12)
 
     def test_negative_time_rejected(self, circle_grid):
-        qs = discretize.assemble_operator(circle_grid, "HSa", 0.3)
-        prop = semigroup.Propagator(qs.form, qs.weights)
+        qs = discretize.assemble_form(circle_grid, "SasakiEps", 0.3)
+        prop = semigroup.Propagator(qs, circle_grid.weights)
         with pytest.raises(ValueError):
             prop.apply(-0.1, np.zeros(circle_grid.n))
 
@@ -83,7 +83,7 @@ class TestLimitSemigroup:
 class TestResolvent:
     def test_solves_shifted_equation(self, circle_grid, circle_spectrum):
         alpha = circle_spectrum.lambda0 + 1.5
-        op0 = discretize.renormalize(circle_grid, "H", 0.1, circle_spectrum.lambda0)
+        op0 = discretize.renormalize(circle_grid, "InducedEps", 0.1, circle_spectrum.lambda0)
         w = semigroup.default_sweep_field(circle_grid, circle_spectrum)
         f, info = semigroup.resolvent_minimizer(op0, alpha, w)
         assert info["residual"] < 1e-10
@@ -92,7 +92,7 @@ class TestResolvent:
 
     def test_variational_minimum(self, circle_grid, circle_spectrum, rng):
         alpha = circle_spectrum.lambda0 + 1.5
-        op0 = discretize.renormalize(circle_grid, "H", 0.1, circle_spectrum.lambda0)
+        op0 = discretize.renormalize(circle_grid, "InducedEps", 0.1, circle_spectrum.lambda0)
         w = semigroup.default_sweep_field(circle_grid, circle_spectrum)
         f, _ = semigroup.resolvent_minimizer(op0, alpha, w)
         base = semigroup.phi_functional(op0, alpha, w, f)
@@ -102,7 +102,7 @@ class TestResolvent:
             assert semigroup.phi_functional(op0, alpha, w, f + d) > base
 
     def test_indefinite_shift_raises(self, circle_grid, circle_spectrum):
-        op0 = discretize.renormalize(circle_grid, "H", 0.1, circle_spectrum.lambda0)
+        op0 = discretize.renormalize(circle_grid, "InducedEps", 0.1, circle_spectrum.lambda0)
         w = np.ones(circle_grid.n)
         with pytest.raises(tl.CoercivityViolation):
             semigroup.resolvent_minimizer(op0, -100.0, w)
@@ -115,7 +115,7 @@ class TestResolvent:
         for model in (tl.ellipse_curve(1.2, 0.8), block):
             grid = discretize.build_grid(model, 12, 9, 8)
             spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-            op0 = discretize.renormalize(grid, "H", 0.1, spectrum.lambda0)
+            op0 = discretize.renormalize(grid, "InducedEps", 0.1, spectrum.lambda0)
             for bad in (np.nan, np.inf):
                 w = rng.standard_normal(grid.n)
                 w[grid.n // 2] = bad
@@ -183,12 +183,12 @@ class TestCollapseErrors:
         eps_list, t_grid = [0.2, 0.1], np.array([0.1, 0.4])
         f = semigroup.default_sweep_field(circle_grid, circle_spectrum)
         errors, infos, seconds = semigroup.collapse_errors(
-            circle_grid, circle_spectrum, "H", eps_list, t_grid, f, order=2
+            circle_grid, circle_spectrum, "InducedEps", eps_list, t_grid, f, order=2
         )
         assert errors.shape == (2, 2, 3)
         assert [i["spectral_path"] for i in infos] == ["block", "block"]
         assert len(seconds) == 2
-        op = discretize.renormalize(circle_grid, "H", 0.1, circle_spectrum.lambda0)
+        op = discretize.renormalize(circle_grid, "InducedEps", 0.1, circle_spectrum.lambda0)
         prop = semigroup.Propagator(op.form, op.weights)
         (limit,) = semigroup.limit_propagate(circle_grid, circle_spectrum, [0.4], f)
         diff = prop.apply(0.4, f) - limit
@@ -228,13 +228,13 @@ class TestSweep:
 
 
 # the translation-invariant forms of the block tests: (model, n_base,
-# n_fiber, n_theta, operator); the twisted curve has complex Hermitian blocks,
+# n_fiber, n_theta, tube form); the twisted curve has complex Hermitian blocks,
 # whose conjugate has the same spectrum, so these tests compare results too
 BLOCK_CASES = {
-    "circle-induced": (tl.CircleInPlane(1.0), 16, 13, 16, "H"),
-    "circle-sasaki": (tl.CircleInPlane(1.0), 16, 13, 16, "HSa"),
-    "curve-codim2": (tl.constant_curve(1.0, 0.0, 2.0 * math.pi), 12, 8, 8, "H"),
-    "twisted-curve": (tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 16, 8, 8, "H"),
+    "circle-induced": (tl.CircleInPlane(1.0), 16, 13, 16, "InducedEps"),
+    "circle-sasaki": (tl.CircleInPlane(1.0), 16, 13, 16, "SasakiEps"),
+    "curve-codim2": (tl.constant_curve(1.0, 0.0, 2.0 * math.pi), 12, 8, 8, "InducedEps"),
+    "twisted-curve": (tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 16, 8, 8, "InducedEps"),
 }
 
 
@@ -325,7 +325,7 @@ class TestBlockCore:
     def test_ellipse_falls_back_to_dense(self, rng):
         grid = discretize.build_grid(tl.ellipse_curve(1.2, 0.8), 12, 8, 8)
         spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
-        op = discretize.renormalize(grid, "H", 0.1, spectrum.lambda0)
+        op = discretize.renormalize(grid, "InducedEps", 0.1, spectrum.lambda0)
         prop = semigroup.Propagator(op.form, op.weights)
         assert prop.path == "dense"
         vals = dense_eigh(op.form, op.weights, eigvals_only=True)
@@ -339,22 +339,25 @@ class TestBlockCore:
         assert grid.norm(f - ref) < 1e-10 * grid.norm(ref)
 
 
-def _pencil(model, n_base, n_fiber, n_theta=16, which="H"):
+def _pencil(model, n_base, n_fiber, n_theta=16, which="InducedEps"):
     grid = discretize.build_grid(model, n_base, n_fiber, n_theta)
     spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
     op = discretize.renormalize(grid, which, 0.1, spectrum.lambda0)
     return op.form, op.weights
 
 
+def _base_pencil(model, n_base):
+    """The base Laplacian's pencil: the untwisted base form and base weights."""
+    grid = discretize.build_grid(model, n_base, 31)
+    return discretize.base_form(grid, 0.0), grid.base_w
+
+
 # pencil -> (n_base, n_fiber) that fourier_blocks must find; (1, n) is the
 # one block of a pencil without base structure
 STRUCTURE_CASES = {
-    "base-laplacian": (
-        lambda: semigroup.base_laplacian(discretize.build_grid(tl.CircleInPlane(1.0), 64, 31)),
-        (64, 1),
-    ),
+    "base-laplacian": (lambda: _base_pencil(tl.CircleInPlane(1.0), 64), (64, 1)),
     "circle-induced": (lambda: _pencil(tl.CircleInPlane(1.0), 64, 31), (64, 31)),
-    "circle-sasaki": (lambda: _pencil(tl.CircleInPlane(1.0), 64, 31, which="HSa"), (64, 31)),
+    "circle-sasaki": (lambda: _pencil(tl.CircleInPlane(1.0), 64, 31, which="SasakiEps"), (64, 31)),
     "untwisted-curve": (
         lambda: _pencil(tl.constant_curve(1.0, 0.0, 2.0 * math.pi), 16, 10, 8), (16, 80)
     ),
@@ -441,7 +444,7 @@ class TestReach:
 
     def test_band_limited_datum_matches_full_decomposition(self, circle_grid, circle_spectrum):
         grid = circle_grid
-        op = discretize.renormalize(grid, "H", 0.05, circle_spectrum.lambda0)
+        op = discretize.renormalize(grid, "InducedEps", 0.05, circle_spectrum.lambda0)
         prop = semigroup.Propagator(op.form, op.weights)
         f = semigroup.default_sweep_field(grid, circle_spectrum)
         vals, vecs = dense_eigh(op.form, op.weights)
@@ -454,7 +457,7 @@ class TestReach:
         assert 0 < prop.info["dropped_mode_norm_rel"] <= grid.n_base * semigroup.UNIT_ROUNDOFF
 
     def test_decomposed_blocks_are_the_reached_ones(self, circle_grid, circle_spectrum):
-        op = discretize.renormalize(circle_grid, "HSa", 0.1, circle_spectrum.lambda0)
+        op = discretize.renormalize(circle_grid, "SasakiEps", 0.1, circle_spectrum.lambda0)
         prop = semigroup.Propagator(op.form, op.weights)
         prop.apply(0.5, _mode_field(circle_grid, circle_spectrum, [3, 7]))
         assert prop.decomposed.tolist() == [3, 7]
@@ -465,14 +468,14 @@ class TestReach:
         assert prop.decomposed.tolist() == [0, 3, 7, 32]
 
     def test_broadband_datum_decomposes_every_block(self, circle_grid, circle_spectrum):
-        op = discretize.renormalize(circle_grid, "H", 0.1, circle_spectrum.lambda0)
+        op = discretize.renormalize(circle_grid, "InducedEps", 0.1, circle_spectrum.lambda0)
         prop = semigroup.Propagator(op.form, op.weights)
         prop.apply(0.5, discretize.random_fields(circle_grid, 1, 3)[0])
         assert prop.info["blocks_decomposed"] == circle_grid.n_base // 2 + 1
         assert prop.info["dropped_mode_norm_rel"] == 0.0
 
     def test_nan_datum_reaches_every_block(self, circle_grid, circle_spectrum):
-        op = discretize.renormalize(circle_grid, "H", 0.1, circle_spectrum.lambda0)
+        op = discretize.renormalize(circle_grid, "InducedEps", 0.1, circle_spectrum.lambda0)
         prop = semigroup.Propagator(op.form, op.weights)
         f = semigroup.default_sweep_field(circle_grid, circle_spectrum)
         f[7] = np.nan

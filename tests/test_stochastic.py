@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tubelab as tl
-from tubelab import semigroup, stochastic
+from tubelab import discretize, semigroup, stochastic
 
 
 @pytest.fixture(scope="module")
@@ -360,8 +360,7 @@ class TestOracles:
         )
 
     def test_heat_oracle_vs_base_propagator(self, circle_grid):
-        Qb, wb = semigroup.base_laplacian(circle_grid)
-        prop = semigroup.Propagator(Qb, wb)
+        prop = semigroup.Propagator(discretize.base_form(circle_grid, 0.0), circle_grid.base_w)
         f = np.cos(circle_grid.base_x)
         t = 0.5
         got = prop.apply(t, f)
