@@ -14,8 +14,10 @@ to T decays like exp(-pi^2 T / (8 eps^2)): about 4e-14 at T = 1, eps = 0.2,
 where no ensemble of practical size keeps a path.  Each step draws for the
 live paths only, in the order of their rows in the block: dx, dy, then one
 uniform that decides survival at both walls at once (see _killed_block).
-A dead path stops where it died: its records hold that position with
-alive False, and its log-weight is the integral up to that step.
+A dead path stops there and leaves no record: the estimator reads only the
+paths that survive to T, so the ensemble holds the survivors alone, in
+ascending path order, and its memory scales with the survivors, not with
+n_paths.
 
 Guided sampler (the default).  Doob's h-transform (Pinsky,
 Positive Harmonic Functions and Diffusion, 1995) with
@@ -65,17 +67,17 @@ function of (seed, b) alone, not of the other blocks or of the thread that
 runs it.
 
 Block parallelism.  The blocks, of BLOCK_SIZE paths, run on a pool of
-min(workers, n_blocks) threads.  numpy releases the interpreter lock inside
-the draws and the elementwise ufuncs, so the threads overlap; the per-call
-overhead is held under the lock, so a block must be large enough (32768
-paths; the killed sampler's live arrays shrink as paths die) for the work
-outside it to dominate.  A block reads only its own stream and writes
-only its own rows of the output arrays and its own survival part, a row of
-length n_steps + 1; the parts are added into the survival curve in block
-order b = 0, 1, ..., the same floating-point sums in the same order as one
-thread running the blocks one after another.  Which thread runs a block,
-and when, changes no bit of the result, so every result is bit-identical
-for any worker count.
+min(workers, n_blocks) threads; a pool of one is the calling thread.  numpy
+releases the interpreter lock inside the draws and the elementwise ufuncs,
+so the threads overlap; the per-call overhead is held under the lock, so a
+block must be large enough (32768 paths; the killed sampler's live arrays
+shrink as paths die) for the work outside it to dominate.  A block reads
+only its own stream and returns its own rows, in path order, and its own
+survival part, a row of length n_steps + 1.  The rows are concatenated and
+the parts added into the survival curve in block order b = 0, 1, ..., the
+same floating-point sums in the same order as one thread running the blocks
+one after another.  Which thread runs a block, and when, changes no bit of
+the result, so every result is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -107,17 +109,14 @@ class PathEnsemble:
     T: float
     dt: float
     t_record: np.ndarray
-    theta: np.ndarray        # (n_paths, n_record) angle at record times
-    r: np.ndarray            # (n_paths, n_record) radius at record times
-    alive: np.ndarray        # (n_paths, n_record) still inside at that time
-    survived: np.ndarray     # (n_paths,) inside over the whole horizon
-    log_weight: np.ndarray   # (n_paths,) log-weight over [0, T]
+    n_paths: int             # paths sampled
+    # one row per path inside the tube over the whole horizon, in ascending
+    # path order: every guided path, the killed sampler's survivors only
+    theta: np.ndarray        # (rows, n_record) angle at record times
+    r: np.ndarray            # (rows, n_record) radius at record times
+    log_weight: np.ndarray   # (rows,) log-weight over [0, T]
     survival_steps: np.ndarray  # killed-process survival after each step
     seed: int
-
-    @property
-    def n_paths(self):
-        return self.theta.shape[0]
 
     def survival_fraction(self):
         return float(self.survival_steps[-1])
@@ -128,9 +127,10 @@ def sample_conditioned(
 ):
     """Sample an ensemble for the conditioned law; see the module docstring.
 
-    t_record times are snapped to the nearest step.  The guided sampler
-    runs unless guided=False selects the killed one.  The path blocks run
-    on min(workers, n_blocks) threads; the result does not depend on
+    t_record times must lie in [0, T]; each is snapped to the nearest step.
+    The guided sampler runs unless guided=False selects the killed one,
+    whose ensemble keeps only the paths that survive to T.  The path blocks
+    run on min(workers, n_blocks) threads; the result does not depend on
     workers."""
     if not isinstance(model, CircleInPlane):
         raise NotImplementedError(
@@ -148,7 +148,9 @@ def sample_conditioned(
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise StepSizeError("T must be a whole number of steps")
     t_record = np.array([T]) if t_record is None else np.asarray(t_record, dtype=float)
-    rec_steps = np.clip(np.round(t_record / dt).astype(int), 0, n_steps)
+    if np.any(t_record < 0) or np.any(t_record > T):
+        raise ValueError(f"t_record times must lie in [0, T] = [0, {T}]")
+    rec_steps = np.round(t_record / dt).astype(int)
     if n_steps not in rec_steps:
         raise ValueError("t_record must include the horizon T")
     if guided and eps >= R:
@@ -156,42 +158,35 @@ def sample_conditioned(
             f"eps={eps} reaches the centre of the circle of radius {R}: "
             "the guiding function is undefined"
         )
-    n_rec = len(rec_steps)
-
-    theta = np.empty((n_paths, n_rec))
-    rad = np.empty((n_paths, n_rec))
-    alive_rec = np.ones((n_paths, n_rec), dtype=bool)
-    logw = np.empty(n_paths)
-
+    block = _guided_block if guided else _killed_block
 
     def run_block(b):
-        lo = b * BLOCK_SIZE
-        hi = min(lo + BLOCK_SIZE, n_paths)
+        m = min(BLOCK_SIZE, n_paths - b * BLOCK_SIZE)
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, b])))
         part = np.zeros(n_steps + 1)
-        out = (theta[lo:hi], rad[lo:hi], logw[lo:hi], part)
-        if guided:
-            _guided_block(rng, R, eps, theta0, dt, rec_steps, *out)
-        else:
-            _killed_block(rng, R, eps, theta0, dt, rec_steps, alive_rec[lo:hi], *out)
-        return part
+        return block(rng, R, eps, theta0, dt, rec_steps, m, part), part
 
-    survival = np.zeros(n_steps + 1)
-    with ThreadPoolExecutor(max_workers=pool_size(n_paths, workers)) as pool:
-        # map yields in block order, whatever order the blocks finish in
-        for part in pool.map(run_block, range(block_count(n_paths))):
+    blocks = range(block_count(n_paths))
+    n_threads = pool_size(n_paths, workers)
+    rows, survival = [], np.zeros(n_steps + 1)
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        # map yields in block order, whatever order the blocks finish in; a
+        # pool of one is the calling thread, whose blocks then allocate from
+        # the memory the process already holds, not a fresh thread arena
+        results = pool.map(run_block, blocks) if n_threads > 1 else map(run_block, blocks)
+        for block_rows, part in results:
+            rows.append(block_rows)
             survival += part
-    survived = alive_rec[:, int(np.where(rec_steps == n_steps)[0][0])].copy()
+    theta, rad, logw = (np.concatenate(parts) for parts in zip(*rows))
     return PathEnsemble(
         R,
         float(eps),
         n_steps * dt,
         float(dt),
         rec_steps * dt,
+        int(n_paths),
         theta,
         rad,
-        alive_rec,
-        survived,
         logw,
         survival / n_paths,
         int(seed),
@@ -208,19 +203,21 @@ def pool_size(n_paths, workers):
     return min(workers, block_count(n_paths))
 
 
-def _killed_block(rng, R, eps, theta0, dt, rec_steps, alive_rec, theta, rad, logw, alive_count):
-    """Killed, weighted planar Brownian paths of one block, written into the
-    block's output rows; alive_count[step] gains the block's survivors.
+def _killed_block(rng, R, eps, theta0, dt, rec_steps, m, alive_count):
+    """Killed, weighted planar Brownian paths of one block of m paths;
+    alive_count[step] gains the block's survivors.  Returns the survivors'
+    (theta, r, log_weight) in ascending path order.
 
     Each step draws for the n live paths only: n normals dx, n normals dy,
     then n uniforms, draw i going to live row i.  A path's state is its
     position, its radius at the previous step, its integral q of r^-2 and
     its block index, one row of buffers allocated once.  Rows [0, n) hold
-    the live paths and rows [n, m) the dead ones.  After a step that leaves
-    k < n survivors, the survivors in rows [k, n) trade places with the
-    dead in rows [0, k), so the work is per death and the live rows are in
-    no fixed block order.  A dead path's row keeps the position, radius and
-    q of the step on which it died.
+    the live paths.  After a step that leaves k < n survivors, the
+    survivors in rows [k, n) move into the holes the dead left in rows
+    [0, k), so the work is per death and the live rows are in no fixed
+    block order.  A dead path's state is never read again.  Record times
+    write the live rows only, at their block index, so the records of the
+    paths that survive to T are complete and no dead path's are read.
 
     One uniform u covers both walls: the path survives the step when
 
@@ -232,7 +229,6 @@ def _killed_block(rng, R, eps, theta0, dt, rec_steps, alive_rec, theta, rad, log
     one that lands outside the tube has b <= 0 at the wall it crossed and
     b > 0 at the other, so the product is <= 0 and the test, which needs
     no clip at the walls, holds the inside check too."""
-    m = theta.shape[0]
     n_steps = len(alive_count) - 1
     x = np.full(m, R * math.cos(theta0))
     y = np.full(m, R * math.sin(theta0))
@@ -243,12 +239,13 @@ def _killed_block(rng, R, eps, theta0, dt, rec_steps, alive_rec, theta, rad, log
     z = np.empty(m)   # the draws, then scratch
     t1, t2 = np.empty(m), np.empty(m)
     keep = np.empty(m, dtype=bool)
+    theta = np.empty((m, len(rec_steps)))
+    rad = np.empty((m, len(rec_steps)))
 
     def record(step, n):
         for k in np.flatnonzero(rec_steps == step):
-            theta[idx, k] = np.arctan2(y, x)
-            rad[idx, k] = r_prev
-            alive_rec[idx[n:], k] = False
+            theta[idx[:n], k] = np.arctan2(y[:n], x[:n])
+            rad[idx[:n], k] = r_prev[:n]
 
     record(0, m)
     alive_count[0] += m
@@ -295,21 +292,23 @@ def _killed_block(rng, R, eps, theta0, dt, rec_steps, alive_rec, theta, rad, log
         rp[:] = rs
         k = int(np.count_nonzero(ks))
         if k < n:
-            # the survivors in rows [k, n) trade places with the dead in [0, k)
+            # the survivors in rows [k, n) fill the holes of the dead in [0, k)
             holes = np.flatnonzero(~ks[:k])
             movers = k + np.flatnonzero(ks[k:])
             for buf in (x, y, q, r_prev, idx):
-                buf[holes], buf[movers] = buf[movers], buf[holes]
+                buf[holes] = buf[movers]
             n = k
         alive_count[step] += n
         record(step, n)
-    logw[idx] = -0.125 * q
+    order = np.argsort(idx[:n])
+    rows = idx[order]
+    return theta[rows], rad[rows], -0.125 * q[order]
 
 
-def _guided_block(rng, R, eps, theta0, dt, rec_steps, theta, rad, logw, survival):
-    """h-transformed paths of one block, written into the block's output
-    rows; survival[step] gains the block's sum of survival weights."""
-    m = theta.shape[0]
+def _guided_block(rng, R, eps, theta0, dt, rec_steps, m, survival):
+    """h-transformed paths of one block of m paths; survival[step] gains
+    the block's sum of survival weights.  Returns every path's
+    (theta, r, log_weight) in path order."""
     n_steps = len(survival) - 1
     half_k2 = 0.5 * (math.pi / (2.0 * eps)) ** 2
     a = math.pi * dt / (2.0 * eps**2)
@@ -321,6 +320,8 @@ def _guided_block(rng, R, eps, theta0, dt, rec_steps, theta, rad, logw, survival
     inv_r2 = 1.0 / (r * r)
     q_total = np.zeros(m)   # integral of r^-2 over [0, t]
     q_rec = np.zeros(m)     # integral of r^-2 since the last record time
+    theta = np.empty((m, len(rec_steps)))
+    rad = np.empty((m, len(rec_steps)))
 
     def record(step):
         for k in np.where(rec_steps == step)[0]:
@@ -344,7 +345,7 @@ def _guided_block(rng, R, eps, theta0, dt, rec_steps, theta, rad, logw, survival
         shift = log_h0 - half_k2 * step * dt
         survival[step] += float(np.sum(np.exp(shift + 0.125 * q_total - log_h)))
         record(step)
-    logw[:] = log_h0 - half_k2 * n_steps * dt - log_h
+    return theta, rad, log_h0 - half_k2 * n_steps * dt - log_h
 
 
 def _implicit_tan_root(c, a):
@@ -376,19 +377,18 @@ class MarginalEstimate:
 def marginal_estimate(ensemble, f, t):
     """Self-normalized estimate of the conditioned marginal E[f(theta_t)].
 
-    The ratio of weighted sums runs over the survivors only, centred on the
-    first survivor's value c0: c0 + sum(b (f - c0)) / sum(b).  Standard
-    error by the delta method for that ratio.  Raises LowEffectiveSampleSize
-    when the effective sample size is below MIN_ESS."""
+    The ratio of weighted sums runs over the ensemble's rows, the survivors,
+    centred on the first survivor's value c0: c0 + sum(b (f - c0)) / sum(b).
+    Standard error by the delta method for that ratio.  Raises
+    LowEffectiveSampleSize when the effective sample size is below MIN_ESS."""
     k = int(np.argmin(np.abs(ensemble.t_record - t)))
     if abs(ensemble.t_record[k] - t) > 1e-9 * max(t, 1.0):
         raise ValueError(f"time {t} was not recorded")
-    s = np.flatnonzero(ensemble.survived)
-    if len(s) == 0:
+    lw = ensemble.log_weight
+    if len(lw) == 0:
         raise DegenerateConditioning("no path survived the horizon")
-    lw = ensemble.log_weight[s]
     b = np.exp(lw - np.max(lw))
-    vals = np.asarray(f(ensemble.theta[s, k]), dtype=float)
+    vals = np.asarray(f(ensemble.theta[:, k]), dtype=float)
     # centred on the first survivor's value, so a constant f is exact
     c0 = vals[0]
     dev = vals - c0
@@ -399,7 +399,7 @@ def marginal_estimate(ensemble, f, t):
     ess = bsum**2 / float(np.sum(b**2))
     if ess < MIN_ESS:
         raise LowEffectiveSampleSize(f"effective sample size {ess:.1f} below {MIN_ESS}")
-    return MarginalEstimate(c0 + mean, se, ess, len(s))
+    return MarginalEstimate(c0 + mean, se, ess, len(lw))
 
 
 def circle_heat_oracle(radius, theta0, t, cos_coeffs):

@@ -173,7 +173,7 @@ def test_criterion_8_mc_vs_operator_route(circle_model, grid64, spec64):
     )
     expected = n_paths * math.exp(-math.pi**2 * T / (8 * eps**2))
     detail = (
-        f"eps=0.2: {int(np.sum(ens.survived))}/{n_paths} paths survive T=1 "
+        f"eps=0.2: {len(ens.log_weight)}/{n_paths} paths survive T=1 "
         f"(expected {expected:.1e}); eps=0.1, 0.05 have expected survivor counts "
         f"1e-49 and 1e-210; the estimator is undefined at these parameters"
     )

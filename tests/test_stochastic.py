@@ -45,9 +45,19 @@ class TestSampler:
 
     def test_survivors_stay_inside(self, feasible_ensemble):
         ens = feasible_ensemble
-        inside = np.abs(ens.r - 1.0) <= ens.eps + 1e-12
-        assert np.all(inside[ens.survived, :])
+        assert np.all(np.abs(ens.r - 1.0) <= ens.eps + 1e-12)
         assert np.all(np.isfinite(ens.log_weight))
+
+    def test_keeps_survivors_only(self, feasible_ensemble):
+        # one row per path that survived to T, however many were sampled: the
+        # ensemble's memory scales with the survivors, not with n_paths
+        ens = feasible_ensemble
+        rows = round(ens.survival_steps[-1] * ens.n_paths)
+        assert ens.n_paths == 30000 and 0 < rows < ens.n_paths // 10
+        assert ens.theta.shape == ens.r.shape == (rows, len(ens.t_record))
+        assert ens.log_weight.shape == (rows,)
+        held = ens.theta.nbytes + ens.r.nbytes + ens.log_weight.nbytes
+        assert held <= rows * (2 * len(ens.t_record) + 1) * 8
 
     def test_deterministic_in_seed(self):
         m = tl.CircleInPlane(1.0)
@@ -70,7 +80,7 @@ class TestSampler:
         a = stochastic.sample_conditioned(m, seed=2**64 - 1, **kw)
         b = stochastic.sample_conditioned(m, seed=2**64 - 1, **kw)
         c = stochastic.sample_conditioned(m, seed=2**64 - 2, **kw)
-        for name in ("theta", "r", "alive", "log_weight", "survival_steps"):
+        for name in ("theta", "r", "log_weight", "survival_steps"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert np.all(np.isfinite(a.theta)) and a.seed == 2**64 - 1
         assert not np.array_equal(a.theta, c.theta)
@@ -103,6 +113,17 @@ class TestSampler:
                 tl.constant_curve(1.0, 0.0, 6.0), 0.5, 0.0, 0.1, 0.01, 100, 1
             )
 
+    @pytest.mark.parametrize("t_record", [[-0.05, 0.1], [0.05, 0.3], [-0.05, 0.3]])
+    def test_record_times_outside_horizon_rejected(self, t_record):
+        # a time outside [0, T] is an error, not clipped onto 0 or T (a clip
+        # would also pass 0.3 off as the horizon T = 0.1)
+        m = tl.CircleInPlane(1.0)
+        for guided in (False, True):
+            with pytest.raises(ValueError, match=r"\[0, T\]"):
+                stochastic.sample_conditioned(
+                    m, 0.2, 0.0, 0.1, 0.002, 100, 1, t_record=t_record, guided=guided
+                )
+
     def test_estimator_guards(self, feasible_ensemble, monkeypatch):
         with pytest.raises(ValueError):
             stochastic.marginal_estimate(feasible_ensemble, np.cos, 0.033)
@@ -122,8 +143,8 @@ class TestSampler:
 
     def test_dead_block_stops_stepping(self, monkeypatch):
         # survival to t = 0.5 is about exp(-pi^2 t / (8 eps^2)) ~ 1e-27, so every
-        # block dies early; its later records are frozen and flagged dead, and
-        # nothing depends on how long the horizon runs past the last death
+        # block dies early, leaves no rows, and nothing depends on how long the
+        # horizon runs past the last death
         monkeypatch.setattr(stochastic, "BLOCK_SIZE", 200)
         m = tl.CircleInPlane(1.0)
         eps = 0.1
@@ -131,12 +152,8 @@ class TestSampler:
                   guided=False)
         long = stochastic.sample_conditioned(m, T=1.0, t_record=[0.5, 1.0], **kw)
         short = stochastic.sample_conditioned(m, T=0.5, t_record=[0.5], **kw)
-        assert not long.alive.any() and long.survival_fraction() == 0.0
-        assert np.array_equal(long.theta[:, 0], long.theta[:, 1])
-        assert np.array_equal(long.r[:, 0], long.r[:, 1])
-        assert np.all(np.isfinite(long.theta)) and np.all(np.isfinite(long.log_weight))
-        assert np.array_equal(long.theta[:, 0], short.theta[:, 0])
-        assert np.array_equal(long.log_weight, short.log_weight)
+        assert long.survival_fraction() == 0.0 and long.n_paths == 600
+        assert long.theta.shape == (0, 2) and short.theta.shape == (0, 1)
         n_short = len(short.survival_steps)
         assert np.array_equal(long.survival_steps[:n_short], short.survival_steps)
         assert not long.survival_steps[n_short:].any()
@@ -202,40 +219,46 @@ def killed_reference(R, eps, theta0, T, dt, n_paths, seed, t_record, block_size)
 
 
 class TestKilledReference:
-    # eps = 0.1 to T = 0.5: survival is about exp(-pi^2 T / (8 eps^2)) ~ 1e-27,
-    # so every block dies out before T; t = 0.02 is recorded while part of
-    # each block lives, t = 0.3 and 0.5 after every path died.  650 paths
-    # in blocks of 200, the last one short.
-    KW = dict(eps=0.1, theta0=0.4, T=0.5, dt=0.001, n_paths=650, seed=11,
-              t_record=[0.0, 0.02, 0.3, 0.5])
+    # 650 paths in blocks of 200, the last one short.  eps = 0.2 to T = 0.05
+    # keeps survivors in every block; eps = 0.1 to T = 0.5, where survival is
+    # about exp(-pi^2 T / (8 eps^2)) ~ 1e-27, has every block die out before
+    # T: t = 0.02 is recorded while part of each block lives, t = 0.3 and 0.5
+    # after every path died.
+    SURVIVORS = dict(eps=0.2, theta0=0.4, T=0.05, dt=0.002, n_paths=650, seed=11,
+                     t_record=[0.0, 0.02, 0.05])
+    ALL_DIE = dict(eps=0.1, theta0=0.4, T=0.5, dt=0.001, n_paths=650, seed=11,
+                   t_record=[0.0, 0.02, 0.3, 0.5])
 
     def test_matches_full_array_stepper(self, monkeypatch):
+        # the sampler's rows are the reference's survivors, in path order
         monkeypatch.setattr(stochastic, "BLOCK_SIZE", 200)
-        ens = stochastic.sample_conditioned(tl.CircleInPlane(1.0), guided=False, **self.KW)
-        want = killed_reference(1.0, block_size=200, **self.KW)
-        for name, value in want.items():
-            assert np.array_equal(getattr(ens, name), value), name
+        kw = self.SURVIVORS
+        ens = stochastic.sample_conditioned(tl.CircleInPlane(1.0), guided=False, **kw)
+        want = killed_reference(1.0, block_size=200, **kw)
+        s = want["survived"]
+        for name in ("theta", "r", "log_weight"):
+            assert np.array_equal(getattr(ens, name), want[name][s]), name
+        assert np.array_equal(ens.survival_steps, want["survival_steps"])
+        # survivors in every block, and deaths in every block
+        blocks = np.arange(kw["n_paths"]) // 200
+        assert np.all(np.bincount(blocks[s]) > 0)
+        assert np.all(np.bincount(blocks[~s]) > 0)
+
+    def test_all_die_matches_full_array_stepper(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "BLOCK_SIZE", 200)
+        kw = self.ALL_DIE
+        ens = stochastic.sample_conditioned(tl.CircleInPlane(1.0), guided=False, **kw)
+        want = killed_reference(1.0, block_size=200, **kw)
+        assert np.array_equal(ens.survival_steps, want["survival_steps"])
+        assert ens.theta.shape == ens.r.shape == (0, 4) and ens.log_weight.shape == (0,)
+        assert ens.n_paths == kw["n_paths"]
         # deaths before the first record after 0, none alive at T
-        assert 0 < ens.alive[:, 1].sum() < self.KW["n_paths"]
-        assert not ens.alive[:, 2:].any()
+        assert 0 < want["alive"][:, 1].sum() < kw["n_paths"]
+        assert not want["alive"][:, 2:].any()
         assert ens.survival_steps[-1] == 0.0
         # some paths died by landing outside the tube, where the sampler's
         # unclipped wall products are negative and the reference's are 0
-        assert (np.abs(ens.r[:, -1] - 1.0) >= self.KW["eps"]).any()
-
-    def test_dead_records_frozen(self, feasible_ensemble):
-        # a path that is dead at a record time keeps the angle and radius of
-        # the step on which it died at every later record time
-        ens = feasible_ensemble
-        n_rec = ens.alive.shape[1]
-        # t = 0.05 holds deaths that t = 0.1 must repeat
-        assert (~ens.alive[:, n_rec - 2]).any()
-        for k in range(n_rec - 1):
-            dead = ~ens.alive[:, k]
-            assert not ens.alive[dead, k + 1:].any()
-            for j in range(k + 1, n_rec):
-                assert np.array_equal(ens.theta[dead, j], ens.theta[dead, k])
-                assert np.array_equal(ens.r[dead, j], ens.r[dead, k])
+        assert (np.abs(want["r"][:, -1] - 1.0) >= kw["eps"]).any()
 
 
 class TestBlockParallelism:
@@ -261,7 +284,7 @@ class TestBlockParallelism:
         finally:
             sys.setswitchinterval(interval)
         for ens in runs[1:]:
-            for name in ("theta", "r", "alive", "log_weight", "survival_steps"):
+            for name in ("theta", "r", "log_weight", "survival_steps"):
                 assert np.array_equal(getattr(ens, name), getattr(runs[0], name)), name
 
     def test_pool_capped_at_block_count(self, monkeypatch):
@@ -298,7 +321,7 @@ class TestGuidedSampler:
     def test_paths_stay_inside_with_finite_weights(self, guided_ensemble):
         ens = guided_ensemble
         assert np.all(np.abs(ens.r - 1.0) < ens.eps)
-        assert np.all(ens.alive) and np.all(ens.survived)
+        assert len(ens.log_weight) == ens.n_paths
         assert np.all(np.isfinite(ens.log_weight))
         assert np.all(np.isfinite(ens.survival_steps))
 
@@ -313,7 +336,9 @@ class TestGuidedSampler:
         se = math.sqrt(p * (1.0 - p) / feasible_ensemble.n_paths)
         assert abs(guided_ensemble.survival_fraction() - p) < 3.0 * se
         wg = np.exp(guided_ensemble.log_weight)
-        wk = np.where(feasible_ensemble.survived, np.exp(feasible_ensemble.log_weight), 0.0)
+        # the killed law's weight is 0 on each of the n_paths - rows dead paths
+        wk = np.exp(feasible_ensemble.log_weight)
+        wk = np.concatenate([wk, np.zeros(feasible_ensemble.n_paths - len(wk))])
         se = math.hypot(np.std(wg), np.std(wk)) / math.sqrt(len(wk))
         assert abs(np.mean(wg) - np.mean(wk)) < 3.0 * se
 
@@ -338,10 +363,12 @@ class TestGuidedSampler:
                       t_record=[0.02, 0.05], guided=guided)
             a = stochastic.sample_conditioned(m, n_paths=2000, **kw)
             b = stochastic.sample_conditioned(m, n_paths=2500, **kw)
-            assert np.array_equal(a.theta, b.theta[:2000])
-            assert np.array_equal(a.r, b.r[:2000])
-            assert np.array_equal(a.alive, b.alive[:2000])
-            assert np.array_equal(a.log_weight, b.log_weight[:2000])
+            # rows are in path order, so the first blocks' rows lead
+            n = len(a.log_weight)
+            assert 0 < n < len(b.log_weight)
+            assert np.array_equal(a.theta, b.theta[:n])
+            assert np.array_equal(a.r, b.r[:n])
+            assert np.array_equal(a.log_weight, b.log_weight[:n])
             again = stochastic.sample_conditioned(m, n_paths=2500, **kw)
             assert np.array_equal(b.survival_steps, again.survival_steps)
 
