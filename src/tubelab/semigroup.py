@@ -27,10 +27,10 @@ column n / 2 sits at column n - n_fiber.  That reading is only a guess; the
 pencil is split only when the split is exact: the weights repeat bitwise
 and the form equals the reassembled block matrix entry for entry, tested
 in O(nnz) on the stored entries and their count.  A wrong guess costs
-speed, never accuracy.  Work that needs every block (the spectrum, the
-coercivity certificate of a resolvent, the smoothing solve of
-discretize.random_fields) is one batched LAPACK call over the stacked
-blocks: FourierBlocks.eigh and FourierBlocks.solve.
+speed, never accuracy.  Work that needs every block is one batched LAPACK
+call over the stacked blocks: the spectrum (FourierBlocks.eigh), and the
+Cholesky of every shifted block at a new shift (FourierBlocks.solve), the
+coercivity certificate of a resolvent.
 
 Reach.  Q maps each base mode to itself, so a datum f touches only the
 blocks it has mass in; FourierBlocks.to_modes computes that mass as a dense
@@ -48,8 +48,8 @@ lives in base modes 0 and 1, so its propagators decompose two blocks.
 
 Caches.  One per quantity: the forms on the grid, a tube form by
 (name, eps) and any other by name (discretize.assemble_form), the Fourier
-basis by n_base, the Cholesky factors of FourierBlocks.solve's last shift
-and blocks, and a Propagator's eigenpairs by block.  Blocks are rebuilt
+basis by n_base, the Cholesky factors of every block at FourierBlocks.solve's
+last shift, and a Propagator's eigenpairs by block.  Blocks are rebuilt
 from D and N on demand, at O(n_fiber^2) each, below the cost of any solve
 on them.
 
@@ -150,7 +150,7 @@ class FourierBlocks:
         # torsion makes N non-symmetric and the blocks complex (module docstring)
         self.complex = N is not None and not np.array_equal(N, N.T)
         self.basis, self.multiplicity = _fourier_basis(n_base)
-        # (shift, blocks) of the Cholesky factors `solve` keeps, and the factors
+        # (shift, Cholesky factors of every shifted block) that `solve` keeps
         self._factor = (None, None)
 
     def blocks(self, ks=None):
@@ -223,18 +223,18 @@ class FourierBlocks:
     def solve(self, shift, rhs, ks=None):
         """x[i] = (B_k + shift diag(w_row))^-1 rhs[i] for k = ks[i] (every
         block by default), rhs stacked over those blocks in the row layout of
-        to_modes.  One batched Cholesky factors the shifted blocks; the
-        factors are kept for the next call with the same shift and blocks.
-        Raises LinAlgError when a shifted block is not positive definite."""
-        key = (shift, None if ks is None else tuple(ks))
-        if self._factor[0] != key:
-            shifted = self.blocks(ks) + shift * np.diag(self.w_row)
-            self._factor = key, np.linalg.cholesky(shifted)
+        to_modes, in one stacked cho_solve.  A new shift factors every
+        shifted block in one batched Cholesky, kept until the shift changes,
+        and raises LinAlgError when any of them is not positive definite."""
+        if self._factor[0] != shift:
+            shifted = self.blocks() + shift * np.diag(self.w_row)
+            self._factor = shift, np.linalg.cholesky(shifted)
+        lower = self._factor[1] if ks is None else self._factor[1][ks]
+        if not len(lower):  # stacked cho_solve refuses an empty batch
+            return np.zeros_like(rhs)
         # a non-finite right-hand side passes through to the caller's checks
-        return np.array([
-            scipy.linalg.cho_solve((lower, True), b.T, check_finite=False).T
-            for lower, b in zip(self._factor[1], rhs)
-        ]).reshape(np.shape(rhs))
+        x = scipy.linalg.cho_solve((lower, True), np.swapaxes(rhs, 1, 2), check_finite=False)
+        return np.swapaxes(x, 1, 2)
 
     def spectrum(self, block_vals):
         """All eigenvalues of the full pencil, ascending, with multiplicity."""
@@ -373,42 +373,37 @@ def phi_functional(op_h0, alpha, w_field, f):
     return 0.5 * (op_h0.form_value(f) + alpha * g.inner(f, f)) - g.inner(w_field, f)
 
 
-def _coercive(mineig):
-    if mineig <= 0:
-        raise CoercivityViolation(
-            f"shifted operator indefinite (min eigenvalue {mineig:.3e}); "
-            "epsilon is outside the coercive range"
-        )
-    return mineig
-
-
 def resolvent_minimizer(op_h0, alpha, w_field):
     """Minimize phi, i.e. solve (H0 + alpha) f = w in the weighted sense.
 
-    The structure is read from the pencil (fourier_blocks).  The minimum
-    eigenvalue is the least over every block (one block for a dense pencil),
-    from one batched eigensolve; only the blocks the datum reaches
-    (FourierBlocks.reach) are solved, by FourierBlocks.solve.  The solve is
-    accepted when the normwise backward error of A f = b, with A = form +
-    alpha diag(w) the assembled sparse matrix and b = w * w_field, is at most
-    BACKWARD_ERROR_BOUND; info reports it as "backward_error" (0.0 for a
-    zero datum) next to the weighted relative "residual", which is not
-    checked, and the Propagator.info keys, "blocks_decomposed" counting the
-    blocks solved.  Raises CoercivityViolation when the shifted pencil is
-    not positive definite (epsilon outside the coercive range),
+    The structure is read from the pencil (fourier_blocks).  The Cholesky
+    of every shifted block B_k + alpha diag(w_row), reached or not
+    (FourierBlocks.solve), is the coercivity certificate: it succeeds only
+    if B_k + alpha diag(w_row) + E is positive definite, |E| <= c n u |B_k|
+    (Higham 2002, Ch. 10).  The blocks the datum reaches (FourierBlocks.reach)
+    are solved, and the solve is accepted when the normwise backward error
+    of A f = b, with A = form + alpha diag(w) the assembled sparse matrix
+    and b = w * w_field, is at most BACKWARD_ERROR_BOUND.  info reports it
+    as "backward_error" (0.0 for a zero datum), the unchecked weighted
+    relative "residual", "min_eigenvalue", the least over the blocks solved
+    (None for none), and the Propagator.info keys, "blocks_decomposed"
+    counting the blocks solved.  Raises CoercivityViolation when a shifted
+    block is not positive definite (eps outside the coercive range), and
     ResolutionError when the backward error is above the bound or not
-    finite, or when the pencil has no base structure and is above
-    DENSE_CUTOFF."""
+    finite, or when a pencil without base structure is above DENSE_CUTOFF."""
     g = op_h0.grid
     blocks = fourier_blocks(op_h0.form, g.weights)
     path = blocks.path
-    mineig = _coercive(float(np.min(blocks.eigh(eigvals_only=True)[:, 0])) + alpha)
     modes = blocks.to_modes(w_field)
     ks, dropped = blocks.reach(modes)
     solved = np.zeros_like(modes)
-    # a non-finite datum reaches every block and propagates to the
-    # backward-error check
-    solved[ks] = blocks.solve(alpha, modes[ks] * blocks.w_row, ks)
+    # a non-finite datum reaches every block, then fails the backward-error check
+    try:
+        solved[ks] = blocks.solve(alpha, modes[ks] * blocks.w_row, ks)
+    except np.linalg.LinAlgError:
+        raise CoercivityViolation("a shifted Fourier block is not positive definite; "
+                                  "epsilon is outside the coercive range") from None
+    mineig = float(np.min(blocks.eigh(ks, eigvals_only=True)[:, 0])) + alpha if len(ks) else None
     f = blocks.from_modes(solved)
     rhs = g.weights * np.asarray(w_field)
     A = (op_h0.form + alpha * sp.diags(g.weights)).tocsr()

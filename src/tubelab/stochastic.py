@@ -217,7 +217,8 @@ def _killed_block(rng, R, eps, theta0, dt, rec_steps, m, alive_count):
     [0, k), so the work is per death and the live rows are in no fixed
     block order.  A dead path's state is never read again.  Record times
     write the live rows only, at their block index, so the records of the
-    paths that survive to T are complete and no dead path's are read.
+    paths that survive to T are complete and no dead path's are read.  The
+    steps end at the block's last death.
 
     One uniform u covers both walls: the path survives the step when
 
@@ -300,6 +301,8 @@ def _killed_block(rng, R, eps, theta0, dt, rec_steps, m, alive_count):
             n = k
         alive_count[step] += n
         record(step, n)
+        if n == 0:
+            break
     order = np.argsort(idx[:n])
     rows = idx[order]
     return theta[rows], rad[rows], -0.125 * q[order]

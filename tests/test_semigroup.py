@@ -107,6 +107,43 @@ class TestResolvent:
         with pytest.raises(tl.CoercivityViolation):
             semigroup.resolvent_minimizer(op0, -100.0, w)
 
+    def test_unreached_indefinite_block_raises(self, monkeypatch):
+        # cos(theta) phi0 reaches block 1 alone; at alpha = -0.5 the shifted
+        # block 0 is indefinite and block 1 is not, so only a factorization
+        # of every block, reached or not, refuses the shift
+        grid = discretize.build_grid(tl.CircleInPlane(1.0), 16, 15)
+        spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+        op0 = discretize.renormalize(grid, "InducedEps", 0.1, spectrum.lambda0)
+        w = np.outer(np.cos(grid.base_angle), spectrum.ground_state).ravel()
+        blocks = semigroup.fourier_blocks(op0.form, op0.weights)
+        assert blocks.reach(blocks.to_modes(w))[0].tolist() == [1]
+        least = blocks.eigh(eigvals_only=True)[:, 0]
+        assert least[0] - 0.5 < 0 < least[1] - 0.5
+        with pytest.raises(tl.CoercivityViolation):
+            semigroup.resolvent_minimizer(op0, -0.5, w)
+        # min_eigenvalue is read from the blocks solved, not from every block
+        eigh = semigroup.FourierBlocks.eigh
+        asked = []
+
+        def counted(self, ks=None, eigvals_only=False):
+            asked.append(len(self.multiplicity) if ks is None else len(ks))
+            return eigh(self, ks, eigvals_only)
+
+        monkeypatch.setattr(semigroup.FourierBlocks, "eigh", counted)
+        _, info = semigroup.resolvent_minimizer(op0, 1.0, w)
+        assert asked == [1] and info["blocks_decomposed"] == 1
+        assert info["min_eigenvalue"] == least[1] + 1.0
+
+    def test_zero_datum(self, circle_grid, circle_spectrum):
+        op0 = discretize.renormalize(circle_grid, "InducedEps", 0.1, circle_spectrum.lambda0)
+        zero = np.zeros(circle_grid.n)
+        f, info = semigroup.resolvent_minimizer(op0, circle_spectrum.lambda0 + 1.5, zero)
+        assert not f.any() and info["backward_error"] == 0.0
+        assert info["min_eigenvalue"] is None and info["blocks_decomposed"] == 0
+        # a zero datum reaches no block, yet an indefinite shift is refused
+        with pytest.raises(tl.CoercivityViolation):
+            semigroup.resolvent_minimizer(op0, -100.0, zero)
+
     def test_nan_residual_raises(self, rng):
         # the ellipse takes the dense path, the untwisted curve the block
         # path; there an infinite datum meets the zeros of the Fourier basis
@@ -318,8 +355,8 @@ class TestBlockCore:
             assert np.max(np.abs(B @ V - W @ V * vals[k]) / scale) < 1e-9
             ref = scipy.linalg.solve(B + alpha * W, rhs[k].T, assume_a="pos").T
             assert np.max(np.abs(x[k] - ref)) < 1e-10 * np.max(np.abs(ref))
-        # a subset of the blocks is factored on its own, not read from the
-        # factors kept for every block
+        # a subset of the blocks is solved from the factors kept for every
+        # block, with the bits of the solve of every block
         assert np.array_equal(blocks.solve(alpha, rhs[[1, 3]], [1, 3]), x[[1, 3]])
 
     def test_ellipse_falls_back_to_dense(self, rng):

@@ -157,6 +157,33 @@ class TestSampler:
         n_short = len(short.survival_steps)
         assert np.array_equal(long.survival_steps[:n_short], short.survival_steps)
         assert not long.survival_steps[n_short:].any()
+        # a block draws dx, dy and one uniform per step up to the step of its
+        # last death, and no more
+        n_steps = round(1.0 / kw["dt"])
+        alive = np.zeros(n_steps + 1)
+        rng = CountingRng(np.random.Generator(np.random.SFC64(5)))
+        theta, _, _ = stochastic._killed_block(
+            rng, 1.0, eps, 0.0, kw["dt"], np.array([n_steps]), 200, alive
+        )
+        last_death = np.flatnonzero(alive)[-1] + 1
+        assert theta.shape == (0, 1) and last_death < n_steps // 2
+        assert rng.calls == 3 * last_death
+
+
+class CountingRng:
+    """A generator that counts the calls made to it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
 
 
 def killed_reference(R, eps, theta0, T, dt, n_paths, seed, t_record, block_size):
