@@ -288,15 +288,13 @@ def cmd_validate(cfg, grid, spectrum, eps_list, seed, workers):
     if isinstance(grid.model, geometry.SyntheticFiberModel):
         results["curvature_coupling"] = suites.curvature_coupling_suite(grid, spectrum, fields)
     else:
-        bound = suites.admissible_eps_bound(spectrum)
-        adm = [e for e in eps_list if e <= bound]
-        values = suites.form_values(grid, spectrum, adm, fields)
-        if adm:
+        values = suites.form_values(grid, spectrum, eps_list, fields)
+        if values["eps"]:
             results["vertical_energy"] = suites.vertical_energy_suite(spectrum, values)
             results["metric_perturbation"] = suites.metric_perturbation_suite(values)
-        results["coercivity"] = suites.coercivity_suite(spectrum, eps_list, values)
+        results["coercivity"] = suites.coercivity_suite(spectrum, values)
         results["sasaki_limit"] = suites.sasaki_limit_check(
-            grid, spectrum, adm or eps_list, semigroup.default_t_grid(5)
+            grid, spectrum, eps_list, semigroup.default_t_grid(5)
         )
     results["ok"] = ok = all(v["ok"] for v in results.values())
     return Result({"validate.json": results}, ok)

@@ -44,14 +44,16 @@ FORM_NAMES = ("V", "H", "SasakiEps", "InducedEps", "Omega", "P")
 TUBE_FORMS = ("SasakiEps", "InducedEps")
 # refinement of the grid-error pre-check (refined_grid)
 REFINE_FACTOR = 1.5
-# fields per smoothing solve of random_fields: few enough that the stacked
-# right-hand sides stay small next to the result
-FIELD_CHUNK = 20
 
 
 # ---------------------------------------------------------------------------
 # grid
 # ---------------------------------------------------------------------------
+
+
+def _float_or_stack(value):
+    """A value of one field as a float, the values of a stack as an array."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass
@@ -82,10 +84,11 @@ class ProductGrid:
         return np.asarray(f).reshape(self.n_base, self.n_fiber)
 
     def inner(self, f, g):
-        return float(np.sum(self.weights * np.asarray(f) * np.asarray(g)))
+        """The weighted inner product, a float, or one per row of stacks (m, n)."""
+        return _float_or_stack(np.sum(self.weights * np.asarray(f) * np.asarray(g), axis=-1))
 
     def norm(self, f):
-        return math.sqrt(max(self.inner(f, f), 0.0))
+        return _float_or_stack(np.sqrt(np.maximum(self.inner(f, f), 0.0)))
 
 
 def build_grid(model, n_base, n_fiber, n_theta=16):
@@ -137,8 +140,12 @@ class DiscreteOperator:
         return (self.form @ np.asarray(f)) / self.weights
 
     def form_value(self, f):
+        """q(f), a float; a stack (m, n) of fields gives its m values."""
         f = np.asarray(f)
-        return float(f @ (self.form @ f))
+        # contiguous operands: a product with an F-ordered one is slow, and
+        # a dot over strided rows rounds otherwise than for the field alone
+        qf = np.ascontiguousarray((self.form @ np.ascontiguousarray(f.T)).T)
+        return _float_or_stack(np.vecdot(f, qf))
 
     def eig(self):
         """All eigenvalues of the weighted pencil, ascending; a block-circulant
@@ -299,13 +306,14 @@ def sobolev_norm(grid, f, order):
 
 
 def random_fields(grid, n_fields, seed):
-    """Seeded smoothed random fields for the inequality suites.
+    """Seeded smoothed random fields for the inequality suites, a stack
+    (n_fields, grid.n) whose first k rows are random_fields(grid, k, seed).
 
     White noise per node, then one smoothing solve (I + DeltaSa/s) f = noise
     with s a Gershgorin bound on the reference Laplacian, which tames the
     grid-scale oscillation without killing high modes entirely.  The pencil
-    (Q1 / s, diag(w)) is solved on its Fourier blocks, factored once
-    (semigroup.FourierBlocks.solve), FIELD_CHUNK fields at a time."""
+    (Q1 / s, diag(w)) is solved for the whole stack on its Fourier blocks
+    (semigroup.FourierBlocks.solve)."""
     from . import semigroup  # semigroup imports this module
 
     Q1 = h1_form(grid)
@@ -313,12 +321,9 @@ def random_fields(grid, n_fields, seed):
     s = float(np.max(np.asarray(abs(Q1).sum(axis=1)).ravel() / w))
     blocks = semigroup.fourier_blocks(Q1 / s, w)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    # one draw of all the noise is the same stream as one draw per field
-    out = rng.standard_normal((n_fields, grid.n))
-    for i in range(0, n_fields, FIELD_CHUNK):
-        chunk = out[i : i + FIELD_CHUNK]
-        # the chunk's modes side by side, one group of rows per field
-        smooth = blocks.solve(1.0, np.concatenate([blocks.to_modes(w * f) for f in chunk], axis=1))
-        for f, modes in zip(chunk, np.split(smooth, len(chunk), axis=1)):
-            f[:] = blocks.from_modes(modes)
-    return out
+    # allocated first, filled last, each transient stack freed once the next
+    # is made: measured, about 1 MB less peak memory in the README validate
+    fields = np.empty((n_fields, grid.n))
+    fields[:] = blocks.from_modes(blocks.solve(
+        1.0, blocks.to_modes(w * rng.standard_normal(fields.shape)))).reshape(fields.shape)
+    return fields

@@ -335,20 +335,24 @@ class Projection:
     fiber_weights: np.ndarray
 
     def coefficients(self, field, n_base):
-        f2 = np.asarray(field).reshape(n_base, -1)
-        return f2 @ (self.fiber_weights[:, None] * self.modes)
+        """The coefficients (n_base, m) of a field, or (k, n_base, m) of a
+        stack (k, n) of fields, one product per field."""
+        field = np.asarray(field)
+        f3 = field.reshape(-1, n_base, len(self.fiber_weights))
+        coef = f3 @ (self.fiber_weights[:, None] * self.modes)
+        return coef.reshape(field.shape[:-1] + coef.shape[1:])
 
 
 def extract_fb(grid, spectrum, field):
-    """Fiberwise ground-state coefficient: a scalar field on the base."""
+    """Fiberwise ground-state coefficient: a scalar field on the base, per field."""
     proj = Projection(spectrum.ground_state[:, None], spectrum.grid.weights)
-    return proj.coefficients(field, grid.n_base)[:, 0]
+    return proj.coefficients(field, grid.n_base)[..., 0]
 
 
 def project_E0(grid, spectrum, field):
-    """Fiberwise rank-one projection onto the ground state."""
+    """Fiberwise rank-one projection onto the ground state, per field."""
     fb = extract_fb(grid, spectrum, field)
-    return np.outer(fb, spectrum.ground_state).ravel()
+    return (fb[..., None] * spectrum.ground_state).reshape(np.shape(field))
 
 
 # ---------------------------------------------------------------------------

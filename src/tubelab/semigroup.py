@@ -141,7 +141,9 @@ class FourierBlocks:
     complex blocks take the one row z = c + i s.  A pencil without base
     structure is the one-block case n_base = 1, N = None: its block D is
     the whole form, kept sparse until it is needed, and its modes have the
-    one row of c_0 = 1."""
+    one row of c_0 = 1.  A stack (m, n) of fields has the rows of its fields
+    side by side, field by field; from_modes reads m from the row count and
+    returns one field flat."""
 
     def __init__(self, w_row, n_base, D, N=None):
         self.n_base = n_base
@@ -178,14 +180,23 @@ class FourierBlocks:
         return "dense"
 
     def to_modes(self, f):
-        g = self.basis.T @ np.asarray(f).reshape(self.n_base, -1)
-        g = g.reshape(len(self.multiplicity), -1, len(self.w_row))
-        return g[:, :1] + 1j * g[:, 1:] if self.complex else g
+        """The modes of a field or of a stack of fields (class docstring)."""
+        nk, nf = len(self.multiplicity), len(self.w_row)
+        # one product per field: one wide product over the stack rounds otherwise
+        g = self.basis.T @ np.asarray(f).reshape(-1, self.n_base, nf)
+        g = g.reshape(len(g), nk, -1, nf)
+        if self.complex:
+            g = g[:, :, :1] + 1j * g[:, :, 1:]
+        return g.swapaxes(0, 1).reshape(nk, -1, nf)
 
     def from_modes(self, g):
-        if np.iscomplexobj(g):
-            g = np.concatenate([g.real, g.imag], axis=1)
-        return (self.basis @ g.reshape(self.basis.shape[1], -1)).ravel()
+        """The field, or the stack of fields, of these modes (to_modes)."""
+        nk, nf = len(self.multiplicity), len(self.w_row)
+        if self.complex:
+            g = np.stack([g.real, g.imag], axis=2)
+        g = g.reshape(nk, -1, self.basis.shape[1] // nk, nf).swapaxes(0, 1)
+        f = self.basis @ g.reshape(len(g), -1, nf)
+        return f.ravel() if len(f) == 1 else f.reshape(len(f), -1)
 
     def reach(self, modes):
         """(ks, dropped) of the datum f with these modes (to_modes).  With
@@ -367,8 +378,7 @@ def limit_propagate(grid, spectrum, t_grid, f):
 
 
 def phi_functional(op_h0, alpha, w_field, f):
-    """The quadratic functional whose unique minimizer is the resolvent."""
-    f = np.asarray(f)
+    """The quadratic functional whose unique minimizer is the resolvent, per field."""
     g = op_h0.grid
     return 0.5 * (op_h0.form_value(f) + alpha * g.inner(f, f)) - g.inner(w_field, f)
 
@@ -446,11 +456,11 @@ def resolvent_study(grid, spectrum, eps_list, alpha, w_field, rng, n_perturbatio
         h0 = discretize.renormalize(grid, "InducedEps", eps, spectrum.lambda0)
         f, info = resolvent_minimizer(h0, alpha, w_field)
         base_phi = phi_functional(h0, alpha, w_field, f)
-        for _ in range(n_perturbations):
-            d = rng.standard_normal(grid.n)
-            d *= delta / grid.norm(d)
-            if phi_functional(h0, alpha, w_field, f + d) <= base_phi:
-                variational_ok = False
+        probes = rng.standard_normal((n_perturbations, grid.n))
+        probes *= (delta / grid.norm(probes))[:, None]
+        probes += f
+        if np.any(phi_functional(h0, alpha, w_field, probes) <= base_phi):
+            variational_ok = False
         errors.append(grid.norm(f - limit))
         infos.append(info)
     return errors, infos, variational_ok

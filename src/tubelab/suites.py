@@ -4,6 +4,9 @@ Each suite returns a plain dict of measurements plus an "ok" flag so the
 CLI can serialize it directly.  The inequalities are the discrete versions
 of the collapse estimates; they hold exactly (up to roundoff slack) because
 the discrete operators have the same tensor structure the proofs use.
+The form suites are array expressions over one evaluation of every form on
+the stack of probe fields (form_values), the one place that applies the
+admissibility rule eps <= 1 - lambda0/lambda1.
 """
 
 from __future__ import annotations
@@ -54,109 +57,85 @@ def composite_spectrum_check(grid, eps):
 
 
 def form_values(grid, spectrum, eps_list, fields):
-    """Per-field values of every form the inequality suites need, by eps:
-    {eps: [values of field 0, field 1, ...]}.  The three suites share one
-    evaluation, and the eps-independent values are computed once per field."""
-    qv = discretize.assemble_form(grid, "V")
-    qh = discretize.assemble_form(grid, "H")
-    lam0 = spectrum.lambda0
-    w = grid.weights
-    fixed = []
-    for f in fields:
-        e0 = fiber_mod.project_E0(grid, spectrum, f)
-        fixed.append(dict(
-            n0sq=float(np.sum(w * f * f)),
-            vV=float(f @ (qv @ f)),
-            vH=float(f @ (qh @ f)),
-            e0sq=float(np.sum(w * e0 * e0)),
-        ))
-    out = {}
-    for eps in eps_list:
-        qi = discretize.assemble_form(grid, "InducedEps", eps)
-        qs = discretize.assemble_form(grid, "SasakiEps", eps)
-        out[eps] = vals = []
-        for f, v in zip(fields, fixed):
-            vI = float(f @ (qi @ f))
-            vS = float(f @ (qs @ f))
-            vals.append(dict(
-                v, vI=vI, vS=vS,
-                q0_sa=vS - lam0 / eps**2 * v["n0sq"],
-                q0_ind=vI - lam0 / eps**2 * v["n0sq"],
-                h1sq=v["n0sq"] + v["vV"] + v["vH"],
-            ))
-    return out
+    """The form values the inequality suites read, one array per quantity
+    over the stack of fields, at the eps of eps_list up to
+    admissible_eps_bound ("eps"; applied here alone): n0sq = |f|^2, vV, vH,
+    e0sq = |E0 f|^2 and h1sq = n0sq + vV + vH by field; vI, vS (InducedEps,
+    SasakiEps) and their renormalized q0_ind, q0_sa by (eps, field).  The
+    bound and the other eps ride along ("admissible_eps", "inadmissible_eps")."""
+    bound = admissible_eps_bound(spectrum)
+    eps_adm = [eps for eps in eps_list if eps <= bound]
+
+    def value(which, eps=None):
+        form = discretize.assemble_form(grid, which, eps)
+        return discretize.DiscreteOperator(grid, form).form_value(fields)
+
+    n0sq = grid.inner(fields, fields)
+    vV, vH = value("V"), value("H")
+    shift = np.array([spectrum.lambda0 / eps**2 for eps in eps_adm])[:, None] * n0sq
+    vS, vI = (np.reshape([value(which, eps) for eps in eps_adm], (len(eps_adm), len(fields)))
+              for which in discretize.TUBE_FORMS)
+    e0 = fiber_mod.project_E0(grid, spectrum, fields)
+    return {
+        "admissible_eps": bound, "inadmissible_eps": [eps for eps in eps_list if eps > bound],
+        "eps": eps_adm, "n0sq": n0sq, "vV": vV, "vH": vH, "e0sq": grid.inner(e0, e0),
+        "h1sq": n0sq + vV + vH, "vI": vI, "vS": vS, "q0_ind": vI - shift, "q0_sa": vS - shift,
+    }
 
 
 def vertical_energy_suite(spectrum, values):
     """Discrete vertical-energy bounds against the renormalized form:
     (a) q_V(f) <= k * (eps * q0(f) + |E0 f|^2) with k = max(1, lambda0);
     (b) q_Sa,1(f) <= q0(f) + lambda0 |E0 f|^2,
-    both for eps up to 1 - lambda0/lambda1.  values is form_values(...)."""
+    over every field at the admissible eps (one at least) of form_values."""
     lam0 = spectrum.lambda0
     k_sa = max(1.0, lam0)
-    bound = admissible_eps_bound(spectrum)
-    violations, worst_a, worst_b = 0, -np.inf, -np.inf
-    for eps, vals in values.items():
-        if eps > bound:
-            raise ValueError(f"eps={eps} above the admissible bound {bound:.4f}")
-        for v in vals:
-            rhs_a = k_sa * (eps * v["q0_sa"] + v["e0sq"])
-            rhs_b = v["q0_sa"] + lam0 * v["e0sq"]
-            slack = REL_SLACK * max(abs(v["vV"]), abs(rhs_a), 1.0)
-            if v["vV"] > rhs_a + slack:
-                violations += 1
-            worst_a = max(worst_a, v["vV"] - rhs_a)
-            lhs_b = v["vV"] + v["vH"]  # Sasaki energy at eps = 1
-            slack = REL_SLACK * max(abs(lhs_b), abs(rhs_b), 1.0)
-            if lhs_b > rhs_b + slack:
-                violations += 1
-            worst_b = max(worst_b, lhs_b - rhs_b)
+    vV, q0, e0sq = values["vV"], values["q0_sa"], values["e0sq"]
+    rhs_a = k_sa * (np.array(values["eps"])[:, None] * q0 + e0sq)
+    rhs_b = q0 + lam0 * e0sq
+    lhs_b = vV + values["vH"]  # Sasaki energy at eps = 1
+    slack_a = REL_SLACK * np.maximum(np.maximum(np.abs(vV), np.abs(rhs_a)), 1.0)
+    slack_b = REL_SLACK * np.maximum(np.maximum(np.abs(lhs_b), np.abs(rhs_b)), 1.0)
+    violations = int(np.count_nonzero(vV > rhs_a + slack_a)
+                     + np.count_nonzero(lhs_b > rhs_b + slack_b))
     return {
         "k_sa": k_sa,
-        "admissible_eps": bound,
+        "admissible_eps": values["admissible_eps"],
         "violations": violations,
-        "worst_margin_a": worst_a,
-        "worst_margin_b": worst_b,
-        "n_fields": len(vals),
+        "worst_margin_a": float(np.max(vV - rhs_a)),
+        "worst_margin_b": float(np.max(lhs_b - rhs_b)),
+        "n_fields": len(vV),
         "ok": violations == 0,
     }
 
 
 def metric_perturbation_suite(values):
-    """One constant, fit at the coarsest eps (the first of form_values(...)),
-    bounds the induced-minus-Sasaki form error
+    """One constant, fit at the coarsest admissible eps (the first of
+    values = form_values(...)), bounds the induced-minus-Sasaki form error
     |l_eps(f)| <= k_l * eps * (q0(f) + |f|_H1^2) across the sweep."""
-    ratios = {}
-    for eps, vals in values.items():
-        r = [
-            abs(v["vI"] - v["vS"]) / (eps * (v["q0_sa"] + v["h1sq"]))
-            for v in vals
-        ]
-        ratios[eps] = float(np.max(r))
-    k_l = next(iter(ratios.values()))
-    ok = all(ratio <= k_l * (1.0 + REL_SLACK) for ratio in ratios.values())
-    return {"k_l": k_l, "max_ratio_per_eps": ratios, "ok": bool(ok)}
+    ratio = np.abs(values["vI"] - values["vS"]) / (
+        np.array(values["eps"])[:, None] * (values["q0_sa"] + values["h1sq"]))
+    worst = np.max(ratio, axis=1)
+    k_l = float(worst[0])
+    return {"k_l": k_l, "max_ratio_per_eps": dict(zip(values["eps"], worst.tolist())),
+            "ok": bool(np.all(worst <= k_l * (1.0 + REL_SLACK)))}
 
 
-def coercivity_suite(spectrum, eps_list, values):
+def coercivity_suite(spectrum, values):
     """Uniform lower bound of the shifted renormalized form against the H1
-    norm; reports the worst constant over the sweep.  values is
-    form_values(...) over at least the admissible eps of eps_list."""
+    norm over the admissible eps of values = form_values(...); reports the
+    worst constant (None without an admissible eps), and fails when any eps
+    was inadmissible."""
     alpha = spectrum.lambda0 + COERCIVITY_OFFSET
-    bound = admissible_eps_bound(spectrum)
-    inadmissible = [e for e in eps_list if e > bound]
-    c_min = np.inf
-    for eps in eps_list:
-        if eps > bound:
-            continue
-        for v in values[eps]:
-            c_min = min(c_min, (v["q0_ind"] + alpha * v["n0sq"]) / v["h1sq"])
+    ratio = (values["q0_ind"] + alpha * values["n0sq"]) / values["h1sq"]
+    c_min = float(np.min(ratio)) if ratio.size else None
+    inadmissible = values["inadmissible_eps"]
     return {
         "alpha": alpha,
-        "admissible_eps": bound,
+        "admissible_eps": values["admissible_eps"],
         "inadmissible_eps": inadmissible,
-        "coercivity_constant": float(c_min) if np.isfinite(c_min) else None,
-        "ok": bool(not inadmissible and np.isfinite(c_min) and c_min > 0),
+        "coercivity_constant": c_min,
+        "ok": bool(not inadmissible and c_min is not None and c_min > 0),
     }
 
 

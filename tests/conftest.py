@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,3 +35,19 @@ def synthetic_grid(synthetic_model):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.Generator(np.random.Philox(key=2024))
+
+
+# one grid per field layout of semigroup.FourierBlocks: real blocks (the
+# README circle), complex blocks (a twisted curve) and the one block of a
+# pencil without base structure (the synthetic model)
+LAYOUT_GRIDS = {
+    "real": (tl.CircleInPlane(1.0), 64, 31, 16),
+    "complex": (tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 32, 12, 16),
+    "one-block": (tl.SyntheticFiberModel(1.5), 1, 31, 16),
+}
+
+
+@pytest.fixture(scope="session", params=sorted(LAYOUT_GRIDS))
+def layout_grid(request):
+    """(layout name, grid) for each entry of LAYOUT_GRIDS."""
+    return request.param, discretize.build_grid(*LAYOUT_GRIDS[request.param])

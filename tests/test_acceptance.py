@@ -88,7 +88,7 @@ def test_criterion_4_inequality_suites(grid64, spec64):
     values = suites.form_values(grid64, spec64, eps_list, fields)
     ve = suites.vertical_energy_suite(spec64, values)
     mp = suites.metric_perturbation_suite(values)
-    co = suites.coercivity_suite(spec64, eps_list, values)
+    co = suites.coercivity_suite(spec64, values)
     ok = ve["ok"] and mp["ok"] and co["ok"] and ve["violations"] == 0
     assert verdict(
         4, ok,

@@ -302,6 +302,24 @@ class TestValidateCommand:
         assert rep["coercivity"]["ok"] is False
         assert rep["coercivity"]["inadmissible_eps"] == [0.9]
 
+    def test_mixed_eps_list_runs_sasaki_limit_on_every_eps(self, tmp_path):
+        # the Sasaki-limit bound holds at any eps; the form suites run on the
+        # admissible eps alone, and the inadmissible one fails coercivity
+        cfg = write_cfg(
+            tmp_path, "c.yaml",
+            BASE + "validate:\n  eps_list: [0.9, 0.2]\n  n_fields: 10\n",
+        )
+        out = tmp_path / "o"
+        assert run(["validate", "--config", cfg, "--out", str(out)]) == 1
+        rep = json.loads((out / "validate.json").read_text())
+        sasaki = rep["sasaki_limit"]
+        assert sasaki["ok"] is True
+        assert sasaki["spectral_path"] == ["block", "block"]
+        assert rep["coercivity"]["inadmissible_eps"] == [0.9]
+        assert rep["coercivity"]["ok"] is False
+        assert list(rep["metric_perturbation"]["max_ratio_per_eps"]) == ["0.2"]
+        assert rep["vertical_energy"]["ok"] is True
+
     def test_synthetic_suites_pass(self, tmp_path):
         text = (
             "model:\n  kind: synthetic\n  curvature: 1.5\n"

@@ -265,3 +265,12 @@ class TestResidualAndNorms:
         c = discretize.random_fields(circle_grid, 3, 43)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_random_fields_prefix_is_the_smaller_draw(self, layout_grid):
+        # one draw and one solve for the whole stack: each field's bits do
+        # not depend on how many fields are drawn with it
+        _, grid = layout_grid
+        full = discretize.random_fields(grid, 100, 12345)
+        assert full.shape == (100, grid.n)
+        for k in (1, 7, 20):
+            assert np.array_equal(discretize.random_fields(grid, k, 12345), full[:k])

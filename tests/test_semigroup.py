@@ -376,6 +376,42 @@ class TestBlockCore:
         assert grid.norm(f - ref) < 1e-10 * grid.norm(ref)
 
 
+class TestFieldStacks:
+    """A stack (m, n) of fields moves through the field primitives in one
+    call, with the bits of one call per field."""
+
+    def test_stack_modes_are_the_fields_modes_side_by_side(self, layout_grid):
+        layout, grid = layout_grid
+        blocks = semigroup.fourier_blocks(discretize.h1_form(grid), grid.weights)
+        assert layout == ("one-block" if blocks.n_base == 1
+                          else "complex" if blocks.complex else "real")
+        fields = np.random.Generator(np.random.Philox(key=5)).standard_normal((6, grid.n))
+        modes = blocks.to_modes(fields)
+        assert np.array_equal(modes, np.concatenate([blocks.to_modes(f) for f in fields], axis=1))
+        back = blocks.from_modes(modes)
+        assert back.shape == fields.shape
+        per_field = [blocks.from_modes(blocks.to_modes(f)) for f in fields]
+        assert np.array_equal(back, np.stack(per_field))
+        assert np.max(np.abs(back - fields)) < 1e-12 * np.max(np.abs(fields))
+        # the rows of one field come back as one flat field
+        assert blocks.from_modes(blocks.to_modes(fields[:1])).shape == (grid.n,)
+
+    def test_stacked_phi_functional_matches_per_field(self, layout_grid):
+        _, grid = layout_grid
+        spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+        op = discretize.renormalize(grid, "InducedEps", 0.1, spectrum.lambda0)
+        alpha, w = spectrum.lambda0 + 1.5, grid.weights
+        rng = np.random.Generator(np.random.Philox(key=6))
+        w_field, fields = rng.standard_normal(grid.n), rng.standard_normal((5, grid.n))
+        stacked = semigroup.phi_functional(op, alpha, w_field, fields)
+        for f, value in zip(fields, stacked):
+            assert value == semigroup.phi_functional(op, alpha, w_field, f)
+            # the functional as it is written for one field
+            ref = (0.5 * (float(f @ (op.form @ f)) + alpha * float(np.sum(w * f * f)))
+                   - float(np.sum(w * w_field * f)))
+            assert value == ref
+
+
 def _pencil(model, n_base, n_fiber, n_theta=16, which="InducedEps"):
     grid = discretize.build_grid(model, n_base, n_fiber, n_theta)
     spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
