@@ -7,6 +7,13 @@ collapse limit through semigroup sweeps, resolvents, and conditioned
 Brownian motion.
 """
 
+import os
+
+# One BLAS thread unless the user chose otherwise; set before numpy loads.
+# The dense blocks here are too small for BLAS threads to speed up, and idle
+# OpenBLAS workers busy-wait on the cores the interpreter needs.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .errors import (

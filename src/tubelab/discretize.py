@@ -122,6 +122,14 @@ def refined_grid(grid):
 # ---------------------------------------------------------------------------
 
 
+def _form_product(form, f):
+    """form @ f for a field, or for each row of a stack (m, n), C-ordered.
+    Contiguous operands: a product with an F-ordered one is slow, and a dot
+    over strided rows rounds otherwise than for the field alone."""
+    f = np.asarray(f)
+    return np.ascontiguousarray((form @ np.ascontiguousarray(f.T)).T)
+
+
 @dataclass
 class DiscreteOperator:
     """Operator represented by its quadratic-form matrix.
@@ -137,15 +145,13 @@ class DiscreteOperator:
         return self.grid.weights
 
     def apply(self, f):
-        return (self.form @ np.asarray(f)) / self.weights
+        """The operator on a field, or on each row of a stack (m, n)."""
+        return _form_product(self.form, f) / self.weights
 
     def form_value(self, f):
         """q(f), a float; a stack (m, n) of fields gives its m values."""
         f = np.asarray(f)
-        # contiguous operands: a product with an F-ordered one is slow, and
-        # a dot over strided rows rounds otherwise than for the field alone
-        qf = np.ascontiguousarray((self.form @ np.ascontiguousarray(f.T)).T)
-        return _float_or_stack(np.vecdot(f, qf))
+        return _float_or_stack(np.vecdot(f, _form_product(self.form, f)))
 
     def eig(self):
         """All eigenvalues of the weighted pencil, ascending; a block-circulant
@@ -287,22 +293,24 @@ def residual_h1_bound(grid, eps):
 
 
 def sobolev_norm(grid, f, order):
-    """Discrete Sobolev norm of a field, of any order k >= 0:
+    """Discrete Sobolev norm of a field, of any order k >= 0, a float; a
+    stack (m, n) of fields gives its m norms, each with the bits of its
+    field alone:
     |f|_k^2 = sum_{j <= k} <f, L^j f>_W with L = W^-1 Q1 the reference tube
     Laplacian (Q1 = h1_form): j = 2i + 1 adds L^i f . Q1 L^i f and
     j = 2i + 2 adds |L^(i+1) f|_W^2."""
     if order < 0:
         raise ValueError("order must be at least 0")
-    g = np.asarray(f)
+    g = np.ascontiguousarray(f)
     total = grid.inner(g, g)
     for j in range(1, order + 1):
         if j % 2:
-            Qg = h1_form(grid) @ g
-            total += float(g @ Qg)
+            Qg = _form_product(h1_form(grid), g)
+            total = total + np.vecdot(g, Qg)
         else:
             g = Qg / grid.weights
-            total += grid.inner(g, g)
-    return math.sqrt(total)
+            total = total + grid.inner(g, g)
+    return _float_or_stack(np.sqrt(total))
 
 
 def random_fields(grid, n_fields, seed):

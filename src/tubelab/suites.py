@@ -173,16 +173,14 @@ def sasaki_limit_check(grid, spectrum, eps_list, t_grid):
 
 def curvature_coupling_suite(grid, spectrum, fields):
     """The coupling operator kills the ground band and commutes with the
-    fiber Laplacian; both checked on the random smoothed fields of a
-    disc-fiber grid (discretize.random_fields)."""
+    fiber Laplacian; both checked on the stack of random smoothed fields of
+    a disc-fiber grid (discretize.random_fields), worst field reported."""
     P = discretize.DiscreteOperator(grid, discretize.assemble_form(grid, "P"))
     dv = discretize.DiscreteOperator(grid, discretize.assemble_form(grid, "V"))
-    r_proj, r_comm = 0.0, 0.0
-    for f in fields:
-        e0 = fiber_mod.project_E0(grid, spectrum, f)
-        r_proj = max(r_proj, grid.norm(P.apply(e0)) / grid.norm(f))
-        comm = dv.apply(P.apply(f)) - P.apply(dv.apply(f))
-        r_comm = max(r_comm, grid.norm(comm) / discretize.sobolev_norm(grid, f, 2))
+    e0 = fiber_mod.project_E0(grid, spectrum, fields)
+    r_proj = float(np.max(grid.norm(P.apply(e0)) / grid.norm(fields)))
+    comm = dv.apply(P.apply(fields)) - P.apply(dv.apply(fields))
+    r_comm = float(np.max(grid.norm(comm) / discretize.sobolev_norm(grid, fields, 2)))
     return {
         "n_fiber": grid.fiber.n_r,
         "n_fields": len(fields),

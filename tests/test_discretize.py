@@ -251,6 +251,26 @@ class TestResidualAndNorms:
             ref = math.sqrt(sum(terms[: k + 1]))
             assert discretize.sobolev_norm(g, f, k) == pytest.approx(ref, rel=1e-12)
 
+    def test_sobolev_norm_stack_holds_the_per_field_bits(self, layout_grid):
+        # the per-field loop of the formula: one sparse product and one dot
+        # per odd order, one weighted sum per even order
+        _, g = layout_grid
+        q1, w = discretize.h1_form(g), g.weights
+        fields = discretize.random_fields(g, 5, 3)
+        for k in range(5):
+            norms = discretize.sobolev_norm(g, fields, k)
+            assert norms.shape == (5,)
+            for f, norm in zip(fields, norms):
+                h, total = f, float(np.sum(w * f * f))
+                for j in range(1, k + 1):
+                    if j % 2:
+                        qh = q1 @ h
+                        total += float(h @ qh)
+                    else:
+                        h = qh / w
+                        total += float(np.sum(w * h * h))
+                assert norm == math.sqrt(total) == discretize.sobolev_norm(g, f, k)
+
     def test_h1_form_is_the_cached_sasaki_form_at_eps_1(self, circle_model):
         g = discretize.build_grid(circle_model, 16, 8)
         q1 = discretize.h1_form(g)

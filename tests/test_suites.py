@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import tubelab as tl
 from tubelab import discretize, fiber as fiber_mod, suites
 
 
@@ -89,3 +90,22 @@ def test_array_suites_match_the_loops(layout_grid):
     assert (suites.vertical_energy_suite(spectrum, values),
             suites.metric_perturbation_suite(values),
             suites.coercivity_suite(spectrum, values)) == loop_suites(spectrum, eps_list, per_eps)
+
+
+def test_coupling_suite_matches_the_loop():
+    # the per-field loop: one projection, five applies and one H2 norm each
+    grid = discretize.build_grid(tl.SyntheticFiberModel(1.5), 1, 16, 8)
+    spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
+    fields = discretize.random_fields(grid, 12, 5)
+    P = discretize.DiscreteOperator(grid, discretize.assemble_form(grid, "P"))
+    dv = discretize.DiscreteOperator(grid, discretize.assemble_form(grid, "V"))
+    r_proj, r_comm = 0.0, 0.0
+    for f in fields:
+        e0 = fiber_mod.project_E0(grid, spectrum, f)
+        r_proj = max(r_proj, grid.norm(P.apply(e0)) / grid.norm(f))
+        comm = dv.apply(P.apply(f)) - P.apply(dv.apply(f))
+        r_comm = max(r_comm, grid.norm(comm) / discretize.sobolev_norm(grid, f, 2))
+    rep = suites.curvature_coupling_suite(grid, spectrum, fields)
+    assert rep == {"n_fiber": grid.fiber.n_r, "n_fields": 12, "proj_ratio": r_proj,
+                   "commutator_ratio": r_comm, "ok": True}
+    assert r_comm > 0.0
