@@ -43,7 +43,6 @@ from .geometry import (
 from .fiber import (
     FiberSpectrum,
     Projection,
-    bessel_j0_first_zero,
     extract_fb,
     fiber_spectrum,
     make_fiber_grid,

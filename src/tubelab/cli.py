@@ -126,7 +126,6 @@ SCHEMA = {
         # -Delta_base + alpha_offset on a closed curve is singular for offset <= 0
         "alpha_offset": (POSITIVE, 1.5),
         "n_perturbations": (COUNT, 20),
-        "delta": (POSITIVE, 1e-3),
     },
     "mc": {
         "eps_list": (EPS_LIST, None),
@@ -411,14 +410,13 @@ def cmd_resolvent(cfg, grid, spectrum, eps_list, seed, workers):
     rcfg = cfg["resolvent"]
     alpha = spectrum.lambda0 + rcfg["alpha_offset"]
     theta = grid.base_angle
-    phi1 = spectrum.eigenfunctions[:, spectrum.multiplets[1][0]]
     w_field = (
         np.outer(1.0 + 0.5 * np.cos(theta), spectrum.ground_state)
-        + 0.3 * np.outer(np.sin(theta), phi1)
+        + 0.3 * np.outer(np.sin(theta), spectrum.excited_profile)
     ).ravel()
     rng = np.random.Generator(np.random.Philox(key=seed))
     errs, infos, variational_ok = semigroup.resolvent_study(
-        grid, spectrum, eps_list, alpha, w_field, rng, rcfg["n_perturbations"], rcfg["delta"]
+        grid, spectrum, eps_list, alpha, w_field, rng, rcfg["n_perturbations"]
     )
     checks = {
         "strictly_decreasing": bool(all(b < a for a, b in zip(errs, errs[1:]))),

@@ -262,6 +262,9 @@ class FiberSpectrum:
     orthonormal in the grid's weighted inner product; multiplets groups
     indices of numerically coincident eigenvalues; ground_state is the
     nonnegative first eigenfunction (exactly angular-symmetric on the disc).
+    Within a multiplet of more than one member the columns are an arbitrary
+    basis, so nothing outside this class reads one of them: the excited
+    band is read through excited_profile.
     """
 
     q: int
@@ -280,23 +283,42 @@ class FiberSpectrum:
         """Bottom of the second multiplet."""
         return float(self.eigenvalues[self.multiplets[1][0]])
 
-    def analytic_eigenvalue(self, k):
-        """Continuum reference, available for the interval fiber."""
-        if self.q != 1:
-            raise NotImplementedError("closed-form spectrum only for codim 1")
-        return ((k + 1) * math.pi / 2.0) ** 2
+    @property
+    def excited_profile(self):
+        """The weighted projection of w_1 * ground_state onto the first
+        excited eigenspace (the span of multiplets[1]), normalized.
+
+        A projection onto a span does not depend on the basis chosen inside
+        it (Kato 1995, ch. II), so neither does the profile.  On a one-member
+        multiplet it is that column times +-1.0, bit for bit."""
+        V = self.eigenfunctions[:, self.multiplets[1]]
+        c = (self.grid.weights * self.grid.node_w()[:, 0] * self.ground_state) @ V
+        return V @ (c / np.linalg.norm(c))
 
     def references(self):
-        """Continuum references: every eigenvalue on the interval, the ground
-        energy (the first zero of J0, squared) on the disc."""
+        """Continuum references, one per computed eigenvalue: ((k+1) pi/2)^2
+        on the interval; on the disc the squared Bessel zeros j_{m,k}^2
+        ascending, twice for m >= 1 (the modes cos and sin m theta)."""
+        n = len(self.eigenvalues)
         if self.q == 1:
-            n = len(self.eigenvalues)
-            return {"analytic": [self.analytic_eigenvalue(k) for k in range(n)]}
-        return {"bessel_oracle_lambda0": bessel_j0_first_zero() ** 2}
+            return {"analytic": [((k + 1) * math.pi / 2.0) ** 2 for k in range(n)]}
+        from scipy.special import jn_zeros  # only the disc needs it
+
+        levels = jn_zeros(0, n) ** 2
+        m = 1
+        # j_{m,1} > m: no order from m on has a level below levels[-1]
+        while m * m < levels[-1]:
+            levels = np.sort(np.concatenate([levels, np.repeat(jn_zeros(m, n) ** 2, 2)]))[:n]
+            m += 1
+        return {"analytic": levels.tolist()}
 
 
 def fiber_spectrum(grid, n_modes=DEFAULT_MODES):
-    """Dense generalized eigensolve of the flat Dirichlet form on a fiber grid."""
+    """Dense generalized eigensolve of the flat Dirichlet form on a fiber grid.
+
+    Adjacent eigenvalues within MULTIPLET_REL_TOL (relative to the upper one)
+    share a multiplet; the cut after n_modes is extended to the end of its
+    multiplet, so multiplets are never split."""
     n = grid.n_nodes
     if n_modes > grid.mode_capacity:
         raise ResolutionError(
@@ -304,16 +326,12 @@ def fiber_spectrum(grid, n_modes=DEFAULT_MODES):
         )
     W = np.diag(grid.weights)
     vals, vecs = scipy.linalg.eigh(grid.vertical_form().toarray(), W)
-    # extend the cut so multiplets are never split
-    k = n_modes
-    while k < n and vals[k] - vals[k - 1] <= MULTIPLET_REL_TOL * abs(vals[k]):
-        k += 1
+    # the index past each multiplet, ascending, n last
+    ends = np.append(np.flatnonzero(np.diff(vals) > MULTIPLET_REL_TOL * np.abs(vals[1:])) + 1, n)
+    ends = ends[: np.searchsorted(ends, n_modes) + 1]
+    k = int(ends[-1])
     vals, vecs = vals[:k], vecs[:, :k]
-    multiplets, start = [], 0
-    for i in range(1, k + 1):
-        if i == k or vals[i] - vals[start] > MULTIPLET_REL_TOL * abs(vals[i]):
-            multiplets.append(list(range(start, i)))
-            start = i
+    multiplets = [list(range(a, b)) for a, b in zip([0, *ends[:-1]], ends)]
     ground = vecs[:, 0].copy()
     if np.sum(grid.weights * ground) < 0:
         ground = -ground
@@ -354,33 +372,3 @@ def project_E0(grid, spectrum, field):
     fb = extract_fb(grid, spectrum, field)
     return (fb[..., None] * spectrum.ground_state).reshape(np.shape(field))
 
-
-# ---------------------------------------------------------------------------
-# independent Bessel oracle
-# ---------------------------------------------------------------------------
-
-
-def bessel_j0(x):
-    """Power series for J0, accurate to well below 1e-12 for |x| < 10."""
-    term = 1.0
-    total = 1.0
-    k = 0
-    while abs(term) > 1e-18 and k < 200:
-        k += 1
-        term *= -(x * x) / (4.0 * k * k)
-        total += term
-    return total
-
-
-def bessel_j0_first_zero():
-    """First positive zero of J0 by bisection on the power series, to an
-    interval of width 1e-10."""
-    lo, hi = 2.0, 3.0
-    assert bessel_j0(lo) > 0 > bessel_j0(hi)
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if bessel_j0(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -29,7 +29,7 @@ and the form equals the reassembled block matrix entry for entry, tested
 in O(nnz) on the stored entries and their count.  A wrong guess costs
 speed, never accuracy.  Work that needs every block is one batched LAPACK
 call over the stacked blocks: the spectrum (FourierBlocks.eigh), and the
-Cholesky of every shifted block at a new shift (FourierBlocks.solve), the
+Cholesky of every shifted block of a solve (FourierBlocks.solve), the
 coercivity certificate of a resolvent.
 
 Reach.  Q maps each base mode to itself, so a datum f touches only the
@@ -48,8 +48,7 @@ lives in base modes 0 and 1, so its propagators decompose two blocks.
 
 Caches.  One per quantity: the forms on the grid, a tube form by
 (name, eps) and any other by name (discretize.assemble_form), the Fourier
-basis by n_base, the Cholesky factors of every block at FourierBlocks.solve's
-last shift, and a Propagator's eigenpairs by block.  Blocks are rebuilt
+basis by n_base, and a Propagator's eigenpairs by block.  Blocks are rebuilt
 from D and N on demand, at O(n_fiber^2) each, below the cost of any solve
 on them.
 
@@ -152,8 +151,6 @@ class FourierBlocks:
         # torsion makes N non-symmetric and the blocks complex (module docstring)
         self.complex = N is not None and not np.array_equal(N, N.T)
         self.basis, self.multiplicity = _fourier_basis(n_base)
-        # (shift, Cholesky factors of every shifted block) that `solve` keeps
-        self._factor = (None, None)
 
     def blocks(self, ks=None):
         """The blocks B_k for k in ks (every block for None), stacked."""
@@ -234,13 +231,12 @@ class FourierBlocks:
     def solve(self, shift, rhs, ks=None):
         """x[i] = (B_k + shift diag(w_row))^-1 rhs[i] for k = ks[i] (every
         block by default), rhs stacked over those blocks in the row layout of
-        to_modes, in one stacked cho_solve.  A new shift factors every
-        shifted block in one batched Cholesky, kept until the shift changes,
-        and raises LinAlgError when any of them is not positive definite."""
-        if self._factor[0] != shift:
-            shifted = self.blocks() + shift * np.diag(self.w_row)
-            self._factor = shift, np.linalg.cholesky(shifted)
-        lower = self._factor[1] if ks is None else self._factor[1][ks]
+        to_modes, in one stacked cho_solve.  Every shifted block is factored,
+        solved or not, in one batched Cholesky, which raises LinAlgError when
+        any of them is not positive definite."""
+        lower = np.linalg.cholesky(self.blocks() + shift * np.diag(self.w_row))
+        if ks is not None:
+            lower = lower[ks]
         if not len(lower):  # stacked cho_solve refuses an empty batch
             return np.zeros_like(rhs)
         # a non-finite right-hand side passes through to the caller's checks
@@ -443,7 +439,7 @@ def resolvent_limit(grid, spectrum, alpha, w_field):
     return np.outer(gb, spectrum.ground_state).ravel()
 
 
-def resolvent_study(grid, spectrum, eps_list, alpha, w_field, rng, n_perturbations, delta):
+def resolvent_study(grid, spectrum, eps_list, alpha, w_field, rng, n_perturbations, delta=1e-3):
     """Resolvent collapse study: per eps, the L2 distance from the solution f
     of (H0(eps) + alpha) f = w_field to resolvent_limit, and a test of f as
     the minimizer of phi_functional against n_perturbations random

@@ -41,8 +41,7 @@ def test_criterion_1_fiber_spectra():
     err1 = abs(lams[255] - exact)
     order = math.log2((lams[63] - lams[127]) / (lams[127] - lams[255]))
     disc = fiber_mod.fiber_spectrum(fiber_mod.PolarFiberGrid(127), n_modes=2)
-    oracle = fiber_mod.bessel_j0_first_zero() ** 2
-    err2 = abs(disc.lambda0 - oracle)
+    err2 = abs(disc.lambda0 - disc.references()["analytic"][0])
     ok = err1 < 1e-4 and 1.8 <= order <= 2.2 and err2 < 1e-3
     assert verdict(
         1, ok,
@@ -59,12 +58,11 @@ def test_criterion_2_composite_spectrum(grid64):
 
 
 def test_criterion_3_excited_mode_decay_bound(grid64, spec64):
-    # pure first-excited fiber mode: the renormalized flow must sit below
-    # exp(-t (lambda1 - lambda0) / (2 eps^2)) in norm, as a hard inequality
-    # (1e-8 * |f| absolute allowance for eigensolver roundoff)
+    # the excited profile, a pure first-excited fiber field: the renormalized
+    # flow must sit below exp(-t (lambda1 - lambda0) / (2 eps^2)) in norm, as
+    # a hard inequality (1e-8 * |f| absolute allowance for eigensolver roundoff)
     lam0, lam1 = spec64.lambda0, spec64.lambda1
-    phi1 = spec64.eigenfunctions[:, spec64.multiplets[1][0]]
-    f = np.outer(1.0 + np.cos(grid64.base_x), phi1).ravel()
+    f = np.outer(1.0 + np.cos(grid64.base_x), spec64.excited_profile).ravel()
     nf = grid64.norm(f)
     eps_list, t_grid = (0.2, 0.1, 0.05, 0.025), semigroup.default_t_grid()
     errors, _, _ = semigroup.collapse_errors(grid64, spec64, "SasakiEps", eps_list, t_grid, f)

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, output files, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -11,11 +12,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from tubelab import cli, discretize, fiber, geometry, semigroup, stochastic
+from tubelab import cli, discretize, fiber, geometry, semigroup, stochastic, suites
 from tubelab.errors import ResolutionError
 
 BASE = """\
@@ -202,6 +204,29 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_interval_runs_leave_scipy_special_unloaded(tmp_path):
+    # only the disc's references need scipy.special (Bessel zeros), and
+    # importing it costs start-up time
+    text = BASE + (
+        "validate:\n  eps_list: [0.2, 0.1]\n  n_fields: 5\n"
+        "sweep:\n  eps_list: [0.2, 0.1]\n  n_t: 2\n"
+        "resolvent:\n  eps_list: [0.2, 0.1]\n  n_perturbations: 2\n"
+        "mc:\n  eps_list: [0.2]\n  n_paths: 2000\n  horizon: 0.1\n  t_eval: [0.05]\n"
+    )
+    cfg, out = write_cfg(tmp_path, "c.yaml", text), str(tmp_path / "o")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys; from tubelab import cli\n"
+        f"codes = [cli.main([c, '--config', {cfg!r}, '--out', {out!r}]) for c in cli.COMMANDS]\n"
+        "assert codes == [0] * len(codes), codes\n"
+        "assert 'scipy.special' not in sys.modules"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 # Values the property test writes over config entries, valid and invalid.
 # Integers stay small, so no fiber grid grows beyond 31 x 16 nodes.
 VALUES = st.sampled_from([
@@ -270,9 +295,7 @@ class TestFiberCommand:
         assert run(["fiber", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((out / "fiber.json").read_text())
         assert payload["codim"] == 2
-        assert payload["lambda0"] == pytest.approx(
-            payload["bessel_oracle_lambda0"], rel=5e-3
-        )
+        assert payload["lambda0"] == pytest.approx(payload["analytic"][0], rel=5e-3)
 
 
 class TestValidateCommand:
@@ -564,6 +587,40 @@ class TestResolventCommand:
         assert rep["spectral_path"] == ["block", "block"]
         assert max(rep["residual"]) < 1e-10 and min(rep["min_eigenvalue"]) > 0
         assert max(rep["backward_error"]) <= semigroup.BACKWARD_ERROR_BOUND
+
+    def test_disc_results_do_not_depend_on_the_basis_of_the_excited_pair(
+        self, tmp_path, monkeypatch
+    ):
+        # a twisted curve: its disc fiber's first excited level is a pair
+        text = (
+            "model:\n  kind: curve\n  tau0: 1.0\ngrid:\n  n_base: 16\n  n_fiber: 8\n"
+            "  n_theta: 8\nresolvent:\n  eps_list: [0.2, 0.1]\n  n_perturbations: 5\n"
+        )
+        cfg = write_cfg(tmp_path, "c.yaml", text)
+        grid = cli.build_grid(cli.load_config(cfg)[0])
+        spectrum = fiber.fiber_spectrum(grid.fiber)
+        # another basis of the excited pair: its columns mixed by a random
+        # orthogonal 2x2 matrix
+        pair = spectrum.multiplets[1]
+        assert len(pair) == 2
+        mix = np.linalg.qr(np.random.default_rng(11).standard_normal((2, 2)))[0]
+        vecs = spectrum.eigenfunctions.copy()
+        vecs[:, pair] = vecs[:, pair] @ mix
+        rotated = dataclasses.replace(spectrum, eigenfunctions=vecs)
+        assert not np.allclose(vecs, spectrum.eigenfunctions)
+        assert np.max(np.abs(rotated.excited_profile - spectrum.excited_profile)) < 1e-13
+        t_grid = semigroup.default_t_grid(3)
+        checks = [suites.sasaki_limit_check(grid, sp, (0.2, 0.1), t_grid)
+                  for sp in (spectrum, rotated)]
+        assert checks[1]["worst_margin_rel"] == pytest.approx(
+            checks[0]["worst_margin_rel"], rel=1e-8, abs=1e-13)
+        reports = []
+        for sp in (spectrum, rotated):
+            monkeypatch.setattr(fiber, "fiber_spectrum", lambda *args, sp=sp: sp)
+            out = tmp_path / f"o{len(reports)}"
+            assert run(["resolvent", "--config", cfg, "--out", str(out)]) == 0
+            reports.append(json.loads((out / "resolvent.json").read_text()))
+        assert reports[1]["errors"] == pytest.approx(reports[0]["errors"], rel=1e-8)
 
     def test_small_eps_on_readme_grid(self, tmp_path):
         # at eps = 0.0125 the relative residual is about 1.2e-10, roundoff

@@ -9,8 +9,9 @@ import scipy.sparse as sp
 import tubelab as tl
 from tubelab import fiber as fiber_mod
 
-# first positive zero of J0, Abramowitz & Stegun table 9.5
+# first positive zeros of J0 and J1, Abramowitz & Stegun table 9.5
 J0_ZERO = 2.404825557695773
+J1_ZERO = 3.831705970207512
 
 
 def interval_lambda0(n):
@@ -40,9 +41,7 @@ class TestIntervalGrid:
         g = fiber_mod.IntervalFiberGrid(127)
         sp = fiber_mod.fiber_spectrum(g, n_modes=4)
         for k in range(4):
-            assert sp.eigenvalues[k] == pytest.approx(
-                sp.analytic_eigenvalue(k), rel=1e-3
-            )
+            assert sp.eigenvalues[k] == pytest.approx(sp.references()["analytic"][k], rel=1e-3)
 
     def test_weighted_coefficient_form(self):
         # constant coefficient 2 doubles the form
@@ -66,6 +65,28 @@ class TestPolarGrid:
         g = fiber_mod.PolarFiberGrid(127)
         sp = fiber_mod.fiber_spectrum(g, n_modes=2)
         assert abs(sp.lambda0 - J0_ZERO**2) < 1e-3
+
+    def test_references_follow_the_multiplets(self):
+        g = fiber_mod.PolarFiberGrid(31)
+        sp = fiber_mod.fiber_spectrum(g)
+        ref = sp.references()["analytic"]
+        assert len(ref) == len(sp.eigenvalues)
+        assert ref[:3] == pytest.approx([J0_ZERO**2, J1_ZERO**2, J1_ZERO**2], rel=1e-15)
+        # one continuum level per multiplet, ascending across multiplets
+        levels = []
+        for idx in sp.multiplets:
+            assert len({ref[i] for i in idx}) == 1
+            levels.append(ref[idx[0]])
+        assert levels == sorted(set(levels))
+        assert sp.multiplets[:3] == [[0], [1, 2], [3, 4]]
+
+    def test_excited_profile_is_a_unit_excited_field(self):
+        g = fiber_mod.PolarFiberGrid(31)
+        sp = fiber_mod.fiber_spectrum(g)
+        assert np.sum(g.weights * sp.excited_profile**2) == pytest.approx(1.0, rel=1e-13)
+        vals = sp.eigenvalues[sp.multiplets[1]]
+        form = g.vertical_form() @ sp.excited_profile
+        assert np.max(np.abs(form - vals[0] * g.weights * sp.excited_profile)) < 1e-9 * vals[0]
 
     def test_first_excited_is_doublet(self):
         g = fiber_mod.PolarFiberGrid(32)
@@ -210,10 +231,3 @@ class TestSpectrumAndProjections:
         g = fiber_mod.IntervalFiberGrid(16)
         with pytest.raises(tl.ResolutionError):
             fiber_mod.fiber_spectrum(g, n_modes=12)
-
-
-def test_bessel_oracle():
-    z = fiber_mod.bessel_j0_first_zero()
-    assert abs(z - J0_ZERO) < 1e-9
-    assert abs(fiber_mod.bessel_j0(z)) < 1e-9
-    assert fiber_mod.bessel_j0(0.0) == 1.0

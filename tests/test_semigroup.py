@@ -355,8 +355,8 @@ class TestBlockCore:
             assert np.max(np.abs(B @ V - W @ V * vals[k]) / scale) < 1e-9
             ref = scipy.linalg.solve(B + alpha * W, rhs[k].T, assume_a="pos").T
             assert np.max(np.abs(x[k] - ref)) < 1e-10 * np.max(np.abs(ref))
-        # a subset of the blocks is solved from the factors kept for every
-        # block, with the bits of the solve of every block
+        # a subset of the blocks is solved with the bits of the solve of
+        # every block: each block is factored alone in the batched Cholesky
         assert np.array_equal(blocks.solve(alpha, rhs[[1, 3]], [1, 3]), x[[1, 3]])
 
     def test_ellipse_falls_back_to_dense(self, rng):
