@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from . import fiber as fiber_mod
@@ -284,7 +283,11 @@ def h1_form(grid):
 
 def residual_h1_bound(grid, eps):
     """Largest |r_eps(f)| over the discrete H1 unit ball (dense pencil), r_eps
-    = (Induced - Sasaki - Omega) / eps the first-order metric residual form."""
+    = (Induced - Sasaki - Omega) / eps the first-order metric residual form.
+    Its metric B is not diagonal, so it takes scipy's generalized eigh; no
+    subcommand calls it."""
+    import scipy.linalg  # off every CLI path, which runs on numpy's LAPACK alone
+
     Q = ((assemble_form(grid, "InducedEps", eps) - assemble_form(grid, "SasakiEps", eps)
           - assemble_form(grid, "Omega")) / eps).toarray()
     B = np.diag(grid.weights) + h1_form(grid).toarray()

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import ResolutionError
@@ -313,6 +312,24 @@ class FiberSpectrum:
         return {"analytic": levels.tolist()}
 
 
+def weighted_eigh(B, w, eigvals_only=False):
+    """Generalized eigenpairs of the Hermitian pencil (B, diag(w)), w > 0,
+    for one matrix B or a stack of them sharing w: one eigh of B scaled by
+    L^-1 on both sides, L = diag(w)^1/2.  Eigenvalues ascend; eigenvectors
+    are columns, diag(w)-orthonormal.  The lower triangle is scaled in
+    LAPACK's own order (xSYGS2, and xSYGST below its block size), so small
+    pencils keep the bits of the generalized driver xSYGVD."""
+    root = np.sqrt(w)
+    scaled = B * (1.0 / root)
+    scaled /= root[:, None]
+    diag = np.arange(len(root))
+    scaled[..., diag, diag] = B[..., diag, diag] / root**2
+    if eigvals_only:
+        return np.linalg.eigvalsh(scaled)
+    vals, vecs = np.linalg.eigh(scaled)
+    return vals, vecs * (1.0 / root)[:, None]
+
+
 def fiber_spectrum(grid, n_modes=DEFAULT_MODES):
     """Dense generalized eigensolve of the flat Dirichlet form on a fiber grid.
 
@@ -324,8 +341,7 @@ def fiber_spectrum(grid, n_modes=DEFAULT_MODES):
         raise ResolutionError(
             f"{n_modes} modes requested but the grid resolves only {grid.mode_capacity}"
         )
-    W = np.diag(grid.weights)
-    vals, vecs = scipy.linalg.eigh(grid.vertical_form().toarray(), W)
+    vals, vecs = weighted_eigh(grid.vertical_form().toarray(), grid.weights)
     # the index past each multiplet, ascending, n last
     ends = np.append(np.flatnonzero(np.diff(vals) > MULTIPLET_REL_TOL * np.abs(vals[1:])) + 1, n)
     ends = ends[: np.searchsorted(ends, n_modes) + 1]

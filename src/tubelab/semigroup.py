@@ -28,9 +28,11 @@ pencil is split only when the split is exact: the weights repeat bitwise
 and the form equals the reassembled block matrix entry for entry, tested
 in O(nnz) on the stored entries and their count.  A wrong guess costs
 speed, never accuracy.  Work that needs every block is one batched LAPACK
-call over the stacked blocks: the spectrum (FourierBlocks.eigh), and the
-Cholesky of every shifted block of a solve (FourierBlocks.solve), the
-coercivity certificate of a resolvent.
+call over the stacked blocks: the spectrum (FourierBlocks.eigh, through
+fiber.weighted_eigh), and the Cholesky of every shifted block, the
+coercivity certificate of a resolvent (resolvent_minimizer).  A solve
+(FourierBlocks.solve) is one stacked LU solve of the shifted blocks it is
+asked for.  Every dense factorization here is numpy's LAPACK.
 
 Reach.  Q maps each base mode to itself, so a datum f touches only the
 blocks it has mass in; FourierBlocks.to_modes computes that mass as a dense
@@ -65,9 +67,10 @@ each eigenvalue, and the renormalized pencil's spread grows like eps^-2.
 On the 512 x 127 circle at eps = 0.00625, block 0 spans 1.6e-8 to 4.1e8,
 so u |B_0| is about 5e-8, and the sweep's sup errors there (L2 about
 4.1e-6) are reproducible only to about 1e-3 relative: LAPACK's generalized
-drivers gv and gvd (scipy.linalg.eigh on each block) give sup L2 errors
-2.3e-3 apart, and the batched eigh lies 1.6e-4 from gvd.  At that size two
-solvers that "agree at solver precision" agree to about 1e-3, not 1e-9.
+drivers xSYGV and xSYGVD on each block give sup L2 errors 2.3e-3 apart,
+and the diagonal scaling of fiber.weighted_eigh followed by xSYEVD lies
+1.6e-4 from xSYGVD.  At that size two solvers that "agree at solver
+precision" agree to about 1e-3, not 1e-9.
 
 Resolvent solves are accepted by their normwise backward error against a
 small multiple of the unit roundoff (BACKWARD_ERROR_BOUND), which does not
@@ -89,7 +92,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from . import discretize, fiber as fiber_mod, geometry
@@ -101,8 +103,10 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # Largest accepted normwise backward error of a resolvent solve,
 #   eta = |A f - b|_inf / (|A|_inf |f|_inf + |b|_inf)
 # (Rigal & Gaches 1967; Higham, Accuracy and Stability of Numerical
-# Algorithms, 2002, Thm 7.1).  Cholesky on the Fourier blocks and the real
-# orthonormal change of basis are backward stable, so a correct solve
+# Algorithms, 2002, Thm 7.1).  LU with partial pivoting on the Fourier
+# blocks (backward stable up to its growth factor, Higham 2002, Ch. 9,
+# small on these positive definite blocks) and the real orthonormal
+# change of basis are backward stable, so a correct solve
 # leaves eta at a few u however ill-conditioned A is, and
 # forming A f - b adds at most (m + 1) u with m <= 7 nonzeros per row of A
 # (Higham 2002, Sec. 3.5).  Measured on every spectral path, grids up to
@@ -154,9 +158,9 @@ class FourierBlocks:
 
     def blocks(self, ks=None):
         """The blocks B_k for k in ks (every block for None), stacked."""
+        k = np.arange(len(self.multiplicity)) if ks is None else np.asarray(ks, dtype=int)
         if self._N is None:
-            return self._D.toarray()[None]
-        k = np.arange(len(self.multiplicity)) if ks is None else np.asarray(ks)
+            return self._D.toarray()[None][k]
         angle = 2.0 * np.pi * k / self.n_base
         D, N = self._D, self._N
         blocks = D + np.cos(angle)[:, None, None] * (N + N.T)
@@ -211,37 +215,31 @@ class FourierBlocks:
 
     def eigh(self, ks=None, eigvals_only=False):
         """Generalized eigenpairs of (B_k, diag(w_row)) for the blocks ks
-        (every block by default), stacked, from one batched eigh of the
-        blocks scaled by L^-1 on both sides, L = diag(w_row)^1/2;
-        eigenvectors are diag(w_row)-orthonormal."""
-        B = self.blocks(ks)
-        root = np.sqrt(self.w_row)
-        # the lower triangle is scaled in LAPACK's own order (xSYGS2, xSYGST
-        # on blocks below its block size), so small blocks keep the bits of
-        # the generalized solver scipy.linalg.eigh(B, diag(w_row))
-        scaled = B * (1.0 / root)
-        scaled /= root[:, None]
-        diag = np.arange(len(root))
-        scaled[:, diag, diag] = B[:, diag, diag] / root**2
-        if eigvals_only:
-            return np.linalg.eigvalsh(scaled)
-        vals, vecs = np.linalg.eigh(scaled)
-        return vals, vecs * (1.0 / root)[:, None]
+        (every block by default), stacked, from one batched
+        fiber.weighted_eigh."""
+        return fiber_mod.weighted_eigh(self.blocks(ks), self.w_row, eigvals_only)
+
+    def shifted(self, shift, ks=None):
+        """The blocks B_k + shift diag(w_row) for k in ks (every block for
+        None), stacked."""
+        return self.blocks(ks) + shift * np.diag(self.w_row)
 
     def solve(self, shift, rhs, ks=None):
         """x[i] = (B_k + shift diag(w_row))^-1 rhs[i] for k = ks[i] (every
         block by default), rhs stacked over those blocks in the row layout of
-        to_modes, in one stacked cho_solve.  Every shifted block is factored,
-        solved or not, in one batched Cholesky, which raises LinAlgError when
-        any of them is not positive definite."""
-        lower = np.linalg.cholesky(self.blocks() + shift * np.diag(self.w_row))
-        if ks is not None:
-            lower = lower[ks]
-        if not len(lower):  # stacked cho_solve refuses an empty batch
-            return np.zeros_like(rhs)
-        # a non-finite right-hand side passes through to the caller's checks
-        x = scipy.linalg.cho_solve((lower, True), np.swapaxes(rhs, 1, 2), check_finite=False)
-        return np.swapaxes(x, 1, 2)
+        to_modes, in one stacked LU solve of the shifted blocks asked for.
+        Raises LinAlgError only for an exactly singular block; coercivity is
+        the caller's to certify (resolvent_minimizer).  A non-finite
+        right-hand side passes through to the caller's checks."""
+        b = np.swapaxes(rhs, 1, 2)
+        # LAPACK takes another kernel for a lone column, which rounds
+        # otherwise: a zero column beside it keeps each row's bits whatever
+        # the width of the stack
+        lone = b.shape[2] == 1
+        if lone:
+            b = np.concatenate([b, np.zeros_like(b)], axis=2)
+        x = np.linalg.solve(self.shifted(shift, ks), b)
+        return np.swapaxes(x[:, :, :1] if lone else x, 1, 2)
 
     def spectrum(self, block_vals):
         """All eigenvalues of the full pencil, ascending, with multiplicity."""
@@ -382,33 +380,35 @@ def phi_functional(op_h0, alpha, w_field, f):
 def resolvent_minimizer(op_h0, alpha, w_field):
     """Minimize phi, i.e. solve (H0 + alpha) f = w in the weighted sense.
 
-    The structure is read from the pencil (fourier_blocks).  The Cholesky
-    of every shifted block B_k + alpha diag(w_row), reached or not
-    (FourierBlocks.solve), is the coercivity certificate: it succeeds only
-    if B_k + alpha diag(w_row) + E is positive definite, |E| <= c n u |B_k|
+    The structure is read from the pencil (fourier_blocks).  One batched
+    Cholesky of every shifted block B_k + alpha diag(w_row), reached or
+    not, is the coercivity certificate: it succeeds only if
+    B_k + alpha diag(w_row) + E is positive definite, |E| <= c n u |B_k|
     (Higham 2002, Ch. 10).  The blocks the datum reaches (FourierBlocks.reach)
-    are solved, and the solve is accepted when the normwise backward error
-    of A f = b, with A = form + alpha diag(w) the assembled sparse matrix
-    and b = w * w_field, is at most BACKWARD_ERROR_BOUND.  info reports it
-    as "backward_error" (0.0 for a zero datum), the unchecked weighted
-    relative "residual", "min_eigenvalue", the least over the blocks solved
-    (None for none), and the Propagator.info keys, "blocks_decomposed"
-    counting the blocks solved.  Raises CoercivityViolation when a shifted
+    are solved (FourierBlocks.solve), and the solve is accepted when the
+    normwise backward error of A f = b, with A = form + alpha diag(w) the
+    assembled sparse matrix and b = w * w_field, is at most
+    BACKWARD_ERROR_BOUND.  info reports it as "backward_error" (0.0 for a
+    zero datum), the unchecked weighted relative "residual",
+    "min_eigenvalue", the least over the blocks solved (None for none), and
+    the Propagator.info keys, "blocks_decomposed" counting the blocks
+    solved.  Raises CoercivityViolation when a shifted
     block is not positive definite (eps outside the coercive range), and
     ResolutionError when the backward error is above the bound or not
     finite, or when a pencil without base structure is above DENSE_CUTOFF."""
     g = op_h0.grid
     blocks = fourier_blocks(op_h0.form, g.weights)
     path = blocks.path
+    try:
+        np.linalg.cholesky(blocks.shifted(alpha))
+    except np.linalg.LinAlgError:
+        raise CoercivityViolation("a shifted Fourier block is not positive definite; "
+                                  "epsilon is outside the coercive range") from None
     modes = blocks.to_modes(w_field)
     ks, dropped = blocks.reach(modes)
     solved = np.zeros_like(modes)
     # a non-finite datum reaches every block, then fails the backward-error check
-    try:
-        solved[ks] = blocks.solve(alpha, modes[ks] * blocks.w_row, ks)
-    except np.linalg.LinAlgError:
-        raise CoercivityViolation("a shifted Fourier block is not positive definite; "
-                                  "epsilon is outside the coercive range") from None
+    solved[ks] = blocks.solve(alpha, modes[ks] * blocks.w_row, ks)
     mineig = float(np.min(blocks.eigh(ks, eigvals_only=True)[:, 0])) + alpha if len(ks) else None
     f = blocks.from_modes(solved)
     rhs = g.weights * np.asarray(w_field)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from . import discretize, fiber as fiber_mod, semigroup
 
@@ -38,17 +37,24 @@ def composite_spectrum_check(grid, eps):
     """Every eigenvalue of the Sasaki operator is, in one angular sector m of
     the fiber (angular_sectors; the interval is one sector), a level of the
     sector's fiber form over eps^2 plus one of the base form twisted by
-    tau * zeta_m (discretize.base_form); checked by solves per sector."""
+    tau * zeta_m (discretize.base_form); checked by solves per sector
+    (fiber.weighted_eigh).  A sector's weight matrix U^H W U is diagonal,
+    exactly: U has one nonzero per row."""
     qs = discretize.assemble_form(grid, "SasakiEps", eps)
     vals2d = discretize.DiscreteOperator(grid, qs).eig()
     fib = grid.fiber
-    V, W = fib.vertical_form().toarray(), np.diag(fib.weights)
+    V = fib.vertical_form().toarray()
     parts = []
     for U, zeta in fib.angular_sectors():
         UH = U.conj().T
-        fib_vals = scipy.linalg.eigh(UH @ V @ U, UH @ W @ U, eigvals_only=True)
+        sector_w = UH @ (fib.weights[:, None] * U)
+        w = np.diagonal(sector_w)
+        if np.any(sector_w - np.diag(w)):
+            raise ValueError("an angular sector's weight matrix is not diagonal")
+        # LAPACK reads the real part of a Hermitian diagonal
+        fib_vals = fiber_mod.weighted_eigh(UH @ V @ U, w.real, eigvals_only=True)
         Qb = discretize.base_form(grid, zeta).toarray()
-        base_vals = scipy.linalg.eigh(Qb, np.diag(grid.base_w), eigvals_only=True)
+        base_vals = fiber_mod.weighted_eigh(Qb, grid.base_w, eigvals_only=True)
         parts.append((fib_vals[:, None] / eps**2 + base_vals[None, :]).ravel())
     composite = np.sort(np.concatenate(parts))
     scale = np.maximum(np.abs(composite), 1.0)

@@ -206,7 +206,8 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
 
 def test_interval_runs_leave_scipy_special_unloaded(tmp_path):
     # only the disc's references need scipy.special (Bessel zeros), and
-    # importing it costs start-up time
+    # importing it costs start-up time; every subcommand runs on numpy's
+    # LAPACK, and scipy.linalg would map a second OpenBLAS beside it
     text = BASE + (
         "validate:\n  eps_list: [0.2, 0.1]\n  n_fields: 5\n"
         "sweep:\n  eps_list: [0.2, 0.1]\n  n_t: 2\n"
@@ -220,7 +221,12 @@ def test_interval_runs_leave_scipy_special_unloaded(tmp_path):
         "import sys; from tubelab import cli\n"
         f"codes = [cli.main([c, '--config', {cfg!r}, '--out', {out!r}]) for c in cli.COMMANDS]\n"
         "assert codes == [0] * len(codes), codes\n"
-        "assert 'scipy.special' not in sys.modules"
+        "assert 'scipy.special' not in sys.modules\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "import os\n"
+        "if os.path.exists('/proc/self/maps'):\n"
+        "    libs = {line.split()[-1] for line in open('/proc/self/maps') if 'openblas' in line}\n"
+        "    assert len(libs) == 1, libs"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=300)

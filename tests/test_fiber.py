@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import tubelab as tl
@@ -231,3 +232,26 @@ class TestSpectrumAndProjections:
         g = fiber_mod.IntervalFiberGrid(16)
         with pytest.raises(tl.ResolutionError):
             fiber_mod.fiber_spectrum(g, n_modes=12)
+
+
+@pytest.mark.parametrize("grid, rel", [
+    (fiber_mod.IntervalFiberGrid(31), 0.0),
+    (fiber_mod.PolarFiberGrid(31, 16), 1e-12),
+], ids=["interval31", "disc31x16"])
+def test_weighted_eigh_matches_the_generalized_driver(grid, rel):
+    # the diagonal scaling follows LAPACK's xSYGS2 order: on a pencil below
+    # xSYGST's block size it keeps the bits of scipy.linalg.eigh(B, diag(w))
+    B, w = grid.vertical_form().toarray(), grid.weights
+    ref_vals, ref_vecs = scipy.linalg.eigh(B, np.diag(w))
+    ref_only = scipy.linalg.eigh(B, np.diag(w), eigvals_only=True)
+    vals, vecs = fiber_mod.weighted_eigh(B, w)
+    only = fiber_mod.weighted_eigh(B, w, eigvals_only=True)
+    assert np.max(np.abs(vals - ref_vals) / np.abs(ref_vals)) <= rel
+    assert np.max(np.abs(only - ref_only) / np.abs(ref_only)) <= rel
+    if rel == 0.0:
+        assert np.array_equal(vecs, ref_vecs)
+    assert np.max(np.abs(vecs.T @ (w[:, None] * vecs) - np.eye(len(w)))) < 1e-12
+    # a stack of pencils is solved with the bits of one call per pencil
+    stacked = fiber_mod.weighted_eigh(np.stack([B, 2.0 * B]), w, eigvals_only=True)
+    assert np.array_equal(stacked[0], only)
+    assert np.array_equal(stacked[1], fiber_mod.weighted_eigh(2.0 * B, w, eigvals_only=True))

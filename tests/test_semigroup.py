@@ -162,6 +162,16 @@ class TestResolvent:
                 ):
                     semigroup.resolvent_minimizer(op0, spectrum.lambda0 + 1.5, w)
 
+    def test_small_eps_backward_error(self, circle_grid, circle_spectrum):
+        # the renormalized operator's conditioning grows like eps^-2; the
+        # backward error of the block solve does not
+        alpha = circle_spectrum.lambda0 + 1.5
+        w = semigroup.default_sweep_field(circle_grid, circle_spectrum)
+        for eps in (0.2, 0.05, 0.0125, 0.003125):
+            op0 = discretize.renormalize(circle_grid, "InducedEps", eps, circle_spectrum.lambda0)
+            _, info = semigroup.resolvent_minimizer(op0, alpha, w)
+            assert info["backward_error"] <= semigroup.BACKWARD_ERROR_BOUND, eps
+
 
 class TestConditionalFlow:
     def test_zero_time_recovers_observable(self, circle_grid, circle_spectrum):
@@ -356,7 +366,8 @@ class TestBlockCore:
             ref = scipy.linalg.solve(B + alpha * W, rhs[k].T, assume_a="pos").T
             assert np.max(np.abs(x[k] - ref)) < 1e-10 * np.max(np.abs(ref))
         # a subset of the blocks is solved with the bits of the solve of
-        # every block: each block is factored alone in the batched Cholesky
+        # every block: each block is factored and solved alone in the
+        # stacked LU solve
         assert np.array_equal(blocks.solve(alpha, rhs[[1, 3]], [1, 3]), x[[1, 3]])
 
     def test_ellipse_falls_back_to_dense(self, rng):
@@ -410,6 +421,32 @@ class TestFieldStacks:
             ref = (0.5 * (float(f @ (op.form @ f)) + alpha * float(np.sum(w * f * f)))
                    - float(np.sum(w * w_field * f)))
             assert value == ref
+
+
+# one grid per block layout of FourierBlocks.solve: real 31-node blocks,
+# complex 496-node blocks (a twisted curve over the 31x16 disc) and the one
+# block of a pencil without base structure
+SOLVE_GRIDS = {
+    "real": (tl.CircleInPlane(1.0), 64, 31, 16),
+    "complex": (tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 8, 31, 16),
+    "one-block": (tl.SyntheticFiberModel(1.5), 1, 31, 16),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(SOLVE_GRIDS))
+def test_one_field_solve_is_its_row_of_a_stacked_solve(layout):
+    # LAPACK rounds a lone right-hand side with another kernel than a stack;
+    # FourierBlocks.solve keeps each field's bits whatever the stack's width
+    grid = discretize.build_grid(*SOLVE_GRIDS[layout])
+    blocks = semigroup.fourier_blocks(discretize.h1_form(grid), grid.weights)
+    assert layout == ("one-block" if blocks.n_base == 1
+                      else "complex" if blocks.complex else "real")
+    fields = np.random.Generator(np.random.Philox(key=8)).standard_normal((5, grid.n))
+    rows = blocks.to_modes(fields[:1]).shape[1]
+    stacked = blocks.solve(1.0, blocks.to_modes(fields))
+    for i, f in enumerate(fields):
+        one = blocks.solve(1.0, blocks.to_modes(f))
+        assert np.array_equal(one, stacked[:, i * rows : (i + 1) * rows])
 
 
 def _pencil(model, n_base, n_fiber, n_theta=16, which="InducedEps"):
