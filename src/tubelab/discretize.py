@@ -33,10 +33,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fiber as fiber_mod
 from . import geometry
+from .forms import Form, kron
 
 FORM_NAMES = ("V", "H", "SasakiEps", "InducedEps", "Omega", "P")
 # the forms that take eps: the Sasaki and induced tube forms
@@ -121,14 +121,6 @@ def refined_grid(grid):
 # ---------------------------------------------------------------------------
 
 
-def _form_product(form, f):
-    """form @ f for a field, or for each row of a stack (m, n), C-ordered.
-    Contiguous operands: a product with an F-ordered one is slow, and a dot
-    over strided rows rounds otherwise than for the field alone."""
-    f = np.asarray(f)
-    return np.ascontiguousarray((form @ np.ascontiguousarray(f.T)).T)
-
-
 @dataclass
 class DiscreteOperator:
     """Operator represented by its quadratic-form matrix.
@@ -137,7 +129,7 @@ class DiscreteOperator:
     which is symmetric in the weighted inner product by construction."""
 
     grid: ProductGrid
-    form: sp.csr_matrix
+    form: Form
 
     @property
     def weights(self):
@@ -145,12 +137,12 @@ class DiscreteOperator:
 
     def apply(self, f):
         """The operator on a field, or on each row of a stack (m, n)."""
-        return _form_product(self.form, f) / self.weights
+        return (self.form @ f) / self.weights
 
     def form_value(self, f):
         """q(f), a float; a stack (m, n) of fields gives its m values."""
         f = np.asarray(f)
-        return _float_or_stack(np.vecdot(f, _form_product(self.form, f)))
+        return _float_or_stack(np.vecdot(f, self.form @ f))
 
     def eig(self):
         """All eigenvalues of the weighted pencil, ascending; a block-circulant
@@ -162,23 +154,20 @@ class DiscreteOperator:
 
 def _base_difference(grid):
     """Periodic forward-difference matrix on the base, divided by h."""
-    n, h = grid.n_base, grid.base_h
-    rows = np.repeat(np.arange(n), 2)
-    cols = np.stack([np.arange(n), (np.arange(n) + 1) % n], 1).ravel()
-    vals = np.tile([-1.0 / h, 1.0 / h], n)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    h = grid.base_h
+    return Form(grid.n_base, {0: -1.0 / h, 1: 1.0 / h})
 
 
 def _edge_twist(grid):
     """The torsion at each base edge's midpoint times the average of the
-    edge's two ends, sparse (n_base, n_base); None without torsion."""
+    edge's two ends, (n_base, n_base); None without torsion."""
     if not isinstance(grid.model, geometry.CurveInSpace):
         return None
     n = grid.n_base
     tau = np.broadcast_to(grid.model.tau(grid.base_x + 0.5 * grid.base_h), n).astype(float)
     if not np.any(tau):
         return None
-    return sp.diags(0.5 * tau) @ (sp.identity(n) + sp.eye(n, k=1) + sp.eye(n, k=1 - n))
+    return Form(n, {0: 0.5 * tau, 1: 0.5 * tau})
 
 
 def _horizontal_form(grid, coeff):
@@ -189,20 +178,13 @@ def _horizontal_form(grid, coeff):
 
     coeff is an (n_base, n_fiber) array evaluated at base-edge midpoints."""
     if grid.n_base == 1:
-        return sp.csr_matrix((grid.n, grid.n))
-    Db = _base_difference(grid)
-    D = sp.kron(Db, sp.identity(grid.n_fiber, format="csr"), format="csr")
-    C = sp.diags((grid.base_h * grid.fiber.weights[None, :] * coeff).ravel())
-    Q = D.T @ C @ D
+        return Form(grid.n, {}, grid.n_fiber)
+    X = kron(_base_difference(grid), Form.identity(grid.n_fiber))
     twist = _edge_twist(grid)
     if twist is not None:
-        # (D - A)^T C (D - A) expanded: with D - A as one matrix the products
-        # sum the wrap-around blocks in another order, and a form with
-        # base-independent coefficients misses the exact block-circulant check
-        A = sp.kron(twist, -grid.fiber.rotation_generator())
-        DCA = D.T @ C @ A
-        Q = Q - (DCA + DCA.T) + A.T @ C @ A
-    return Q.tocsr()
+        # -tau d_theta = tau Z, the rotation generator Z being -d_theta
+        X = X + kron(twist, grid.fiber.rotation_generator())
+    return X.gram((grid.base_h * grid.fiber.weights[None, :] * coeff).ravel())
 
 
 def base_form(grid, zeta):
@@ -211,11 +193,11 @@ def base_form(grid, zeta):
     horizontal form is on a fiber sector where d_theta acts as i zeta
     (angular_sectors of the fiber grids).  A point base gives a zero 1 x 1."""
     if grid.n_base == 1:
-        return sp.csr_matrix((1, 1))
+        return Form(1, {})
     X, twist = _base_difference(grid), _edge_twist(grid)
     if zeta and twist is not None:
         X = X - 1j * zeta * twist
-    return (X.conj().T @ sp.diags(np.full(grid.n_base, grid.base_h)) @ X).tocsr()
+    return X.gram(np.full(grid.n_base, grid.base_h))
 
 
 def assemble_form(grid, which, eps=None):
@@ -234,36 +216,38 @@ def assemble_form(grid, which, eps=None):
     model = grid.model
     synthetic = isinstance(model, geometry.SyntheticFiberModel)
     if which == "V":
-        Q = sp.kron(sp.diags(grid.base_w), grid.fiber.vertical_form(), format="csr")
+        Q = kron(Form.diagonal(grid.base_w), grid.fiber.vertical_form())
     elif which == "H":
         Q = _horizontal_form(grid, np.ones((grid.n_base, grid.n_fiber)))
     elif which == "SasakiEps":
-        Q = (assemble_form(grid, "V") / eps**2 + assemble_form(grid, "H")).tocsr()
+        Q = assemble_form(grid, "V") / eps**2 + assemble_form(grid, "H")
     elif which == "InducedEps":
         # one cometric call per block; the vertical block is base-independent
         # for every shipped model
         vert = grid.fiber.vertical_form(
             lambda w: geometry.cometric(model, geometry.TubePoint(0.0, w, eps)).vertical
         )
-        Q = sp.kron(sp.diags(grid.base_w), vert, format="csr")
+        Q = kron(Form.diagonal(grid.base_w), vert)
         if grid.n_base > 1:
             xmid = grid.base_x + 0.5 * grid.base_h
             points = geometry.TubePoint(xmid[:, None], grid.fiber.node_w()[None], eps)
             hor = geometry.cometric(model, points).horizontal[..., 0, 0]
-            Q = (Q + _horizontal_form(grid, hor)).tocsr()
+            Q = Q + _horizontal_form(grid, hor)
     elif which == "Omega" and synthetic and model.curvature != 0.0:
         rot = grid.fiber.vertical_form(geometry.rotation_cometric)
-        Q = (-model.curvature / 3.0) * sp.kron(sp.diags(grid.base_w), rot, format="csr")
+        Q = (-model.curvature / 3.0) * kron(Form.diagonal(grid.base_w), rot)
     elif which == "P" and synthetic:
-        Z = sp.kron(sp.identity(grid.n_base, format="csr"),
-                    grid.fiber.rotation_generator(), format="csr")
-        Q = (sp.diags(grid.weights) @ ((model.curvature / 3.0) * (Z @ Z))).tocsr()
-        Q = (Q + Q.T) * 0.5  # symmetric up to roundoff already
+        # c/3 diag(W) Z^2 with Z^2 = -Z^T Z, bit for bit (Z is antisymmetric).
+        # Symmetric bit for bit too: Z^T Z is, and W is constant on the rings
+        # that Z acts on
+        Z = kron(Form.identity(grid.n_base), grid.fiber.rotation_generator())
+        ZZ = -1.0 * Z.gram(np.ones(grid.n))
+        Q = ((model.curvature / 3.0) * ZZ).scale_rows(grid.weights)
     else:
         # Omega and P: flat-ambient models have no curvature coupling
-        Q = sp.csr_matrix((grid.n, grid.n))
-    grid.cache[key] = Q.tocsr()
-    return grid.cache[key]
+        Q = Form(grid.n, {}, grid.n_fiber)
+    grid.cache[key] = Q
+    return Q
 
 
 def renormalize(grid, which, eps, lam0):
@@ -272,7 +256,7 @@ def renormalize(grid, which, eps, lam0):
     if which not in TUBE_FORMS:
         raise ValueError(f"renormalize takes a tube form {TUBE_FORMS}, not {which!r}")
     Q = assemble_form(grid, which, eps)
-    return DiscreteOperator(grid, (Q - (lam0 / eps**2) * sp.diags(grid.weights)).tocsr())
+    return DiscreteOperator(grid, Q - Form.diagonal((lam0 / eps**2) * grid.weights))
 
 
 def h1_form(grid):
@@ -308,7 +292,7 @@ def sobolev_norm(grid, f, order):
     total = grid.inner(g, g)
     for j in range(1, order + 1):
         if j % 2:
-            Qg = _form_product(h1_form(grid), g)
+            Qg = h1_form(grid) @ g
             total = total + np.vecdot(g, Qg)
         else:
             g = Qg / grid.weights
@@ -329,7 +313,7 @@ def random_fields(grid, n_fields, seed):
 
     Q1 = h1_form(grid)
     w = grid.weights
-    s = float(np.max(np.asarray(abs(Q1).sum(axis=1)).ravel() / w))
+    s = float(np.max(Q1.abs_row_sums() / w))
     blocks = semigroup.fourier_blocks(Q1 / s, w)
     rng = np.random.Generator(np.random.Philox(key=seed))
     # allocated first, filled last, each transient stack freed once the next

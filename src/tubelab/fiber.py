@@ -11,8 +11,8 @@ coordinates of the nodes, center_index the node on the submanifold,
 refined_size a finer grid's constructor arguments, symmetrize_ground the
 ground state's symmetrization and angular_sectors the subspaces on which
 the angular derivative acts as a number.  Outside this module nothing
-branches on the fiber type.  A form is assembled from 1-D difference
-matrices (sp.diags, sp.kron) as coefficient times squared one-sided
+branches on the fiber type.  A form is the Gram matrix of 1-D difference
+stencils (forms.Form.gram, forms.kron): coefficient times squared one-sided
 difference summed over the edges, which makes every operator symmetric and
 positive semidefinite in the grid's weighted inner product by construction.
 """
@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ResolutionError
+from .forms import Form, kron
 
 MULTIPLET_REL_TOL = 1e-8
 # modes fiber_spectrum computes unless asked for others; every subcommand
@@ -42,11 +42,6 @@ def _flat(w):
     """The flat vertical cometric: the identity at every fiber point."""
     q = w.shape[-1]
     return np.broadcast_to(np.eye(q), w.shape + (q,))
-
-
-def _edge_form(D, weight):
-    """Form matrix of sum over edges e of weight_e * (D f)_e^2."""
-    return (D.T @ sp.diags(weight) @ D).tocsr()
 
 
 class IntervalFiberGrid:
@@ -107,14 +102,18 @@ class IntervalFiberGrid:
         midpoints; flat (g = 1) without one.
 
         The edges join neighbouring nodes, plus a half-length edge from each
-        extreme node to its wall; differences are divided by edge length."""
+        extreme node to its wall; differences are divided by edge length.
+        Edge e < n ends at node e (edge 0 comes from the left wall); the
+        right wall's edge n touches node n - 1 alone."""
         n, h = self.n, self.h
         lens = np.full(n + 1, h)
         lens[0] = lens[-1] = 0.5 * h
-        D = sp.diags([-1.0 / lens[1:], 1.0 / lens[:-1]], [-1, 0], shape=(n + 1, n))
         mids = np.concatenate([[-1.0 + 0.25 * h], self.s[:-1] + 0.5 * h, [1.0 - 0.25 * h]])
-        g = (vertical or _flat)(mids[:, None])[:, 0, 0]
-        return _edge_form(D, g * lens)
+        weight = (vertical or _flat)(mids[:, None])[:, 0, 0] * lens
+        D = Form(n, {0: 1.0 / lens[:-1], -1: np.append(0.0, -1.0 / lens[1:-1])})
+        wall = np.zeros(n)
+        wall[-1] = -1.0 / lens[-1]
+        return D.gram(weight[:-1]) + Form.diagonal(wall).gram(weight[-1])
 
 
 class PolarFiberGrid:
@@ -212,18 +211,18 @@ class PolarFiberGrid:
                 raise NotImplementedError(
                     "the disc grid needs a rotationally symmetric vertical cometric"
                 )
-        D_r = sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(nr, nr))
-        D_t = sp.diags([-1.0 / dt, 1.0 / dt, 1.0 / dt], [0, 1, 1 - nt], shape=(nt, nt))
+        # the last ring's radial edge ends on the wall; D_t is cyclic
+        D_r = Form(nr, {0: -1.0 / h, 1: np.append(np.full(nr - 1, 1.0 / h), 0.0)})
+        D_t = Form(nt, {0: -1.0 / dt, 1: 1.0 / dt})
         # edge weight g * (h * r * dt), grouped so: the tests' edge-by-edge
         # reference, and every result file, rest on these bits
-        radial = _edge_form(
-            sp.kron(D_r, sp.identity(nt)), np.repeat(g_edge[:, 0, 0] * (h * r_edge * dt), nt)
+        radial = kron(D_r, Form.identity(nt)).gram(
+            np.repeat(g_edge[:, 0, 0] * (h * r_edge * dt), nt)
         )
-        angular = _edge_form(
-            sp.kron(sp.identity(nr), D_t),
-            np.repeat(g_ring[:, 1, 1] / self.r**2 * (h * self.r * dt), nt),
+        angular = kron(Form.identity(nr), D_t).gram(
+            np.repeat(g_ring[:, 1, 1] / self.r**2 * (h * self.r * dt), nt)
         )
-        return (radial + angular).tocsr()
+        return radial + angular
 
     def rotation_generator(self):
         """Centered-difference matrix of the rotation derivation -d_theta.
@@ -231,13 +230,9 @@ class PolarFiberGrid:
         Circulant in the angular index, hence it commutes exactly with every
         other angular-difference operator on the same grid, and the sign is
         fixed so that applying it to w1 gives (a discretization of) w2."""
-        nt = self.n_theta
-        rows = np.repeat(np.arange(nt), 2)
-        cols = np.stack([(np.arange(nt) + 1) % nt, (np.arange(nt) - 1) % nt], 1).ravel()
         # entry -1/(2h) at j+1 and +1/(2h) at j-1 is the centered -d_theta
-        vals = np.tile([-1.0 / (2 * self.dtheta), 1.0 / (2 * self.dtheta)], nt)
-        Dt = sp.csr_matrix((vals, (rows, cols)), shape=(nt, nt))
-        return sp.kron(sp.identity(self.n_r, format="csr"), Dt, format="csr")
+        Dt = Form(self.n_theta, {1: -1.0 / (2 * self.dtheta), -1: 1.0 / (2 * self.dtheta)})
+        return kron(Form.identity(self.n_r), Dt)
 
 
 def make_fiber_grid(q, n_fiber, n_theta=16):

@@ -20,14 +20,15 @@ mode-k field of coefficient B_k z, B_k = D + e^{-i w_k} N + e^{i w_k} N^T:
 Hermitian, and the real D + 2 cos(w_k) N for a symmetric N and for the
 modes k = 0 and, for even n_base, k = n_base / 2, which carry c_k alone.
 When the weights repeat per base node, w = kron(1, w_row), the pencil splits
-into the n_base // 2 + 1 fiber pencils (B_k, diag(w_row)).  The block size
-is read from the form: row 0 ends in the block N^T, whose diagonal is
-nonzero for every form assembled here, so the first nonzero of row 0 past
-column n / 2 sits at column n - n_fiber.  That reading is only a guess; the
-pencil is split only when the split is exact: the weights repeat bitwise
-and the form equals the reassembled block matrix entry for entry, tested
-in O(nnz) on the stored entries and their count.  A wrong guess costs
-speed, never accuracy.  Work that needs every block is one batched LAPACK
+into the n_base // 2 + 1 fiber pencils (B_k, diag(w_row)).  A form
+(forms.Form) is held by its cyclic diagonals and knows its block size, the
+fiber size of the product grid it was assembled on.  The pencil is split
+only when the split is exact: the weights repeat bitwise per base node, and
+so does every diagonal of the form, whose nonzero entries lie in the base
+offsets 0, 1 and -1 with N^T at -1 (Form.circulant_blocks), in O(nnz).  The
+cyclic layout holds the wrap-around from the last base node to the first
+like any other row, so the test covers it.  Any other pencil is one block,
+which costs speed, never accuracy.  Work that needs every block is one batched LAPACK
 call over the stacked blocks: the spectrum (FourierBlocks.eigh, through
 fiber.weighted_eigh), and the Cholesky of every shifted block, the
 coercivity certificate of a resolvent (resolvent_minimizer).  A solve
@@ -92,10 +93,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import discretize, fiber as fiber_mod, geometry
 from .errors import CoercivityViolation, DegenerateConditioning, ResolutionError
+from .forms import Form
 
 DENSE_CUTOFF = 2600
 
@@ -108,8 +109,9 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # small on these positive definite blocks) and the real orthonormal
 # change of basis are backward stable, so a correct solve
 # leaves eta at a few u however ill-conditioned A is, and
-# forming A f - b adds at most (m + 1) u with m <= 7 nonzeros per row of A
-# (Higham 2002, Sec. 3.5).  Measured on every spectral path, grids up to
+# forming A f - b adds at most (m + 1) u with m nonzeros per row of A
+# (Higham 2002, Sec. 3.5): m <= 7 on an untwisted form, 17 on the twisted
+# disc-fiber forms.  Measured on every spectral path, grids up to
 # 512x127 and eps down to 0.00625: eta <= 3 u, while the relative residual
 # grows like eps^-2 (to 7.9e-9).  One reached Fourier block left unsolved
 # gives eta >= 7.7e-5.
@@ -143,7 +145,7 @@ class FourierBlocks:
     coefficients, row [k, 1] the s_k ones (zero where s_k is absent);
     complex blocks take the one row z = c + i s.  A pencil without base
     structure is the one-block case n_base = 1, N = None: its block D is
-    the whole form, kept sparse until it is needed, and its modes have the
+    the whole form, kept as a Form until it is needed, and its modes have the
     one row of c_0 = 1.  A stack (m, n) of fields has the rows of its fields
     side by side, field by field; from_modes reads m from the row count and
     returns one field flat."""
@@ -246,46 +248,18 @@ class FourierBlocks:
         return np.sort(np.repeat(block_vals, self.multiplicity, axis=0).ravel())
 
 
-def _block_circulant(Q, D, N, n_base):
-    """Whether the canonical CSR matrix Q equals kron(I, D) + kron(S, N) +
-    kron(S^T, N^T) entry for entry, in O(nnz): every stored nonzero equals
-    that matrix's entry, and there are as many as it has nonzeros."""
-    nf = len(D)
-    nz = Q.data != 0
-    rows = np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))[nz]
-    cols = Q.indices[nz]
-    offset = (cols // nf - rows // nf) % n_base
-    # base offsets 0, 1 and -1 hold D, N and N^T; no other offset may hold any
-    part = np.select([offset == 0, offset == 1, offset == n_base - 1], [0, 1, 2], -1)
-    if np.any(part < 0):
-        return False
-    count = n_base * (np.count_nonzero(D) + 2 * np.count_nonzero(N))
-    expected = np.stack([D, N, N.T])[part, rows % nf, cols % nf]
-    return np.count_nonzero(nz) == count and np.array_equal(Q.data[nz], expected)
-
-
 def fourier_blocks(form, weights):
-    """FourierBlocks of the pencil (form, diag(weights)): split over the base
-    when the form is exactly block-circulant, the block size read from row 0
-    (module docstring); else the whole pencil as one block."""
+    """FourierBlocks of the pencil (form, diag(weights)), form a forms.Form:
+    split over the base when the weights repeat bitwise per base node and
+    the form is exactly block-circulant (Form.circulant_blocks); else the
+    whole pencil as one block."""
     weights = np.asarray(weights, dtype=float)
-    Q = sp.csr_matrix(form)
-    if not Q.has_canonical_format:
-        Q = Q.copy()
-        Q.sum_duplicates()
-    n = len(weights)
-    row0 = Q.indices[: Q.indptr[1]][Q.data[: Q.indptr[1]] != 0]
-    past = row0[row0 > n / 2]
-    nf = n - past.min() if len(past) else n
-    n_base = n // nf
-    if n_base >= 3 and n % nf == 0:
-        w = weights.reshape(n_base, nf)
+    split = form.circulant_blocks()
+    if split is not None:
+        w = weights.reshape(-1, form.block)
         if np.array_equal(w, np.broadcast_to(w[0], w.shape)):
-            D = Q[:nf, :nf].toarray()
-            N = Q[:nf, nf : 2 * nf].toarray()
-            if _block_circulant(Q, D, N, n_base):
-                return FourierBlocks(w[0].copy(), n_base, D, N)
-    return FourierBlocks(weights, 1, Q)
+            return FourierBlocks(w[0].copy(), len(w), *split)
+    return FourierBlocks(weights, 1, form)
 
 
 def pencil_eigenvalues(form, weights):
@@ -387,7 +361,7 @@ def resolvent_minimizer(op_h0, alpha, w_field):
     (Higham 2002, Ch. 10).  The blocks the datum reaches (FourierBlocks.reach)
     are solved (FourierBlocks.solve), and the solve is accepted when the
     normwise backward error of A f = b, with A = form + alpha diag(w) the
-    assembled sparse matrix and b = w * w_field, is at most
+    assembled form and b = w * w_field, is at most
     BACKWARD_ERROR_BOUND.  info reports it as "backward_error" (0.0 for a
     zero datum), the unchecked weighted relative "residual",
     "min_eigenvalue", the least over the blocks solved (None for none), and
@@ -412,12 +386,12 @@ def resolvent_minimizer(op_h0, alpha, w_field):
     mineig = float(np.min(blocks.eigh(ks, eigvals_only=True)[:, 0])) + alpha if len(ks) else None
     f = blocks.from_modes(solved)
     rhs = g.weights * np.asarray(w_field)
-    A = (op_h0.form + alpha * sp.diags(g.weights)).tocsr()
+    A = op_h0.form + Form.diagonal(alpha * g.weights)
     Af = A @ f
     rel = g.norm(Af / g.weights - np.asarray(w_field)) / max(g.norm(w_field), 1e-300)
     r = np.max(np.abs(Af - rhs))
     # |A|_inf, the largest absolute row sum
-    scale = abs(A).sum(axis=1).max() * np.max(np.abs(f)) + np.max(np.abs(rhs))
+    scale = np.max(A.abs_row_sums()) * np.max(np.abs(f)) + np.max(np.abs(rhs))
     if not r <= BACKWARD_ERROR_BOUND * scale:  # NaN fails too; a zero datum passes
         raise ResolutionError(
             f"resolvent backward error {r / scale:.3e} above {BACKWARD_ERROR_BOUND:.3e} "

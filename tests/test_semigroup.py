@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 import tubelab as tl
 from tubelab import discretize, fiber as fiber_mod, semigroup, suites
+from tubelab.forms import Form
 
 
 @pytest.fixture(scope="module")
@@ -492,18 +492,10 @@ def test_fourier_blocks_reads_the_structure(name):
     )
 
 
-def _restored(Q, row, col, value, duplicate=False):
-    """Q with its stored entry (row, col) replaced by `value`; with
-    duplicate, stored as two entries of `value / 2`, which is no longer a
-    canonical CSR matrix."""
-    Q = Q.tocsr()
-    j = Q.indptr[row] + np.flatnonzero(Q.indices[Q.indptr[row] : Q.indptr[row + 1]] == col)[0]
-    data, indices, indptr = Q.data.copy(), Q.indices.copy(), Q.indptr.copy()
-    data[j] = value / 2 if duplicate else value
-    if duplicate:
-        data, indices = np.insert(data, j, value / 2), np.insert(indices, j, col)
-        indptr[row + 1 :] += 1
-    return type(Q)((data, indices, indptr), shape=Q.shape)
+def _with_entry(Q, row, col, value):
+    """Q with its entry (row, col) set to value."""
+    delta = value - Q.toarray()[row, col]
+    return Q + Form(Q.n, {col - row: np.where(np.arange(Q.n) == row, delta, 0.0)}, Q.block)
 
 
 class TestStructuralCheck:
@@ -512,31 +504,28 @@ class TestStructuralCheck:
 
     @pytest.fixture(scope="class")
     def pencil(self):
-        form, weights = _pencil(tl.CircleInPlane(1.0), 16, 13)
-        return form.tocsr(), weights
+        return _pencil(tl.CircleInPlane(1.0), 16, 13)
 
     def test_equal_forms_split(self, pencil):
         form, weights = pencil
-        nf, r = 13, 5 * 13 + 2
-        # the same matrix as a non-canonical one, and with an explicit zero
-        split = _restored(form, r, r, form[r, r], duplicate=True)
-        assert not split.has_canonical_format
-        assert semigroup.fourier_blocks(split, weights).n_base == 16
-        padded = (form + sp.csr_matrix(([0.0], ([r], [r + 3 * nf])), shape=form.shape)).tocsr()
+        nf, n = 13, len(weights)
+        # the same matrix keyed by offsets past n, and with an explicit zero
+        shifted = Form(n, {o + n: d for o, d in form.diagonals.items()}, form.block)
+        assert semigroup.fourier_blocks(shifted, weights).n_base == 16
+        padded = form + Form(n, {3 * nf: np.zeros(n)}, form.block)
         assert semigroup.fourier_blocks(padded, weights).n_base == 16
 
     def test_unequal_forms_are_one_block(self, pencil):
         form, weights = pencil
         nf, r = 13, 5 * 13 + 2
-        changed = _restored(form, r, r, form[r, r] * (1 + 1e-15))
-        # an entry two base nodes away; an entry dropped; and the sum of a
-        # doubled entry where another is dropped: every stored value is a
-        # block entry, and so is their count, but the matrix differs
-        far = (form + sp.csr_matrix(([1e-12], ([r], [r + 2 * nf])), shape=form.shape)).tocsr()
-        dropped = _restored(form, r, r + 1, 0.0)
-        dropped.eliminate_zeros()
-        doubled = _restored(dropped, r, r, 2 * form[r, r], duplicate=True)
-        for bad in (changed, far, dropped, doubled):
+        changed = _with_entry(form, r, r, form.toarray()[r, r] * (1 + 1e-15))
+        # an entry two base nodes away; an entry dropped; and in every base
+        # node an entry of N above its diagonal whose transpose is missing
+        far = _with_entry(form, r, r + 2 * nf, 1e-12)
+        dropped = _with_entry(form, r, r + 1, 0.0)
+        skew = form + Form(form.n, {nf + 1: np.tile(np.append(np.full(nf - 1, 1e-12), 0.0), 16)},
+                           form.block)
+        for bad in (changed, far, dropped, skew):
             assert semigroup.fourier_blocks(bad, weights).n_base == 1
         w = weights.copy()
         w[r] = np.nextafter(w[r], 1.0)
