@@ -2,8 +2,8 @@
 
 The interval fiber has eigenvalues ((k+1) pi / 2)^2; the disc fiber's are
 the squared Bessel zeros j_{m,k}^2, twice for m >= 1, with the ground energy
-the squared first zero of J0 (FiberSpectrum.references, which reads them from
-scipy.special).
+the squared first zero of J0 (FiberSpectrum.references, which computes them
+with fiber.bessel_zeros).
 """
 
 import math

@@ -409,10 +409,8 @@ def cmd_resolvent(cfg, grid, spectrum, eps_list, seed, workers):
         raise ConfigError("resolvent needs a base curve; the synthetic model has a point base")
     rcfg = cfg["resolvent"]
     alpha = spectrum.lambda0 + rcfg["alpha_offset"]
-    theta = grid.base_angle
-    w_field = (
-        np.outer(1.0 + 0.5 * np.cos(theta), spectrum.ground_state)
-        + 0.3 * np.outer(np.sin(theta), spectrum.excited_profile)
+    w_field = semigroup.default_sweep_field(grid, spectrum) + 0.3 * np.outer(
+        np.sin(grid.base_angle), spectrum.excited_profile
     ).ravel()
     rng = np.random.Generator(np.random.Philox(key=seed))
     errs, infos, variational_ok = semigroup.resolvent_study(

@@ -91,22 +91,22 @@ class ProductGrid:
 
 
 def build_grid(model, n_base, n_fiber, n_theta=16):
-    """Build the tensor grid for a model; the base is periodic arc length."""
+    """Build the tensor grid for a model; the base is periodic arc length.
+    A point base (the synthetic model) is one node of cell h = 1, on which
+    the periodic difference is exactly zero."""
     if isinstance(model, geometry.SyntheticFiberModel):
         if n_base != 1:
             raise ValueError("the synthetic fiber model has a point base: n_base = 1")
-        fib = fiber_mod.make_fiber_grid(model.codim, n_fiber, n_theta)
-        return ProductGrid(
-            model, 1, np.zeros(1), 0.0, np.ones(1), fib, fib.weights.copy()
-        )
-    if n_base < 8:
+        h = 1.0
+    elif n_base < 8:
         raise ValueError("need at least 8 base nodes")
-    length = model.base_length
-    h = length / n_base
-    base_x = h * np.arange(n_base)
+    else:
+        h = model.base_length / n_base
     fib = fiber_mod.make_fiber_grid(model.codim, n_fiber, n_theta)
-    weights = np.kron(np.full(n_base, h), fib.weights)
-    return ProductGrid(model, n_base, base_x, h, np.full(n_base, h), fib, weights)
+    base_w = np.full(n_base, h)
+    return ProductGrid(
+        model, n_base, h * np.arange(n_base), h, base_w, fib, np.kron(base_w, fib.weights)
+    )
 
 
 def refined_grid(grid):
@@ -177,8 +177,6 @@ def _horizontal_form(grid, coeff):
     centered angular difference, averaged over the edge's two ends.
 
     coeff is an (n_base, n_fiber) array evaluated at base-edge midpoints."""
-    if grid.n_base == 1:
-        return Form(grid.n, {}, grid.n_fiber)
     X = kron(_base_difference(grid), Form.identity(grid.n_fiber))
     twist = _edge_twist(grid)
     if twist is not None:
@@ -192,8 +190,6 @@ def base_form(grid, zeta):
     the sum over base edges of h |(d_s - i zeta tau) g|^2, which is what the
     horizontal form is on a fiber sector where d_theta acts as i zeta
     (angular_sectors of the fiber grids).  A point base gives a zero 1 x 1."""
-    if grid.n_base == 1:
-        return Form(1, {})
     X, twist = _base_difference(grid), _edge_twist(grid)
     if zeta and twist is not None:
         X = X - 1j * zeta * twist
@@ -268,15 +264,15 @@ def h1_form(grid):
 def residual_h1_bound(grid, eps):
     """Largest |r_eps(f)| over the discrete H1 unit ball (dense pencil), r_eps
     = (Induced - Sasaki - Omega) / eps the first-order metric residual form.
-    Its metric B is not diagonal, so it takes scipy's generalized eigh; no
-    subcommand calls it."""
-    import scipy.linalg  # off every CLI path, which runs on numpy's LAPACK alone
-
+    Its metric B is not diagonal: the pencil (Q, B) is reduced by the
+    Cholesky factor B = L L^T to the matrix L^-1 Q L^-T of the same
+    eigenvalues (Golub & Van Loan 2013, Sec. 8.7).  No subcommand calls it."""
     Q = ((assemble_form(grid, "InducedEps", eps) - assemble_form(grid, "SasakiEps", eps)
           - assemble_form(grid, "Omega")) / eps).toarray()
-    B = np.diag(grid.weights) + h1_form(grid).toarray()
-    vals = scipy.linalg.eigh(0.5 * (Q + Q.T), B, eigvals_only=True)
-    return float(np.max(np.abs(vals)))
+    L = np.linalg.cholesky(np.diag(grid.weights) + h1_form(grid).toarray())
+    # Q is symmetrized first: L^-1 (L^-1 Q)^T = L^-1 Q L^-T
+    C = np.linalg.solve(L, np.linalg.solve(L, 0.5 * (Q + Q.T)).T)
+    return float(np.max(np.abs(np.linalg.eigvalsh(C))))
 
 
 def sobolev_norm(grid, f, order):

@@ -15,6 +15,10 @@ branches on the fiber type.  A form is the Gram matrix of 1-D difference
 stencils (forms.Form.gram, forms.kron): coefficient times squared one-sided
 difference summed over the edges, which makes every operator symmetric and
 positive semidefinite in the grid's weighted inner product by construction.
+
+The continuum references of the spectra (FiberSpectrum.references) are
+closed forms on the interval and squared zeros of the Bessel functions J_m
+on the disc, computed here in numpy alone (bessel_zeros).
 """
 
 from __future__ import annotations
@@ -292,19 +296,59 @@ class FiberSpectrum:
     def references(self):
         """Continuum references, one per computed eigenvalue: ((k+1) pi/2)^2
         on the interval; on the disc the squared Bessel zeros j_{m,k}^2
-        ascending, twice for m >= 1 (the modes cos and sin m theta)."""
+        ascending, twice for m >= 1 (the modes cos and sin m theta).
+
+        Every disc level below x^2 has an order m < x, since j_{m,1} > m;
+        so the levels of the orders below x, cut at x, are all of them, and
+        x doubles until they number n."""
         n = len(self.eigenvalues)
         if self.q == 1:
             return {"analytic": [((k + 1) * math.pi / 2.0) ** 2 for k in range(n)]}
-        from scipy.special import jn_zeros  # only the disc needs it
+        x = 4.0
+        while True:
+            levels = np.sort(np.concatenate([
+                np.repeat(bessel_zeros(m, x) ** 2, 2 if m else 1) for m in range(math.ceil(x))
+            ]))
+            if len(levels) >= n:
+                return {"analytic": levels[:n].tolist()}
+            x *= 2.0
 
-        levels = jn_zeros(0, n) ** 2
-        m = 1
-        # j_{m,1} > m: no order from m on has a level below levels[-1]
-        while m * m < levels[-1]:
-            levels = np.sort(np.concatenate([levels, np.repeat(jn_zeros(m, n) ** 2, 2)]))[:n]
-            m += 1
-        return {"analytic": levels.tolist()}
+
+def _bessel_j(m, x):
+    """J_m(x) for an integer order m and an array x >= 0: the mean of
+    cos(m tau - x sin tau) over n equispaced tau in [0, 2 pi).
+
+    The mean is J_m(x) plus the aliased orders J_{m + k n}(x), k != 0
+    (the Fourier series of exp(-i x sin tau)), the largest J_{n - |m|}(x).
+    With n - |m| = nu > 2 x + 30, |J_nu(x)| <= (x/2)^nu / nu! <=
+    (e x / (2 nu))^nu (Abramowitz & Stegun 9.1.62, Stirling) is below
+    1e-28 for every x, so the rule is exact to roundoff (Trefethen &
+    Weideman 2014)."""
+    x = np.asarray(x, dtype=float)
+    n = int(2.0 * np.max(x, initial=0.0)) + abs(m) + 31
+    tau = (2.0 * math.pi / n) * np.arange(n)
+    return np.cos(m * tau - x[..., None] * np.sin(tau)).mean(axis=-1)
+
+
+def bessel_zeros(m, below):
+    """The positive zeros of J_m below `below`, ascending, m >= 0.
+
+    They lie past x = m (j_{m,1} > m) and more than 3 apart (Abramowitz &
+    Stegun 9.5), so each is alone in a unit interval between integers from
+    m on, bracketed by a sign change there; below m, J_m is so small that
+    roundoff could fake a sign change, so no bracket starts there.  The
+    secant point of the bracket starts Newton with J_m' = (J_{m-1} -
+    J_{m+1}) / 2, each step kept in the bracket; three steps reach roundoff
+    (measured), five run."""
+    ends = np.arange(m, math.ceil(below) + 1.0)
+    f = _bessel_j(m, ends)
+    i = np.flatnonzero(np.diff(np.signbit(f)))
+    a, b = ends[i], ends[i + 1]
+    x = a - f[i] * (b - a) / (f[i + 1] - f[i])
+    for _ in range(5):
+        step = 2.0 * _bessel_j(m, x) / (_bessel_j(m - 1, x) - _bessel_j(m + 1, x))
+        x = np.clip(x - step, a, b)
+    return x[x < below]
 
 
 def weighted_eigh(B, w, eigvals_only=False):

@@ -149,17 +149,18 @@ def sasaki_limit_check(grid, spectrum, eps_list, t_grid):
     """Hard semigroup bound: the distance from the product-metric flow to the
     projected base flow is at most exp(-t (lambda1-lambda0)/(2 eps^2)) |f|.
 
-    The probe field mixes the ground fiber state with the excited profile
-    (FiberSpectrum.excited_profile), weighted by EXCITED_MIXING.  The
+    The probe field is semigroup.default_sweep_field plus the excited
+    profile (FiberSpectrum.excited_profile) weighted by EXCITED_MIXING.  The
     comparison carries an absolute allowance of SASAKI_ALLOWANCE_REL * |f|
     because the bound underflows for small eps while the eigensolver leaves
     roundoff of that order in the propagated field; worst_margin_rel is the
     largest (lhs - rhs) / |f|, to be read against allowance_rel.  The
     Propagator.info of each eps is reported as one list per key."""
     lam0, lam1 = spectrum.lambda0, spectrum.lambda1
-    g0 = 1.0 + 0.5 * np.cos(grid.base_angle)
     g1 = EXCITED_MIXING * (1.0 + np.cos(grid.base_angle))
-    f = (np.outer(g0, spectrum.ground_state) + np.outer(g1, spectrum.excited_profile)).ravel()
+    f = semigroup.default_sweep_field(grid, spectrum) + np.outer(
+        g1, spectrum.excited_profile
+    ).ravel()
     nf = grid.norm(f)
     errors, infos, _ = semigroup.collapse_errors(grid, spectrum, "SasakiEps", eps_list, t_grid, f)
     lhs = errors[:, :, 0]

@@ -206,24 +206,43 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_interval_runs_leave_scipy_special_unloaded(tmp_path):
-    # only the disc's references need scipy (scipy.special's Bessel zeros),
-    # and importing it costs start-up time; every subcommand runs on numpy
-    # alone, and scipy.linalg would map a second OpenBLAS beside numpy's
-    text = BASE + (
-        "validate:\n  eps_list: [0.2, 0.1]\n  n_fields: 5\n"
-        "sweep:\n  eps_list: [0.2, 0.1]\n  n_t: 2\n"
-        "resolvent:\n  eps_list: [0.2, 0.1]\n  n_perturbations: 2\n"
-        "mc:\n  eps_list: [0.2]\n  n_paths: 2000\n  horizon: 0.1\n  t_eval: [0.05]\n"
-    )
-    cfg, out = write_cfg(tmp_path, "c.yaml", text), str(tmp_path / "o")
+RUN_SECTIONS = (
+    "validate:\n  eps_list: [0.2, 0.1]\n  n_fields: 5\n"
+    "sweep:\n  eps_list: [0.2, 0.1]\n  n_t: 2\n"
+    "resolvent:\n  eps_list: [0.2, 0.1]\n  n_perturbations: 2\n"
+    "mc:\n  eps_list: [0.2]\n  n_paths: 2000\n  horizon: 0.1\n  t_eval: [0.05]\n"
+)
+# a twisted curve with a disc fiber, small enough for a subprocess test
+DISC_CURVE = (
+    "seed: 12345\nmodel:\n  kind: curve\n  tau0: 1.0\n"
+    "grid:\n  n_base: 16\n  n_fiber: 8\n  n_theta: 8\n"
+)
+
+
+def test_every_run_needs_numpy_alone(tmp_path):
+    # numpy is the one numerical runtime dependency: with scipy unimportable
+    # (a None entry in sys.modules makes `import scipy` raise ImportError)
+    # every subcommand exits as it does with scipy installed, on an interval
+    # fiber and on a disc fiber (whose references are Bessel zeros; mc needs
+    # the circle model, a config error on the curve), and one OpenBLAS is
+    # mapped, numpy's
+    configs = {
+        write_cfg(tmp_path, "interval.yaml", BASE + RUN_SECTIONS): [0, 0, 0, 0, 0],
+        write_cfg(tmp_path, "disc.yaml", DISC_CURVE + RUN_SECTIONS): [0, 0, 0, 0, 2],
+    }
+    out = str(tmp_path / "o")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
-        "import sys; from tubelab import cli\n"
-        f"codes = [cli.main([c, '--config', {cfg!r}, '--out', {out!r}]) for c in cli.COMMANDS]\n"
-        "assert codes == [0] * len(codes), codes\n"
-        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from tubelab import cli\n"
+        f"for cfg, expected in {configs!r}.items():\n"
+        "    codes = [cli.main([c, '--config', cfg, '--out', "
+        f"{out!r}]) for c in ('fiber', 'validate', 'sweep', 'resolvent', 'mc')]\n"
+        "    assert codes == expected, (cfg, codes)\n"
+        "scipy = sorted(m for m, mod in sys.modules.items() "
+        "if m.split('.')[0] == 'scipy' and mod is not None)\n"
         "assert not scipy, scipy\n"
         "import os\n"
         "if os.path.exists('/proc/self/maps'):\n"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 import tubelab as tl
 from tubelab import fiber as fiber_mod
@@ -12,6 +13,7 @@ from tubelab import fiber as fiber_mod
 # first positive zeros of J0 and J1, Abramowitz & Stegun table 9.5
 J0_ZERO = 2.404825557695773
 J1_ZERO = 3.831705970207512
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def interval_lambda0(n):
@@ -233,11 +235,11 @@ class TestSpectrumAndProjections:
             fiber_mod.fiber_spectrum(g, n_modes=12)
 
 
-@pytest.mark.parametrize("grid, rel", [
-    (fiber_mod.IntervalFiberGrid(31), 0.0),
-    (fiber_mod.PolarFiberGrid(31, 16), 1e-12),
+@pytest.mark.parametrize("grid, bitwise", [
+    (fiber_mod.IntervalFiberGrid(31), True),
+    (fiber_mod.PolarFiberGrid(31, 16), False),
 ], ids=["interval31", "disc31x16"])
-def test_weighted_eigh_matches_the_generalized_driver(grid, rel):
+def test_weighted_eigh_matches_the_generalized_driver(grid, bitwise):
     # the diagonal scaling follows LAPACK's xSYGS2 order: on a pencil below
     # xSYGST's block size it keeps the bits of scipy.linalg.eigh(B, diag(w))
     B, w = grid.vertical_form().toarray(), grid.weights
@@ -245,12 +247,69 @@ def test_weighted_eigh_matches_the_generalized_driver(grid, rel):
     ref_only = scipy.linalg.eigh(B, np.diag(w), eigvals_only=True)
     vals, vecs = fiber_mod.weighted_eigh(B, w)
     only = fiber_mod.weighted_eigh(B, w, eigvals_only=True)
-    assert np.max(np.abs(vals - ref_vals) / np.abs(ref_vals)) <= rel
-    assert np.max(np.abs(only - ref_only) / np.abs(ref_only)) <= rel
-    if rel == 0.0:
+    if bitwise:
+        assert np.array_equal(vals, ref_vals) and np.array_equal(only, ref_only)
         assert np.array_equal(vecs, ref_vecs)
+    else:
+        # Weyl: each driver returns the exact eigenvalues of a matrix within
+        # p(n) u |A|_2 of A = L^-1 B L^-T, p(n) taken as n (LAPACK's backward
+        # error bound; Golub & Van Loan 2013, Sec. 8.3), so the two lists
+        # differ by at most 2 n u |A|_2, |A|_2 the largest eigenvalue.  The
+        # two drivers group their sums differently with the BLAS thread count
+        # (measured at one thread: 1.15 u |A|_2 at lambda0)
+        bound = 2 * len(w) * UNIT_ROUNDOFF * ref_vals[-1]
+        assert np.max(np.abs(vals - ref_vals)) <= bound
+        assert np.max(np.abs(only - ref_only)) <= bound
     assert np.max(np.abs(vecs.T @ (w[:, None] * vecs) - np.eye(len(w)))) < 1e-12
     # a stack of pencils is solved with the bits of one call per pencil
     stacked = fiber_mod.weighted_eigh(np.stack([B, 2.0 * B]), w, eigvals_only=True)
     assert np.array_equal(stacked[0], only)
     assert np.array_equal(stacked[1], fiber_mod.weighted_eigh(2.0 * B, w, eigvals_only=True))
+
+
+def jn_zeros_levels(n):
+    """The n lowest disc levels j_{m,k}^2 from scipy.special.jn_zeros, twice
+    for m >= 1: the oracle of FiberSpectrum.references."""
+    levels = scipy.special.jn_zeros(0, n) ** 2
+    m = 1
+    # j_{m,1} > m: no order from m on has a level below levels[-1]
+    while m * m < levels[-1]:
+        levels = np.sort(np.concatenate([levels, np.repeat(scipy.special.jn_zeros(m, n) ** 2, 2)]))
+        levels = levels[:n]
+        m += 1
+    return levels
+
+
+@pytest.mark.parametrize("shape", [(31, 16), (127, 16), (96, 32)],
+                         ids=["disc31x16", "disc127x16", "disc96x32"])
+def test_disc_references_match_scipy_bessel_zeros(shape):
+    grid = fiber_mod.PolarFiberGrid(*shape)
+    # references() reads only the number of computed levels: a 2-mode and a
+    # 6-mode disc spectrum hold 3 and 6 (the excited pair is kept whole), one
+    # at capacity at most capacity + 1
+    for n in (3, 6, grid.mode_capacity + 1):
+        spectrum = fiber_mod.FiberSpectrum(2, grid, np.zeros(n), None, [], None)
+        levels = np.array(spectrum.references()["analytic"])
+        ref = jn_zeros_levels(n)
+        # the mean in fiber._bessel_j rounds arguments m tau - x sin tau of size up
+        # to 2 pi m + x, so J_m carries an absolute error up to (2 pi m + j) u
+        # near a zero j; the zero moves by that over |J_m'(j)|, and
+        # j |J_m'(j)| >= 1.24 at every zero (its least value is at j_{0,1});
+        # so j^2 moves by at most 2 (2 pi m + j) u / 1.24 < 2 (2 pi + 1) j u
+        # relative, m < j.  A factor 2 covers the sum's rounding and the
+        # oracle's own error
+        bound = 4 * (2 * math.pi + 1) * np.sqrt(ref) * UNIT_ROUNDOFF
+        assert len(levels) == n
+        assert np.all(np.abs(levels - ref) <= bound * ref)
+
+
+def test_bessel_zeros_bracket_every_zero_below_the_cut():
+    # each zero moves by at most (2 pi m + j) u / |J_m'(j)| <= (2 pi m + j) u j
+    # / 1.24 (the bound above), here with a factor 4 for the sum and the oracle
+    for m in (0, 1, 7, 40):
+        zeros = fiber_mod.bessel_zeros(m, 60.5)
+        ref = scipy.special.jn_zeros(m, 30)
+        ref = ref[ref < 60.5]
+        assert len(zeros) == len(ref)
+        assert np.all(np.abs(zeros - ref) <= 4 * (2 * math.pi * m + ref) * UNIT_ROUNDOFF * ref)
+    assert len(fiber_mod.bessel_zeros(5, 5.0)) == 0
