@@ -19,6 +19,8 @@ Circulant Matrices, 1979), the coefficient z = a + i b.  Q maps it to the
 mode-k field of coefficient B_k z, B_k = D + e^{-i w_k} N + e^{i w_k} N^T:
 Hermitian, and the real D + 2 cos(w_k) N for a symmetric N and for the
 modes k = 0 and, for even n_base, k = n_base / 2, which carry c_k alone.
+FourierBlocks.to_modes computes every z_k of a field by numpy's real FFT
+along the base, one complex row per field for every kind of block.
 When the weights repeat per base node, w = kron(1, w_row), the pencil splits
 into the n_base // 2 + 1 fiber pencils (B_k, diag(w_row)).  A form
 (forms.Form) is held by its cyclic diagonals and knows its block size, the
@@ -33,14 +35,16 @@ call over the stacked blocks: the spectrum (FourierBlocks.eigh, through
 fiber.weighted_eigh), and the Cholesky of every shifted block, the
 coercivity certificate of a resolvent (resolvent_minimizer).  A solve
 (FourierBlocks.solve) is one stacked LU solve of the shifted blocks it is
-asked for.  Every dense factorization here is numpy's LAPACK.
+asked for; a real block takes the real and imaginary parts of its
+right-hand sides as real columns.  Every dense factorization here is
+numpy's LAPACK.
 
 Reach.  Q maps each base mode to itself, so a datum f touches only the
-blocks it has mass in; FourierBlocks.to_modes computes that mass as a dense
-product with the basis, whose error is at most about n_base u |f|_W
-(Higham, Accuracy and Stability of Numerical Algorithms, 2002, Sec. 3.5).
-A block is reached when the datum's weighted mass in it is above
-n_base u |f|_W, or is not finite, so a NaN or infinite datum reaches every
+blocks it has mass in; FourierBlocks.to_modes computes that mass by the
+real FFT, whose normwise error is at most about 7 log2(n_base) u |f|_W
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, Thm 24.2)
+and measures about 2 u |f|_W.  A block is reached when the datum's
+weighted mass in it is above n_base u |f|_W, or is not finite, so a NaN or infinite datum reaches every
 block and stays visible.  Work driven by a datum (Propagator.apply, the
 resolvent solve) touches only the blocks it reaches; each unreached block
 changes the result by at most its mass times max(1, exp(-t lambda_min / 2))
@@ -50,8 +54,8 @@ next to the number of blocks decomposed.  Every datum the CLI propagates
 lives in base modes 0 and 1, so its propagators decompose two blocks.
 
 Caches.  One per quantity: the forms on the grid, a tube form by
-(name, eps) and any other by name (discretize.assemble_form), the Fourier
-basis by n_base, and a Propagator's eigenpairs by block.  Blocks are rebuilt
+(name, eps) and any other by name (discretize.assemble_form), and a
+Propagator's eigenpairs by block.  Blocks are rebuilt
 from D and N on demand, at O(n_fiber^2) each, below the cost of any solve
 on them.
 
@@ -80,15 +84,15 @@ grow with the eps^-2 conditioning of the renormalized operator.
 The studies take a built grid and its fiber spectrum and never rebuild them.
 Every tube-versus-limit comparison (convergence_sweep, the Sasaki-limit
 check of suites, acceptance criterion 3) is one call of collapse_errors:
-one renormalized operator and one propagator per eps, the limit flow once
-per time.  conditional_flow_operator likewise builds one propagator per eps
-for all its times.
+one renormalized operator and one propagator per eps, and one apply of
+each propagator and of the limit flow for all the times (Propagator.apply
+takes a list of times: one transform of the datum each way).
+conditional_flow_operator likewise builds one propagator per eps for all
+its times.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 import time
 from dataclasses import dataclass
 
@@ -106,49 +110,31 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # (Rigal & Gaches 1967; Higham, Accuracy and Stability of Numerical
 # Algorithms, 2002, Thm 7.1).  LU with partial pivoting on the Fourier
 # blocks (backward stable up to its growth factor, Higham 2002, Ch. 9,
-# small on these positive definite blocks) and the real orthonormal
-# change of basis are backward stable, so a correct solve
-# leaves eta at a few u however ill-conditioned A is, and
+# small on these positive definite blocks) and the orthonormal change of
+# basis by the real FFT (Higham 2002, Thm 24.2) are backward stable, so a
+# correct solve leaves eta at a few u however ill-conditioned A is, and
 # forming A f - b adds at most (m + 1) u with m nonzeros per row of A
 # (Higham 2002, Sec. 3.5): m <= 7 on an untwisted form, 17 on the twisted
 # disc-fiber forms.  Measured on every spectral path, grids up to
-# 512x127 and eps down to 0.00625: eta <= 3 u, while the relative residual
+# 512x127 and eps down to 0.00625: eta <= 4.2 u, while the relative residual
 # grows like eps^-2 (to 7.9e-9).  One reached Fourier block left unsolved
 # gives eta >= 7.7e-5.
 BACKWARD_ERROR_BOUND = 32 * UNIT_ROUNDOFF
 
 
-@functools.lru_cache(maxsize=8)
-def _fourier_basis(n_base):
-    """(basis, multiplicity) of the real orthonormal Fourier basis of n_base
-    base nodes (FourierBlocks), shared read-only by every pencil of that base."""
-    k = np.arange(n_base // 2 + 1)
-    # basis[:, k, 0] = c_k, basis[:, k, 1] = s_k, orthonormal columns
-    angle = 2.0 * np.pi * np.outer(np.arange(n_base), k) / n_base
-    basis = np.sqrt(2.0 / n_base) * np.stack([np.cos(angle), np.sin(angle)], axis=2)
-    multiplicity = np.full(len(k), 2)
-    lone = [0] if n_base % 2 else [0, n_base // 2]
-    basis[:, lone, 0] /= math.sqrt(2.0)
-    basis[:, lone, 1] = 0.0
-    multiplicity[lone] = 1
-    basis = basis[:, :, : min(n_base, 2)].reshape(n_base, -1)
-    basis.flags.writeable = multiplicity.flags.writeable = False
-    return basis, multiplicity
-
-
 class FourierBlocks:
-    """A pencil in the real Fourier basis of its base, one block per mode.
+    """A pencil in the Fourier basis of its base, one block per mode.
 
     blocks(ks) builds the blocks B_k of the module docstring for the modes
-    ks from D and N, on demand.  Fields move between nodes and modes as
-    arrays of shape (n_base // 2 + 1, 2, n_fiber): row [k, 0] holds the c_k
-    coefficients, row [k, 1] the s_k ones (zero where s_k is absent);
-    complex blocks take the one row z = c + i s.  A pencil without base
-    structure is the one-block case n_base = 1, N = None: its block D is
-    the whole form, kept as a Form until it is needed, and its modes have the
-    one row of c_0 = 1.  A stack (m, n) of fields has the rows of its fields
-    side by side, field by field; from_modes reads m from the row count and
-    returns one field flat."""
+    ks from D and N, on demand.  A field's modes are one complex row per
+    block, z_k = c_k . f + i s_k . f (module docstring), computed by numpy's
+    real FFT along the base: z_k = sqrt(mult_k / n_base) conj(F_k), mult_k
+    the multiplicity of block k.  The layout is the same for real blocks,
+    complex blocks and the one block of a pencil without base structure
+    (n_base = 1, N = None, c_0 = 1), whose block D is the whole form, kept
+    as a Form until it is needed.  Modes have shape (n_base // 2 + 1, m,
+    n_fiber) for a stack (m, n) of fields, one row per field; from_modes
+    reads m from the row count and returns one field flat."""
 
     def __init__(self, w_row, n_base, D, N=None):
         self.n_base = n_base
@@ -156,7 +142,9 @@ class FourierBlocks:
         self._D, self._N = D, N
         # torsion makes N non-symmetric and the blocks complex (module docstring)
         self.complex = N is not None and not np.array_equal(N, N.T)
-        self.basis, self.multiplicity = _fourier_basis(n_base)
+        # the mode 0 and, for even n_base, the mode n_base / 2 carry c_k alone
+        self.multiplicity = np.where(2 * np.arange(n_base // 2 + 1) % n_base, 2, 1)
+        self._scale = np.sqrt(self.multiplicity / n_base)[:, None, None]
 
     def blocks(self, ks=None):
         """The blocks B_k for k in ks (every block for None), stacked."""
@@ -184,21 +172,12 @@ class FourierBlocks:
 
     def to_modes(self, f):
         """The modes of a field or of a stack of fields (class docstring)."""
-        nk, nf = len(self.multiplicity), len(self.w_row)
-        # one product per field: one wide product over the stack rounds otherwise
-        g = self.basis.T @ np.asarray(f).reshape(-1, self.n_base, nf)
-        g = g.reshape(len(g), nk, -1, nf)
-        if self.complex:
-            g = g[:, :, :1] + 1j * g[:, :, 1:]
-        return g.swapaxes(0, 1).reshape(nk, -1, nf)
+        f = np.asarray(f).reshape(-1, self.n_base, len(self.w_row))
+        return self._scale * np.fft.rfft(f, axis=1).swapaxes(0, 1).conj()
 
     def from_modes(self, g):
         """The field, or the stack of fields, of these modes (to_modes)."""
-        nk, nf = len(self.multiplicity), len(self.w_row)
-        if self.complex:
-            g = np.stack([g.real, g.imag], axis=2)
-        g = g.reshape(nk, -1, self.basis.shape[1] // nk, nf).swapaxes(0, 1)
-        f = self.basis @ g.reshape(len(g), -1, nf)
+        f = np.fft.irfft((g / self._scale).conj().swapaxes(0, 1), n=self.n_base, axis=1)
         return f.ravel() if len(f) == 1 else f.reshape(len(f), -1)
 
     def reach(self, modes):
@@ -233,14 +212,18 @@ class FourierBlocks:
         Raises LinAlgError only for an exactly singular block; coercivity is
         the caller's to certify (resolvent_minimizer).  A non-finite
         right-hand side passes through to the caller's checks."""
-        b = np.swapaxes(rhs, 1, 2)
+        A = self.shifted(shift, ks)
+        b = np.ascontiguousarray(np.swapaxes(rhs, 1, 2), dtype=complex)
+        if not np.iscomplexobj(A):
+            # real LAPACK: the real and imaginary parts are two real columns
+            return np.swapaxes(np.linalg.solve(A, b.view(float)).view(complex), 1, 2)
         # LAPACK takes another kernel for a lone column, which rounds
         # otherwise: a zero column beside it keeps each row's bits whatever
         # the width of the stack
         lone = b.shape[2] == 1
         if lone:
             b = np.concatenate([b, np.zeros_like(b)], axis=2)
-        x = np.linalg.solve(self.shifted(shift, ks), b)
+        x = np.linalg.solve(A, b)
         return np.swapaxes(x[:, :, :1] if lone else x, 1, 2)
 
     def spectrum(self, block_vals):
@@ -313,7 +296,12 @@ class Propagator:
                 "dropped_mode_norm_rel": self.dropped_mode_norm_rel}
 
     def apply(self, t, f):
-        if t < 0:
+        """exp(-t A / 2) f, for a field or a stack (m, n) of fields.  A list
+        of times gives the flows at those times, stacked along a leading
+        axis, from one transform of f each way and one reach test; each
+        time's flow has the bits of the apply at that time alone."""
+        times = np.asarray(t, dtype=float)
+        if np.any(times < 0):
             raise ValueError("time must be nonnegative")
         modes = self.blocks.to_modes(f)
         ks, dropped = self.blocks.reach(modes)
@@ -322,22 +310,26 @@ class Propagator:
         if new:
             vals, vecs = self.blocks.eigh(new)
             self._eig.update(zip(new, zip(vals, vecs)))
-        out = np.zeros_like(modes)
+        nk, rows, nf = modes.shape
+        out = np.zeros((nk, times.size, rows, nf), dtype=complex)
         if len(ks):
             vals, U = map(np.stack, zip(*(self._eig[k] for k in ks)))
             # the forward product takes U^H
             coef = (modes[ks] * self.blocks.w_row) @ U.conj()
-            out[ks] = (np.exp(-0.5 * t * vals)[:, None, :] * coef) @ U.transpose(0, 2, 1)
-        return self.blocks.from_modes(out)
+            # one product per block and time, so a time's bits do not
+            # depend on the other times
+            decay = np.exp(-0.5 * times.reshape(-1, 1, 1) * vals[:, None, None])
+            out[ks] = (decay * coef[:, None]) @ U.transpose(0, 2, 1)[:, None]
+        flows = self.blocks.from_modes(out.reshape(nk, -1, nf))
+        return flows.reshape(times.shape + np.shape(f))
 
 
 def limit_propagate(grid, spectrum, t_grid, f):
     """Limit semigroup at each time of t_grid, shape (len(t_grid), grid.n):
     project f to the ground fiber state once, run the base heat flow."""
     base_prop = Propagator(discretize.base_form(grid, 0.0), grid.base_w)
-    fb = fiber_mod.extract_fb(grid, spectrum, f)
-    return np.array([np.outer(base_prop.apply(t, fb), spectrum.ground_state).ravel()
-                     for t in t_grid])
+    flows = base_prop.apply(t_grid, fiber_mod.extract_fb(grid, spectrum, f))
+    return (flows[:, :, None] * spectrum.ground_state).reshape(len(flows), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +487,9 @@ def collapse_errors(grid, spectrum, which, eps_list, t_grid, f, order=0):
         t0 = time.perf_counter()
         op = discretize.renormalize(grid, which, eps, spectrum.lambda0)
         prop = Propagator(op.form, op.weights)
-        for j, t in enumerate(t_grid):
-            diff = prop.apply(t, f) - limit[j]
-            errors[i, j] = [discretize.sobolev_norm(grid, diff, k) for k in range(order + 1)]
+        diff = prop.apply(t_grid, f) - limit
+        for k in range(order + 1):
+            errors[i, :, k] = discretize.sobolev_norm(grid, diff, k)
         infos.append(prop.info)
         seconds.append(time.perf_counter() - t0)
     return errors, infos, seconds

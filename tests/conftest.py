@@ -37,12 +37,16 @@ def rng():
     return np.random.Generator(np.random.Philox(key=2024))
 
 
-# one grid per field layout of semigroup.FourierBlocks: real blocks (the
-# README circle), complex blocks (a twisted curve) and the one block of a
-# pencil without base structure (the synthetic model)
+# semigroup.FourierBlocks has one field layout, one complex row per field
+# and block; one grid per block kind: real blocks (the README circle),
+# complex blocks (a twisted curve, over an even and an odd base count; an
+# odd count has no mode n_base / 2) and the one block of a pencil without
+# base structure (the synthetic model).  A name is its block kind, with
+# "-odd" for the odd base count
 LAYOUT_GRIDS = {
     "real": (tl.CircleInPlane(1.0), 64, 31, 16),
     "complex": (tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 32, 12, 16),
+    "complex-odd": (tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 17, 8, 8),
     "one-block": (tl.SyntheticFiberModel(1.5), 1, 31, 16),
 }
 

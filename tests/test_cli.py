@@ -425,8 +425,9 @@ RERUN_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(RERUN_CONFIGS))
 def test_in_process_reruns_are_byte_identical(tmp_path, name):
-    # the second run of each subcommand finds the module-level caches (the
-    # Fourier basis by n_base) warm, and must write the same bytes
+    # no module-level cache is left; a second run of each subcommand in the
+    # same process must still write the same bytes, whatever state a first
+    # run leaves behind
     text = RERUN_CONFIGS[name] + (
         "validate:\n  eps_list: [0.2, 0.1]\n  n_fields: 5\n"
         "resolvent:\n  eps_list: [0.2, 0.1]\n  n_perturbations: 2\n"
