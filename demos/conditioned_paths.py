@@ -26,7 +26,7 @@ for eps in (0.3, 0.2):
     # round the step so the horizon is a whole number of steps
     dt = T / math.ceil(T / (eps**2 / 20))
     ens = stochastic.sample_conditioned(
-        model, eps, 0.0, T, dt, n_paths, 12345, t_record=[t, T], guided=False
+        model, eps, 0.0, T, dt, n_paths, 12345, t_record=[t], guided=False
     )
     tq = float(ens.t_record[0])  # requested time snapped to the step grid
     est = stochastic.marginal_estimate(ens, np.cos, tq)

@@ -14,9 +14,10 @@ Gram assembly D^H diag(c) D (Form.gram) forms each entry as
 (conj(D[i, p]) c[i]) D[i, q] and gives entry (q, p) the conjugate of that
 same number, so every assembled form is Hermitian bit for bit.  A product
 (Form @ x) takes a field (n,) or each row of a C-ordered stack (m, n), a
-few fields at a time, and sums every row of Q in column order, so a field
-of a stack has the bits of its product alone.  Fiber-sized matrices that
-a dense solver needs come from Form.toarray.
+few fields at a time, and sums every row of Q in offset order.  That order
+is fixed by the form alone, not by the stack or its chunks, so a field of a
+stack has the bits of its product alone.  Fiber-sized matrices that a
+dense solver needs come from Form.toarray.
 """
 
 from __future__ import annotations
@@ -57,17 +58,6 @@ class Form:
             if np.any(values):
                 _accumulate(out, _signed(offset, self.n), values)
         self.diagonals = dict(sorted(out.items()))
-        # (offset, rows, columns) of each diagonal's entries that read
-        # x[(i + o) mod n] for row i: the entries that wrap to the front of a
-        # row (o > 0) first, those that wrap to its back (o < 0) last, so that
-        # a product sums every row in column order
-        n, offsets = self.n, list(self.diagonals)
-        self._column_order = (
-            [(o, slice(n - o, n), slice(0, o)) for o in offsets if o > 0]
-            + [(o, slice(max(0, -o), n - max(0, o)), slice(max(0, o), n + min(0, o)))
-               for o in offsets]
-            + [(o, slice(0, -o), slice(n + o, n)) for o in offsets if o < 0]
-        )
 
     @classmethod
     def diagonal(cls, values):
@@ -128,17 +118,25 @@ class Form:
         x = np.asarray(x)
         if x.ndim not in (1, 2) or x.shape[-1] != self.n:
             raise ValueError(f"a form of shape {self.shape} cannot multiply shape {x.shape}")
+        n = self.n
         out = np.zeros(x.shape, np.result_type(self.dtype, x))
-        fields, products = x.reshape(-1, self.n), out.reshape(-1, self.n)
+        fields, products = x.reshape(-1, n), out.reshape(-1, n)
+        # column lo + i + o of the window [x[n-lo:], x, x[:hi]] holds
+        # x[(i + o) mod n] for every offset o in [-lo, hi]
+        offsets = [0, *self.diagonals]
+        lo, hi = -min(offsets), max(offsets)
         # a few fields at a time, so that their products stay in cache
-        step = max(1, PRODUCT_CHUNK // self.n)
-        term = np.empty((min(step, len(fields)), self.n), out.dtype)
+        step = max(1, PRODUCT_CHUNK // n)
+        window = np.empty((min(step, len(fields)), lo + n + hi), x.dtype)
+        term = np.empty((len(window), n), out.dtype)
         for start in range(0, len(fields), step):
             xs, ys = fields[start : start + step], products[start : start + step]
-            ts = term[: len(xs)]
-            for o, rows, cols in self._column_order:
-                np.multiply(self.diagonals[o][rows], xs[:, cols], out=ts[:, rows])
-                ys[:, rows] += ts[:, rows]
+            ws, ts = window[: len(xs)], term[: len(xs)]
+            ws[:, :lo], ws[:, lo : lo + n], ws[:, lo + n :] = xs[:, n - lo :], xs, xs[:, :hi]
+            # every row sums its terms in offset order
+            for o, d in self.diagonals.items():
+                np.multiply(d, ws[:, lo + o : lo + o + n], out=ts)
+                ys += ts
         return out
 
     def abs_row_sums(self):

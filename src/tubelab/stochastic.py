@@ -108,12 +108,13 @@ class PathEnsemble:
     eps: float
     T: float
     dt: float
+    # the requested record times on the step grid: any nonempty set of
+    # finite times in [0, T], [T] by default
     t_record: np.ndarray
     n_paths: int             # paths sampled
     # one row per path inside the tube over the whole horizon, in ascending
     # path order: every guided path, the killed sampler's survivors only
     theta: np.ndarray        # (rows, n_record) angle at record times
-    r: np.ndarray            # (rows, n_record) radius at record times
     log_weight: np.ndarray   # (rows,) log-weight over [0, T]
     survival_steps: np.ndarray  # killed-process survival after each step
     seed: int
@@ -127,7 +128,8 @@ def sample_conditioned(
 ):
     """Sample an ensemble for the conditioned law; see the module docstring.
 
-    t_record times must lie in [0, T]; each is snapped to the nearest step.
+    t_record is any nonempty set of finite times in [0, T], [T] by default;
+    each is snapped to the nearest step.
     The guided sampler runs unless guided=False selects the killed one,
     whose ensemble keeps only the paths that survive to T.  The path blocks
     run on min(workers, n_blocks) threads; the result does not depend on
@@ -148,11 +150,9 @@ def sample_conditioned(
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise StepSizeError("T must be a whole number of steps")
     t_record = np.array([T]) if t_record is None else np.asarray(t_record, dtype=float)
-    if np.any(t_record < 0) or np.any(t_record > T):
-        raise ValueError(f"t_record times must lie in [0, T] = [0, {T}]")
+    if not (t_record.size and np.all((t_record >= 0) & (t_record <= T))):
+        raise ValueError(f"t_record must be nonempty times in [0, T] = [0, {T}]")
     rec_steps = np.round(t_record / dt).astype(int)
-    if n_steps not in rec_steps:
-        raise ValueError("t_record must include the horizon T")
     if guided and eps >= R:
         raise FocalRadiusExceeded(
             f"eps={eps} reaches the centre of the circle of radius {R}: "
@@ -177,7 +177,7 @@ def sample_conditioned(
         for block_rows, part in results:
             rows.append(block_rows)
             survival += part
-    theta, rad, logw = (np.concatenate(parts) for parts in zip(*rows))
+    theta, logw = (np.concatenate(parts) for parts in zip(*rows))
     return PathEnsemble(
         R,
         float(eps),
@@ -186,7 +186,6 @@ def sample_conditioned(
         rec_steps * dt,
         int(n_paths),
         theta,
-        rad,
         logw,
         survival / n_paths,
         int(seed),
@@ -206,7 +205,7 @@ def pool_size(n_paths, workers):
 def _killed_block(rng, R, eps, theta0, dt, rec_steps, m, alive_count):
     """Killed, weighted planar Brownian paths of one block of m paths;
     alive_count[step] gains the block's survivors.  Returns the survivors'
-    (theta, r, log_weight) in ascending path order.
+    (theta, log_weight) in ascending path order.
 
     Each step draws for the n live paths only: n normals dx, n normals dy,
     then n uniforms, draw i going to live row i.  A path's state is its
@@ -241,12 +240,10 @@ def _killed_block(rng, R, eps, theta0, dt, rec_steps, m, alive_count):
     t1, t2 = np.empty(m), np.empty(m)
     keep = np.empty(m, dtype=bool)
     theta = np.empty((m, len(rec_steps)))
-    rad = np.empty((m, len(rec_steps)))
 
     def record(step, n):
         for k in np.flatnonzero(rec_steps == step):
             theta[idx[:n], k] = np.arctan2(y[:n], x[:n])
-            rad[idx[:n], k] = r_prev[:n]
 
     record(0, m)
     alive_count[0] += m
@@ -305,33 +302,30 @@ def _killed_block(rng, R, eps, theta0, dt, rec_steps, m, alive_count):
             break
     order = np.argsort(idx[:n])
     rows = idx[order]
-    return theta[rows], rad[rows], -0.125 * q[order]
+    return theta[rows], -0.125 * q[order]
 
 
 def _guided_block(rng, R, eps, theta0, dt, rec_steps, m, survival):
     """h-transformed paths of one block of m paths; survival[step] gains
     the block's sum of survival weights.  Returns every path's
-    (theta, r, log_weight) in path order."""
+    (theta, log_weight) in path order."""
     n_steps = len(survival) - 1
     half_k2 = 0.5 * (math.pi / (2.0 * eps)) ** 2
     a = math.pi * dt / (2.0 * eps**2)
     sigma = math.sqrt(dt) / eps
     log_h0 = -0.5 * math.log(R)
     rho = np.zeros(m)
-    r = np.full(m, float(R))
     angle = np.full(m, float(theta0))
-    inv_r2 = 1.0 / (r * r)
+    inv_r2 = np.full(m, 1.0 / (R * R))
     q_total = np.zeros(m)   # integral of r^-2 over [0, t]
     q_rec = np.zeros(m)     # integral of r^-2 since the last record time
     theta = np.empty((m, len(rec_steps)))
-    rad = np.empty((m, len(rec_steps)))
 
     def record(step):
         for k in np.where(rec_steps == step)[0]:
             angle[:] += np.sqrt(q_rec) * rng.standard_normal(m)
             q_rec[:] = 0.0
             theta[:, k] = np.remainder(angle + math.pi, 2.0 * math.pi) - math.pi
-            rad[:, k] = r
 
     survival[0] += m
     record(0)
@@ -348,7 +342,7 @@ def _guided_block(rng, R, eps, theta0, dt, rec_steps, m, survival):
         shift = log_h0 - half_k2 * step * dt
         survival[step] += float(np.sum(np.exp(shift + 0.125 * q_total - log_h)))
         record(step)
-    return theta, rad, log_h0 - half_k2 * n_steps * dt - log_h
+    return theta, log_h0 - half_k2 * n_steps * dt - log_h
 
 
 def _implicit_tan_root(c, a):

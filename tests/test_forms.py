@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 import tubelab as tl
 from tubelab import discretize, fiber as fiber_mod, geometry, semigroup
-from tubelab.forms import Form, kron
+from tubelab.forms import PRODUCT_CHUNK, Form, kron
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # largest entrywise distance from the reference, in units of u times the
@@ -176,14 +176,17 @@ def test_products_match_scipy_and_hold_the_per_field_bits(model_grid):
     name, grid = model_grid
     rng = np.random.Generator(np.random.Philox(key=11))
     for label, form, ref in cases(name, grid):
-        x = rng.standard_normal((5, form.n))
-        product = form @ x
-        ref_product = np.asarray(ref @ x.T).T
-        # |Q x - R x| <= (entry bound + summation) |R| |x|, row by row
-        scale = np.asarray(abs(ref) @ np.abs(x).T).T
-        assert np.all(np.abs(product - ref_product) <= 2 * ENTRY_BOUND_U * UNIT_ROUNDOFF * scale)
-        for row, field in zip(product, x):
-            assert np.array_equal(row, form @ field), label
+        # a few fields, and a stack that crosses a product chunk boundary
+        for m in (5, PRODUCT_CHUNK // form.n + 3):
+            x = rng.standard_normal((m, form.n))
+            product = form @ x
+            ref_product = np.asarray(ref @ x.T).T
+            # |Q x - R x| <= (entry bound + summation) |R| |x|, row by row
+            scale = np.asarray(abs(ref) @ np.abs(x).T).T
+            assert np.all(np.abs(product - ref_product)
+                          <= 2 * ENTRY_BOUND_U * UNIT_ROUNDOFF * scale), label
+            for row, field in zip(product, x):
+                assert np.array_equal(row, form @ field), label
         rows = np.asarray(abs(ref).sum(axis=1)).ravel()
         assert_close(form.abs_row_sums(), rows, np.max(rows, initial=0.0))
 
@@ -201,6 +204,26 @@ def test_circulant_blocks_are_the_reference_blocks(model_grid):
             nf, ref = grid.n_fiber, form.toarray()
             assert np.array_equal(blocks[0], ref[:nf, :nf])
             assert np.array_equal(blocks[1], ref[:nf, nf : 2 * nf])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+def test_products_of_random_cyclic_forms(n):
+    # offsets at both ends of (-n/2, n/2], one-signed sets and the empty
+    # form.  Each entry of Q x sums k products, one per diagonal, so either
+    # product lies within about k u |Q| |x| of the exact one (Higham 2002,
+    # sec. 3.1), and the two within twice that of each other
+    rng = np.random.Generator(np.random.Philox(key=n))
+    ends = sorted({-((n - 1) // 2), 0, n // 2})
+    offset_sets = [[], [0], ends, [o for o in ends if o >= 0], [o for o in ends if o <= 0],
+                   list(range(-((n - 1) // 2), n // 2 + 1))]
+    for offsets in offset_sets:
+        form = Form(n, {o: rng.standard_normal(n) for o in offsets})
+        x = rng.standard_normal((PRODUCT_CHUNK // n + 3, n))
+        Q = form.toarray()
+        k = max(len(form.diagonals), 1)
+        bound = 2 * k * UNIT_ROUNDOFF * (np.abs(x) @ np.abs(Q).T)
+        assert np.all(np.abs(form @ x - x @ Q.T) <= bound), offsets
+        assert np.array_equal(form @ x[3], (form @ x)[3]), offsets
 
 
 def test_product_refuses_a_mismatched_operand():

@@ -44,9 +44,8 @@ class TestSampler:
         assert est.std_error == 0.0
 
     def test_survivors_stay_inside(self, feasible_ensemble):
-        ens = feasible_ensemble
-        assert np.all(np.abs(ens.r - 1.0) <= ens.eps + 1e-12)
-        assert np.all(np.isfinite(ens.log_weight))
+        # containment: TestKilledReference.test_matches_full_array_stepper
+        assert np.all(np.isfinite(feasible_ensemble.log_weight))
 
     def test_keeps_survivors_only(self, feasible_ensemble):
         # one row per path that survived to T, however many were sampled: the
@@ -54,10 +53,10 @@ class TestSampler:
         ens = feasible_ensemble
         rows = round(ens.survival_steps[-1] * ens.n_paths)
         assert ens.n_paths == 30000 and 0 < rows < ens.n_paths // 10
-        assert ens.theta.shape == ens.r.shape == (rows, len(ens.t_record))
+        assert ens.theta.shape == (rows, len(ens.t_record))
         assert ens.log_weight.shape == (rows,)
-        held = ens.theta.nbytes + ens.r.nbytes + ens.log_weight.nbytes
-        assert held <= rows * (2 * len(ens.t_record) + 1) * 8
+        held = ens.theta.nbytes + ens.log_weight.nbytes
+        assert held <= rows * (len(ens.t_record) + 1) * 8
 
     def test_deterministic_in_seed(self):
         m = tl.CircleInPlane(1.0)
@@ -80,7 +79,7 @@ class TestSampler:
         a = stochastic.sample_conditioned(m, seed=2**64 - 1, **kw)
         b = stochastic.sample_conditioned(m, seed=2**64 - 1, **kw)
         c = stochastic.sample_conditioned(m, seed=2**64 - 2, **kw)
-        for name in ("theta", "r", "log_weight", "survival_steps"):
+        for name in ("theta", "log_weight", "survival_steps"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert np.all(np.isfinite(a.theta)) and a.seed == 2**64 - 1
         assert not np.array_equal(a.theta, c.theta)
@@ -113,16 +112,34 @@ class TestSampler:
                 tl.constant_curve(1.0, 0.0, 6.0), 0.5, 0.0, 0.1, 0.01, 100, 1
             )
 
-    @pytest.mark.parametrize("t_record", [[-0.05, 0.1], [0.05, 0.3], [-0.05, 0.3]])
+    @pytest.mark.parametrize("t_record", [[-0.05, 0.1], [0.05, 0.3], [-0.05, 0.3],
+                                          [math.nan, 0.1], [math.inf], []])
     def test_record_times_outside_horizon_rejected(self, t_record):
         # a time outside [0, T] is an error, not clipped onto 0 or T (a clip
-        # would also pass 0.3 off as the horizon T = 0.1)
+        # would also pass 0.3 off as the horizon T = 0.1); so are a time that
+        # is not finite, whose step would be garbage, and no time at all
         m = tl.CircleInPlane(1.0)
         for guided in (False, True):
             with pytest.raises(ValueError, match=r"\[0, T\]"):
                 stochastic.sample_conditioned(
                     m, 0.2, 0.0, 0.1, 0.002, 100, 1, t_record=t_record, guided=guided
                 )
+
+    @pytest.mark.parametrize("guided", [False, True])
+    def test_horizon_record_moves_no_draw(self, guided, monkeypatch):
+        # the killed sampler draws nothing at a record time, and the guided
+        # one draws its angles at the record times in order, after the
+        # step's radial draw: a last record at T follows every other draw
+        monkeypatch.setattr(stochastic, "BLOCK_SIZE", 300)
+        m = tl.CircleInPlane(1.0)
+        kw = dict(eps=0.2, theta0=0.0, T=0.1, dt=0.002, n_paths=700, seed=3,
+                  guided=guided)
+        a = stochastic.sample_conditioned(m, t_record=[0.02, 0.05], **kw)
+        b = stochastic.sample_conditioned(m, t_record=[0.02, 0.05, 0.1], **kw)
+        assert len(a.log_weight) > 0
+        assert np.array_equal(a.theta, b.theta[:, :2])
+        assert np.array_equal(a.log_weight, b.log_weight)
+        assert np.array_equal(a.survival_steps, b.survival_steps)
 
     def test_estimator_guards(self, feasible_ensemble, monkeypatch):
         with pytest.raises(ValueError):
@@ -162,7 +179,7 @@ class TestSampler:
         n_steps = round(1.0 / kw["dt"])
         alive = np.zeros(n_steps + 1)
         rng = CountingRng(np.random.Generator(np.random.SFC64(5)))
-        theta, _, _ = stochastic._killed_block(
+        theta, _ = stochastic._killed_block(
             rng, 1.0, eps, 0.0, kw["dt"], np.array([n_steps]), 200, alive
         )
         last_death = np.flatnonzero(alive)[-1] + 1
@@ -263,8 +280,10 @@ class TestKilledReference:
         ens = stochastic.sample_conditioned(tl.CircleInPlane(1.0), guided=False, **kw)
         want = killed_reference(1.0, block_size=200, **kw)
         s = want["survived"]
-        for name in ("theta", "r", "log_weight"):
+        for name in ("theta", "log_weight"):
             assert np.array_equal(getattr(ens, name), want[name][s]), name
+        # the survivors lie inside the tube at every record time
+        assert np.all(np.abs(want["r"][s] - 1.0) < kw["eps"])
         assert np.array_equal(ens.survival_steps, want["survival_steps"])
         # survivors in every block, and deaths in every block
         blocks = np.arange(kw["n_paths"]) // 200
@@ -277,7 +296,7 @@ class TestKilledReference:
         ens = stochastic.sample_conditioned(tl.CircleInPlane(1.0), guided=False, **kw)
         want = killed_reference(1.0, block_size=200, **kw)
         assert np.array_equal(ens.survival_steps, want["survival_steps"])
-        assert ens.theta.shape == ens.r.shape == (0, 4) and ens.log_weight.shape == (0,)
+        assert ens.theta.shape == (0, 4) and ens.log_weight.shape == (0,)
         assert ens.n_paths == kw["n_paths"]
         # deaths before the first record after 0, none alive at T
         assert 0 < want["alive"][:, 1].sum() < kw["n_paths"]
@@ -311,7 +330,7 @@ class TestBlockParallelism:
         finally:
             sys.setswitchinterval(interval)
         for ens in runs[1:]:
-            for name in ("theta", "r", "log_weight", "survival_steps"):
+            for name in ("theta", "log_weight", "survival_steps"):
                 assert np.array_equal(getattr(ens, name), getattr(runs[0], name)), name
 
     def test_pool_capped_at_block_count(self, monkeypatch):
@@ -346,8 +365,8 @@ class TestCrossValidation:
 
 class TestGuidedSampler:
     def test_paths_stay_inside_with_finite_weights(self, guided_ensemble):
+        # containment: test_implicit_step_stays_inside
         ens = guided_ensemble
-        assert np.all(np.abs(ens.r - 1.0) < ens.eps)
         assert len(ens.log_weight) == ens.n_paths
         assert np.all(np.isfinite(ens.log_weight))
         assert np.all(np.isfinite(ens.survival_steps))
@@ -394,10 +413,22 @@ class TestGuidedSampler:
             n = len(a.log_weight)
             assert 0 < n < len(b.log_weight)
             assert np.array_equal(a.theta, b.theta[:n])
-            assert np.array_equal(a.r, b.r[:n])
             assert np.array_equal(a.log_weight, b.log_weight[:n])
             again = stochastic.sample_conditioned(m, n_paths=2500, **kw)
             assert np.array_equal(b.survival_steps, again.survival_steps)
+
+    def test_implicit_step_stays_inside(self):
+        # rho_new = c - a w lies strictly inside (-1, 1), for draws far past
+        # any a step makes (c = rho + sigma z, sigma = sqrt(2 a / pi)), for
+        # a across the range the sampler's dt allows (0 < a <= pi / 20) and
+        # past it.  c - a w carries an error of about u |c|, so
+        # the bound holds while |c|^2 / a stays well below 2 / (pi u).
+        c = np.array([0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0, 2.0, 1e3, 1e6])
+        c = np.concatenate([c, -c])
+        for a in (1e-3, math.pi / 40, math.pi / 20, 10.0):
+            w = stochastic._implicit_tan_root(c, a)
+            assert np.all(np.abs(c - a * w) < 1.0), a
+            assert np.all(np.sign(w) == np.sign(c)), a
 
     def test_tube_reaching_the_centre_rejected(self):
         m = tl.CircleInPlane(1.0)
