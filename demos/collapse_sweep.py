@@ -8,7 +8,8 @@ second order in the radius.
 
 import numpy as np
 
-from tubelab import CircleInPlane, discretize, fiber, semigroup
+from tubelab import discretize, fiber, semigroup
+from tubelab.geometry import CircleInPlane
 
 grid = discretize.build_grid(CircleInPlane(1.0), 64, 31)
 spectrum = fiber.fiber_spectrum(grid.fiber)

@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from tubelab import CircleInPlane, discretize, fiber, semigroup, stochastic
+from tubelab import discretize, fiber, semigroup, stochastic
+from tubelab.geometry import CircleInPlane
 
 model = CircleInPlane(1.0)
 grid = discretize.build_grid(model, 64, 31)

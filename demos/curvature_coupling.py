@@ -8,7 +8,8 @@ commutes with the fiber Laplacian exactly on the tensor grid.
 
 import numpy as np
 
-from tubelab import SyntheticFiberModel, discretize, fiber
+from tubelab import discretize, fiber
+from tubelab.geometry import SyntheticFiberModel
 
 model = SyntheticFiberModel(curvature=1.5)
 grid = discretize.build_grid(model, 1, 48, 32)

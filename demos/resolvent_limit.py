@@ -8,7 +8,8 @@ functional against random perturbations.
 
 import numpy as np
 
-from tubelab import CircleInPlane, discretize, fiber, semigroup
+from tubelab import discretize, fiber, semigroup
+from tubelab.geometry import CircleInPlane
 
 model = CircleInPlane(1.0)
 grid = discretize.build_grid(model, 64, 31)

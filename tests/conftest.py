@@ -1,15 +1,21 @@
+# The first import: `import tubelab` makes one BLAS thread the default
+# unless OPENBLAS_NUM_THREADS is set, and that holds only before numpy loads.
+# pytest loads no numpy before this file, so the tests run the BLAS setting
+# the CLI runs.
+import tubelab  # noqa: F401
+
 import math
 
 import numpy as np
 import pytest
 
-import tubelab as tl
 from tubelab import discretize, fiber as fiber_mod
+from tubelab.geometry import CircleInPlane, SyntheticFiberModel, constant_curve
 
 
 @pytest.fixture(scope="session")
 def circle_model():
-    return tl.CircleInPlane(1.0)
+    return CircleInPlane(1.0)
 
 
 @pytest.fixture(scope="session")
@@ -24,7 +30,7 @@ def circle_spectrum(circle_grid):
 
 @pytest.fixture(scope="session")
 def synthetic_model():
-    return tl.SyntheticFiberModel(1.5)
+    return SyntheticFiberModel(1.5)
 
 
 @pytest.fixture(scope="session")
@@ -44,10 +50,10 @@ def rng():
 # base structure (the synthetic model).  A name is its block kind, with
 # "-odd" for the odd base count
 LAYOUT_GRIDS = {
-    "real": (tl.CircleInPlane(1.0), 64, 31, 16),
-    "complex": (tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 32, 12, 16),
-    "complex-odd": (tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 17, 8, 8),
-    "one-block": (tl.SyntheticFiberModel(1.5), 1, 31, 16),
+    "real": (CircleInPlane(1.0), 64, 31, 16),
+    "complex": (constant_curve(1.0, 1.0, 2.0 * math.pi), 32, 12, 16),
+    "complex-odd": (constant_curve(1.0, 1.0, 2.0 * math.pi), 17, 8, 8),
+    "one-block": (SyntheticFiberModel(1.5), 1, 31, 16),
 }
 
 

@@ -13,8 +13,9 @@ import math
 import numpy as np
 import pytest
 
-import tubelab as tl
 from tubelab import cli, discretize, fiber as fiber_mod, semigroup, stochastic, suites
+from tubelab.errors import DegenerateConditioning, LowEffectiveSampleSize
+from tubelab.geometry import SyntheticFiberModel
 
 
 def verdict(num, ok, detail):
@@ -133,7 +134,7 @@ def test_criterion_6_resolvent_convergence(grid64, spec64, rng):
 
 
 def test_criterion_7_curvature_coupling():
-    model = tl.SyntheticFiberModel(1.5)
+    model = SyntheticFiberModel(1.5)
 
     def suite(n_fiber):
         grid = discretize.build_grid(model, 1, n_fiber, 16)
@@ -177,7 +178,7 @@ def test_criterion_8_mc_vs_operator_route(circle_model, grid64, spec64):
     )
     try:
         est = stochastic.marginal_estimate(ens, np.cos, t)
-    except (tl.DegenerateConditioning, tl.LowEffectiveSampleSize) as exc:
+    except (DegenerateConditioning, LowEffectiveSampleSize) as exc:
         assert verdict(8, False, f"{detail}; {type(exc).__name__}: {exc}")
         return
     (op,), _ = semigroup.conditional_flow_operator(

@@ -125,6 +125,12 @@ BAD_CONFIGS = {
         "sweep", BASE.replace("radius: 1.0", "radius: 0.2") + "sweep:\n  eps_list: [0.2, 0.1]\n"
     ),
     "validate_default_eps_past_radius": ("validate", BASE.replace("radius: 1.0", "radius: 0.1")),
+    # a key that the model kind does not read is refused, not ignored
+    "twist_on_circle": (
+        "fiber", BASE.replace("radius: 1.0", "tau0: 1.0\n  kappa0: 3.0\n  curvature: 2.0")
+    ),
+    "radius_on_synthetic": ("fiber", SYNTHETIC.replace("synthetic\n", "synthetic\n  radius: 2\n")),
+    "n_theta_on_circle": ("fiber", BASE + "  n_theta: 32\n"),
     "eps_past_curve_focal_radius": (
         "resolvent", "model:\n  kind: curve\n  kappa0: 6\ngrid:\n  n_base: 16\n  n_fiber: 8\n"
         "  n_theta: 8\nresolvent:\n  eps_list: [0.2, 0.1]\n"
@@ -270,12 +276,14 @@ KEYS = [
 
 @st.composite
 def configs(draw):
-    """A valid config (a model kind plus keys at their defaults), then a few
-    sections, keys or the seed overwritten with arbitrary values."""
-    config = {"model": {"kind": draw(st.sampled_from(["circle", "curve", "synthetic"]))}}
+    """A valid config (a model kind plus keys that it reads, at their
+    defaults), then a few sections, keys or the seed overwritten with
+    arbitrary values."""
+    kind = draw(st.sampled_from(["circle", "curve", "synthetic"]))
+    config = {"model": {"kind": kind}}
     for section, key in draw(st.lists(st.sampled_from(KEYS), max_size=4)):
         default = cli.SCHEMA[section][key][1]
-        if default is not None:
+        if default is not None and kind in cli.KIND_KEYS.get(f"{section}.{key}", (kind,)):
             config.setdefault(section, {})[key] = (
                 list(default) if isinstance(default, tuple) else default
             )

@@ -7,9 +7,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-import tubelab as tl
 from tubelab import discretize, fiber as fiber_mod
+from tubelab.errors import ResolutionError
 from tubelab.forms import Form
+from tubelab.geometry import constant_curve
 
 
 class TestGrid:
@@ -26,7 +27,7 @@ class TestGrid:
 
     def test_center_fiber_index_needs_odd_count(self, circle_model):
         g = discretize.build_grid(circle_model, 16, 16)
-        with pytest.raises(tl.ResolutionError):
+        with pytest.raises(ResolutionError):
             g.fiber.center_index()
 
     def test_build_errors(self, circle_model, synthetic_model):
@@ -35,7 +36,7 @@ class TestGrid:
         with pytest.raises(ValueError):
             discretize.build_grid(synthetic_model, 8, 16)
         # holonomy pi: the co-rotating frame closes up for any total torsion
-        twisted = tl.constant_curve(1.0, 0.5, 2 * math.pi)
+        twisted = constant_curve(1.0, 0.5, 2 * math.pi)
         assert discretize.build_grid(twisted, 16, 15).n == 16 * 15 * 16
 
     def test_refined_grid(self, circle_model):
@@ -44,7 +45,7 @@ class TestGrid:
         assert (fine.model, fine.n_base, fine.fiber.n) == (circle_model, 48, 23)
         fine.fiber.center_index()
         # a disc fiber scales its rings and keeps its angles
-        curve = tl.constant_curve(1.0, 0.0, 2 * math.pi)
+        curve = constant_curve(1.0, 0.0, 2 * math.pi)
         fine = discretize.refined_grid(discretize.build_grid(curve, 16, 8, 8))
         assert (fine.n_base, fine.fiber.n_r, fine.fiber.n_theta) == (24, 12, 8)
 

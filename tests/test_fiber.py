@@ -7,8 +7,8 @@ import pytest
 import scipy.linalg
 import scipy.special
 
-import tubelab as tl
 from tubelab import fiber as fiber_mod
+from tubelab.errors import ResolutionError
 
 # first positive zeros of J0 and J1, Abramowitz & Stegun table 9.5
 J0_ZERO = 2.404825557695773
@@ -231,7 +231,7 @@ class TestSpectrumAndProjections:
 
     def test_mode_capacity_guard(self):
         g = fiber_mod.IntervalFiberGrid(16)
-        with pytest.raises(tl.ResolutionError):
+        with pytest.raises(ResolutionError):
             fiber_mod.fiber_spectrum(g, n_modes=12)
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import tubelab as tl
 from tubelab import discretize, fiber as fiber_mod, geometry, semigroup
 from tubelab.forms import PRODUCT_CHUNK, Form, kron
 
@@ -22,10 +21,10 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 ENTRY_BOUND_U = 16
 
 MODELS = {
-    "circle": (tl.CircleInPlane(1.0), 16, 13, 16),
-    "twisted-curve": (tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 12, 8, 8),
-    "ellipse": (tl.ellipse_curve(1.2, 0.8), 12, 8, 8),
-    "synthetic": (tl.SyntheticFiberModel(1.5), 1, 12, 8),
+    "circle": (geometry.CircleInPlane(1.0), 16, 13, 16),
+    "twisted-curve": (geometry.constant_curve(1.0, 1.0, 2.0 * math.pi), 12, 8, 8),
+    "ellipse": (geometry.ellipse_curve(1.2, 0.8), 12, 8, 8),
+    "synthetic": (geometry.SyntheticFiberModel(1.5), 1, 12, 8),
 }
 
 

@@ -9,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-import tubelab as tl
 from tubelab import geometry
+from tubelab.errors import FocalRadiusExceeded
 
 
 def embedding_cometric_circle(R, eps, s, h=1e-6):
@@ -32,17 +32,17 @@ def embedding_cometric_circle(R, eps, s, h=1e-6):
 
 class TestCircle:
     def test_horizontal_closed_form(self):
-        m = tl.CircleInPlane(1.0)
-        p = tl.TubePoint(0.3, [0.5], 0.1)
-        cm = tl.cometric(m, p)
+        m = geometry.CircleInPlane(1.0)
+        p = geometry.TubePoint(0.3, [0.5], 0.1)
+        cm = geometry.cometric(m, p)
         assert cm.horizontal[0, 0] == pytest.approx(1.05**-2, abs=1e-14)
         assert cm.vertical[0, 0] == pytest.approx(100.0, abs=1e-10)
 
     def test_matches_embedding_oracle(self):
-        m = tl.CircleInPlane(1.3)
+        m = geometry.CircleInPlane(1.3)
         for eps in (0.3, 0.1):
             for s in (-0.9, -0.2, 0.0, 0.5, 1.0):
-                cm = tl.cometric(m, tl.TubePoint(0.7, [s], eps))
+                cm = geometry.cometric(m, geometry.TubePoint(0.7, [s], eps))
                 full = np.diag([cm.horizontal[0, 0], cm.vertical[0, 0]])
                 ref = embedding_cometric_circle(1.3, eps, s)
                 # the block-diagonal comparison also bounds the oracle's
@@ -50,17 +50,17 @@ class TestCircle:
                 assert np.max(np.abs(full - ref)) < 1e-6 * np.max(np.abs(ref))
 
     def test_density_closed_form(self):
-        m = tl.CircleInPlane(2.0)
+        m = geometry.CircleInPlane(2.0)
         # det of the 2x2 endomorphism is the horizontal stretch 1 + eps*s/R
-        assert tl.density_rho(m, tl.TubePoint(0.0, [0.6], 0.1)) == pytest.approx(
+        assert geometry.density_rho(m, geometry.TubePoint(0.0, [0.6], 0.1)) == pytest.approx(
             1.03, abs=1e-14
         )
-        assert tl.density_rho(m, tl.TubePoint(1.0, [0.0], 0.1)) == 1.0
+        assert geometry.density_rho(m, geometry.TubePoint(1.0, [0.0], 0.1)) == 1.0
 
     def test_weingarten_sign(self):
         # outward normal bends the tangent circle away: A_W = -s/R
-        m = tl.CircleInPlane(2.0)
-        assert tl.weingarten(m, 0.0, [1.0])[0, 0] == pytest.approx(-0.5)
+        m = geometry.CircleInPlane(2.0)
+        assert geometry.weingarten(m, 0.0, [1.0])[0, 0] == pytest.approx(-0.5)
 
 
 class TestCurve:
@@ -68,48 +68,48 @@ class TestCurve:
         # planar unit-curvature closed curve of length 2*pi is the unit circle;
         # its inward-pointing first frame vector flips the sign of s
         R = 1.0
-        curve = tl.constant_curve(1.0 / R, 0.0, 2 * math.pi * R)
-        circ = tl.CircleInPlane(R)
+        curve = geometry.constant_curve(1.0 / R, 0.0, 2 * math.pi * R)
+        circ = geometry.CircleInPlane(R)
         for s in (-0.7, 0.2, 0.8):
-            pc = tl.TubePoint(0.5, [-s, 0.0], 0.1)
-            ps = tl.TubePoint(0.5, [s], 0.1)
-            assert tl.density_rho(curve, pc) == pytest.approx(
-                tl.density_rho(circ, ps), abs=1e-12
+            pc = geometry.TubePoint(0.5, [-s, 0.0], 0.1)
+            ps = geometry.TubePoint(0.5, [s], 0.1)
+            assert geometry.density_rho(curve, pc) == pytest.approx(
+                geometry.density_rho(circ, ps), abs=1e-12
             )
-            hc = tl.cometric(curve, pc).horizontal[0, 0]
-            hs = tl.cometric(circ, ps).horizontal[0, 0]
+            hc = geometry.cometric(curve, pc).horizontal[0, 0]
+            hs = geometry.cometric(circ, ps).horizontal[0, 0]
             assert hc == pytest.approx(hs, abs=1e-12)
 
     def test_vertical_block_flat(self):
-        curve = tl.constant_curve(0.8, 0.0, 5.0)
-        cm = tl.cometric(curve, tl.TubePoint(1.0, [0.3, 0.4], 0.1))
+        curve = geometry.constant_curve(0.8, 0.0, 5.0)
+        cm = geometry.cometric(curve, geometry.TubePoint(1.0, [0.3, 0.4], 0.1))
         assert np.allclose(cm.vertical, 100.0 * np.eye(2), atol=1e-10)
 
     def test_torsion_leaves_curvature_vector_fixed(self):
         # the normal frame co-rotates: torsion enters only through the
         # horizontal lift (discretize), never through the curvature vector,
         # so the twisted curve's metric data is the untwisted curve's
-        twisted = tl.constant_curve(1.0, 0.5, 4 * math.pi)
-        flat = tl.constant_curve(1.0, 0.0, 4 * math.pi)
+        twisted = geometry.constant_curve(1.0, 0.5, 4 * math.pi)
+        flat = geometry.constant_curve(1.0, 0.0, 4 * math.pi)
         s = np.linspace(-1.0, 5 * math.pi, 7)
         w = np.random.Generator(np.random.Philox(key=3)).uniform(-0.7, 0.7, (7, 2))
-        assert np.array_equal(tl.weingarten(twisted, s, w), tl.weingarten(flat, s, w))
-        points = tl.TubePoint(s, w, 0.1)
-        ct, cf = tl.cometric(twisted, points), tl.cometric(flat, points)
+        assert np.array_equal(geometry.weingarten(twisted, s, w), geometry.weingarten(flat, s, w))
+        points = geometry.TubePoint(s, w, 0.1)
+        ct, cf = geometry.cometric(twisted, points), geometry.cometric(flat, points)
         assert np.array_equal(ct.horizontal, cf.horizontal)
         assert np.array_equal(ct.vertical, cf.vertical)
 
     def test_ellipse_curvature_range(self):
-        curve = tl.ellipse_curve(2.0, 1.0)
+        curve = geometry.ellipse_curve(2.0, 1.0)
         ks = [curve.kappa(s) for s in np.linspace(0, curve.length, 200)]
         # extremes a/b^2 and b/a^2
         assert min(ks) == pytest.approx(0.25, rel=1e-3)
         assert max(ks) == pytest.approx(2.0, rel=1e-3)
 
     def test_focal_radius_exceeded(self):
-        curve = tl.constant_curve(3.0, 0.0, 10.0)
-        with pytest.raises(tl.FocalRadiusExceeded):
-            tl.jacobi_endomorphism(curve, 0.0, [1.0, 0.0], 0.5)
+        curve = geometry.constant_curve(3.0, 0.0, 10.0)
+        with pytest.raises(FocalRadiusExceeded):
+            geometry.jacobi_endomorphism(curve, 0.0, [1.0, 0.0], 0.5)
 
 
 def curvature_tensor(c):
@@ -124,7 +124,7 @@ def curvature_tensor(c):
 
 class TestSynthetic:
     def test_curvature_operator(self):
-        m = tl.SyntheticFiberModel(2.0)
+        m = geometry.SyntheticFiberModel(2.0)
         # R(W, W) W vanishes, and for W = e1 the operator is diag(0, c)
         assert np.allclose(m.curvature_operator([1.0, 0.0]) @ [1.0, 0.0], 0.0)
         assert np.allclose(m.curvature_operator([1.0, 0.0]), np.diag([0.0, 2.0]))
@@ -134,7 +134,7 @@ class TestSynthetic:
     def test_curvature_operator_is_the_tensor_contraction(self, c):
         # the closed form c Z Z^T is the contraction of the full tensor,
         # M[..., beta, alpha] = w_mu w_nu c[mu, alpha, nu, beta], bit for bit
-        m = tl.SyntheticFiberModel(c)
+        m = geometry.SyntheticFiberModel(c)
         comp = curvature_tensor(c)
         rng = np.random.Generator(np.random.Philox(key=11))
         w = rng.uniform(-0.7, 0.7, (5, 7, 2))
@@ -148,40 +148,40 @@ class TestSynthetic:
     def test_vertical_cometric_expansion(self):
         # induced - sasaki -> -(1/3) R_W blockwise, with O(eps^2) remainder
         c = 1.5
-        m = tl.SyntheticFiberModel(c)
+        m = geometry.SyntheticFiberModel(c)
         w = np.array([0.8, 0.0])
         errs = []
         for eps in (0.2, 0.1):
-            p = tl.TubePoint(0.0, w, eps)
-            diff = tl.cometric(m, p).vertical - np.eye(2) / eps**2
+            p = geometry.TubePoint(0.0, w, eps)
+            diff = geometry.cometric(m, p).vertical - np.eye(2) / eps**2
             errs.append(np.max(np.abs(diff + m.curvature_operator(w) / 3.0)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
 
 def test_jacobi_identity_on_submanifold():
     for model, w in (
-        (tl.CircleInPlane(1.0), [0.0]),
-        (tl.constant_curve(1.0, 0.0, 5.0), [0.0, 0.0]),
-        (tl.SyntheticFiberModel(1.0), [0.0, 0.0]),
+        (geometry.CircleInPlane(1.0), [0.0]),
+        (geometry.constant_curve(1.0, 0.0, 5.0), [0.0, 0.0]),
+        (geometry.SyntheticFiberModel(1.0), [0.0, 0.0]),
     ):
-        A = tl.jacobi_endomorphism(model, 0.0, w, 0.1)
+        A = geometry.jacobi_endomorphism(model, 0.0, w, 0.1)
         assert np.allclose(A, np.eye(A.shape[0]), atol=1e-14)
 
 
 def test_tube_point_validation():
     with pytest.raises(ValueError):
-        tl.TubePoint(0.0, [1.5], 0.1)
+        geometry.TubePoint(0.0, [1.5], 0.1)
     with pytest.raises(ValueError):
-        tl.TubePoint(0.0, [0.5], -0.1)
+        geometry.TubePoint(0.0, [0.5], -0.1)
 
 
 # One model of each kind the geometry knows, the twisted curve and the
 # ellipse for a base-dependent curvature vector.
 BATCH_MODELS = {
-    "circle": tl.CircleInPlane(1.0),
-    "twisted_curve": tl.constant_curve(1.0, 0.5, 4 * math.pi),
-    "ellipse": tl.ellipse_curve(1.2, 0.8),
-    "synthetic": tl.SyntheticFiberModel(1.5),
+    "circle": geometry.CircleInPlane(1.0),
+    "twisted_curve": geometry.constant_curve(1.0, 0.5, 4 * math.pi),
+    "ellipse": geometry.ellipse_curve(1.2, 0.8),
+    "synthetic": geometry.SyntheticFiberModel(1.5),
 }
 
 
@@ -192,38 +192,38 @@ class TestArrays:
         rng = np.random.Generator(np.random.Philox(key=6))
         base = rng.uniform(0.0, max(model.base_length, 1.0), 5)
         w = rng.uniform(-0.7, 0.7, (7, model.codim))
-        points = tl.TubePoint(base[:, None], w[None], 0.1)
-        cm = tl.cometric(model, points)
-        rho = tl.density_rho(model, points)
+        points = geometry.TubePoint(base[:, None], w[None], 0.1)
+        cm = geometry.cometric(model, points)
+        rho = geometry.density_rho(model, points)
         l, q = model.dim_base, model.codim
         assert cm.horizontal.shape == (5, 7, l, l)
         assert cm.vertical.shape == (5, 7, q, q)
         assert rho.shape == (5, 7)
         for i in range(5):
             for j in range(7):
-                point = tl.TubePoint(base[i], w[j], 0.1)
-                one = tl.cometric(model, point)
+                point = geometry.TubePoint(base[i], w[j], 0.1)
+                one = geometry.cometric(model, point)
                 assert np.array_equal(one.horizontal, cm.horizontal[i, j])
                 assert np.array_equal(one.vertical, cm.vertical[i, j])
-                assert np.array_equal(tl.density_rho(model, point), rho[i, j])
+                assert np.array_equal(geometry.density_rho(model, point), rho[i, j])
 
     def test_one_point_outside_the_ball(self):
         w = np.zeros((4, 2))
         w[2] = [0.9, 0.6]
         with pytest.raises(ValueError):
-            tl.TubePoint(np.zeros(4), w, 0.1)
+            geometry.TubePoint(np.zeros(4), w, 0.1)
 
     def test_one_point_past_the_focal_radius(self):
-        curve = tl.constant_curve(3.0, 0.0, 10.0)
+        curve = geometry.constant_curve(3.0, 0.0, 10.0)
         w = np.zeros((4, 2))
-        points = tl.TubePoint(np.zeros(4), w, 0.5)
-        assert np.array_equal(tl.density_rho(curve, points), np.ones(4))
+        points = geometry.TubePoint(np.zeros(4), w, 0.5)
+        assert np.array_equal(geometry.density_rho(curve, points), np.ones(4))
         w[2] = [1.0, 0.0]
-        points = tl.TubePoint(np.zeros(4), w, 0.5)
-        with pytest.raises(tl.FocalRadiusExceeded):
-            tl.cometric(curve, points)
-        with pytest.raises(tl.FocalRadiusExceeded):
-            tl.density_rho(curve, points)
+        points = geometry.TubePoint(np.zeros(4), w, 0.5)
+        with pytest.raises(FocalRadiusExceeded):
+            geometry.cometric(curve, points)
+        with pytest.raises(FocalRadiusExceeded):
+            geometry.density_rho(curve, points)
 
 
 # a circle config small enough that the five subcommands run in seconds

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import tubelab as tl
 from tubelab import discretize, fiber as fiber_mod, semigroup, suites
+from tubelab.errors import CoercivityViolation, ResolutionError
 from tubelab.forms import Form
+from tubelab.geometry import CircleInPlane, SyntheticFiberModel, constant_curve, ellipse_curve
 
 
 @pytest.fixture(scope="module")
 def ellipse_2880():
     # 36 x (10 x 8) = 2880 nodes, above the dense cutoff; the induced form of
     # the ellipse changes along the base, so it has no block structure
-    grid = discretize.build_grid(tl.ellipse_curve(1.2, 0.8), 36, 10, 8)
+    grid = discretize.build_grid(ellipse_curve(1.2, 0.8), 36, 10, 8)
     spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
     return grid, spectrum, discretize.renormalize(grid, "InducedEps", 0.1, spectrum.lambda0)
 
@@ -53,10 +54,10 @@ class TestPropagator:
         # above the dense cutoff is refused with a one-line error
         grid, spectrum, op = ellipse_2880
         assert grid.n > semigroup.DENSE_CUTOFF
-        with pytest.raises(tl.ResolutionError, match="DENSE_CUTOFF") as refused:
+        with pytest.raises(ResolutionError, match="DENSE_CUTOFF") as refused:
             semigroup.Propagator(op.form, op.weights)
         assert len(str(refused.value).splitlines()) == 1
-        with pytest.raises(tl.ResolutionError, match="DENSE_CUTOFF") as refused:
+        with pytest.raises(ResolutionError, match="DENSE_CUTOFF") as refused:
             semigroup.resolvent_minimizer(op, spectrum.lambda0 + 1.5, np.ones(grid.n))
         assert len(str(refused.value).splitlines()) == 1
 
@@ -104,14 +105,14 @@ class TestResolvent:
     def test_indefinite_shift_raises(self, circle_grid, circle_spectrum):
         op0 = discretize.renormalize(circle_grid, "InducedEps", 0.1, circle_spectrum.lambda0)
         w = np.ones(circle_grid.n)
-        with pytest.raises(tl.CoercivityViolation):
+        with pytest.raises(CoercivityViolation):
             semigroup.resolvent_minimizer(op0, -100.0, w)
 
     def test_unreached_indefinite_block_raises(self, monkeypatch):
         # cos(theta) phi0 reaches block 1 alone; at alpha = -0.5 the shifted
         # block 0 is indefinite and block 1 is not, so only a factorization
         # of every block, reached or not, refuses the shift
-        grid = discretize.build_grid(tl.CircleInPlane(1.0), 16, 15)
+        grid = discretize.build_grid(CircleInPlane(1.0), 16, 15)
         spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
         op0 = discretize.renormalize(grid, "InducedEps", 0.1, spectrum.lambda0)
         w = np.outer(np.cos(grid.base_angle), spectrum.ground_state).ravel()
@@ -119,7 +120,7 @@ class TestResolvent:
         assert blocks.reach(blocks.to_modes(w))[0].tolist() == [1]
         least = blocks.eigh(eigvals_only=True)[:, 0]
         assert least[0] - 0.5 < 0 < least[1] - 0.5
-        with pytest.raises(tl.CoercivityViolation):
+        with pytest.raises(CoercivityViolation):
             semigroup.resolvent_minimizer(op0, -0.5, w)
         # min_eigenvalue is read from the blocks solved, not from every block
         eigh = semigroup.FourierBlocks.eigh
@@ -141,22 +142,22 @@ class TestResolvent:
         assert not f.any() and info["backward_error"] == 0.0
         assert info["min_eigenvalue"] is None and info["blocks_decomposed"] == 0
         # a zero datum reaches no block, yet an indefinite shift is refused
-        with pytest.raises(tl.CoercivityViolation):
+        with pytest.raises(CoercivityViolation):
             semigroup.resolvent_minimizer(op0, -100.0, zero)
 
     def test_nan_residual_raises(self, rng):
         # the ellipse takes the dense path, the untwisted curve the block
         # path; on both an infinite datum meets inf * 0 in the complex
         # scaling of the real FFT (FourierBlocks.to_modes), which warns
-        block = tl.constant_curve(1.0, 0.0, 2.0 * math.pi)
-        for model in (tl.ellipse_curve(1.2, 0.8), block):
+        block = constant_curve(1.0, 0.0, 2.0 * math.pi)
+        for model in (ellipse_curve(1.2, 0.8), block):
             grid = discretize.build_grid(model, 12, 9, 8)
             spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
             op0 = discretize.renormalize(grid, "InducedEps", 0.1, spectrum.lambda0)
             for bad in (np.nan, np.inf):
                 w = rng.standard_normal(grid.n)
                 w[grid.n // 2] = bad
-                with pytest.raises(tl.ResolutionError), (
+                with pytest.raises(ResolutionError), (
                     pytest.warns(RuntimeWarning) if bad == np.inf else contextlib.nullcontext()
                 ):
                     semigroup.resolvent_minimizer(op0, spectrum.lambda0 + 1.5, w)
@@ -277,10 +278,10 @@ class TestSweep:
 # n_fiber, n_theta, tube form); the twisted curve has complex Hermitian blocks,
 # whose conjugate has the same spectrum, so these tests compare results too
 BLOCK_CASES = {
-    "circle-induced": (tl.CircleInPlane(1.0), 16, 13, 16, "InducedEps"),
-    "circle-sasaki": (tl.CircleInPlane(1.0), 16, 13, 16, "SasakiEps"),
-    "curve-codim2": (tl.constant_curve(1.0, 0.0, 2.0 * math.pi), 12, 8, 8, "InducedEps"),
-    "twisted-curve": (tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 16, 8, 8, "InducedEps"),
+    "circle-induced": (CircleInPlane(1.0), 16, 13, 16, "InducedEps"),
+    "circle-sasaki": (CircleInPlane(1.0), 16, 13, 16, "SasakiEps"),
+    "curve-codim2": (constant_curve(1.0, 0.0, 2.0 * math.pi), 12, 8, 8, "InducedEps"),
+    "twisted-curve": (constant_curve(1.0, 1.0, 2.0 * math.pi), 16, 8, 8, "InducedEps"),
 }
 
 
@@ -370,7 +371,7 @@ class TestBlockCore:
         assert np.array_equal(blocks.solve(alpha, rhs[[1, 3]], [1, 3]), x[[1, 3]])
 
     def test_ellipse_falls_back_to_dense(self, rng):
-        grid = discretize.build_grid(tl.ellipse_curve(1.2, 0.8), 12, 8, 8)
+        grid = discretize.build_grid(ellipse_curve(1.2, 0.8), 12, 8, 8)
         spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
         op = discretize.renormalize(grid, "InducedEps", 0.1, spectrum.lambda0)
         prop = semigroup.Propagator(op.form, op.weights)
@@ -500,10 +501,10 @@ class TestFieldStacks:
 # 31x16 disc), complex 64-node blocks over an odd base count and the one
 # block of a pencil without base structure
 SOLVE_GRIDS = {
-    "real": (tl.CircleInPlane(1.0), 64, 31, 16),
-    "complex": (tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 8, 31, 16),
-    "complex-odd": (tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 17, 8, 8),
-    "one-block": (tl.SyntheticFiberModel(1.5), 1, 31, 16),
+    "real": (CircleInPlane(1.0), 64, 31, 16),
+    "complex": (constant_curve(1.0, 1.0, 2.0 * math.pi), 8, 31, 16),
+    "complex-odd": (constant_curve(1.0, 1.0, 2.0 * math.pi), 17, 8, 8),
+    "one-block": (SyntheticFiberModel(1.5), 1, 31, 16),
 }
 
 
@@ -537,17 +538,17 @@ def _base_pencil(model, n_base):
 # pencil -> (n_base, n_fiber) that fourier_blocks must find; (1, n) is the
 # one block of a pencil without base structure
 STRUCTURE_CASES = {
-    "base-laplacian": (lambda: _base_pencil(tl.CircleInPlane(1.0), 64), (64, 1)),
-    "circle-induced": (lambda: _pencil(tl.CircleInPlane(1.0), 64, 31), (64, 31)),
-    "circle-sasaki": (lambda: _pencil(tl.CircleInPlane(1.0), 64, 31, which="SasakiEps"), (64, 31)),
+    "base-laplacian": (lambda: _base_pencil(CircleInPlane(1.0), 64), (64, 1)),
+    "circle-induced": (lambda: _pencil(CircleInPlane(1.0), 64, 31), (64, 31)),
+    "circle-sasaki": (lambda: _pencil(CircleInPlane(1.0), 64, 31, which="SasakiEps"), (64, 31)),
     "untwisted-curve": (
-        lambda: _pencil(tl.constant_curve(1.0, 0.0, 2.0 * math.pi), 16, 10, 8), (16, 80)
+        lambda: _pencil(constant_curve(1.0, 0.0, 2.0 * math.pi), 16, 10, 8), (16, 80)
     ),
     "twisted-curve": (
-        lambda: _pencil(tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 16, 8, 8), (16, 64)
+        lambda: _pencil(constant_curve(1.0, 1.0, 2.0 * math.pi), 16, 8, 8), (16, 64)
     ),
-    "ellipse": (lambda: _pencil(tl.ellipse_curve(1.2, 0.8), 12, 8, 8), (1, 12 * 64)),
-    "synthetic": (lambda: _pencil(tl.SyntheticFiberModel(1.5), 1, 12, 8), (1, 96)),
+    "ellipse": (lambda: _pencil(ellipse_curve(1.2, 0.8), 12, 8, 8), (1, 12 * 64)),
+    "synthetic": (lambda: _pencil(SyntheticFiberModel(1.5), 1, 12, 8), (1, 96)),
 }
 
 
@@ -576,7 +577,7 @@ class TestStructuralCheck:
 
     @pytest.fixture(scope="class")
     def pencil(self):
-        return _pencil(tl.CircleInPlane(1.0), 16, 13)
+        return _pencil(CircleInPlane(1.0), 16, 13)
 
     def test_equal_forms_split(self, pencil):
         form, weights = pencil
@@ -701,7 +702,7 @@ def parallel_frame_sup_l2(grid, spectrum, eps, t_grid):
 def test_twisted_sweep_matches_the_parallel_frame():
     # two discretisations of one tube: they agree at discretisation order,
     # closer as the tube shrinks onto the common limit
-    grid = discretize.build_grid(tl.constant_curve(1.0, 1.0, 2.0 * math.pi), 16, 8, 8)
+    grid = discretize.build_grid(constant_curve(1.0, 1.0, 2.0 * math.pi), 16, 8, 8)
     spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
     eps_list, t_grid = [0.2, 0.1, 0.05], semigroup.default_t_grid(5)
     res = semigroup.convergence_sweep(grid, spectrum, eps_list, t_grid)

@@ -7,8 +7,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-import tubelab as tl
 from tubelab import discretize, semigroup, stochastic
+from tubelab.errors import (
+    DegenerateConditioning,
+    EmptyEnsemble,
+    FocalRadiusExceeded,
+    LowEffectiveSampleSize,
+    StepSizeError,
+)
+from tubelab.geometry import CircleInPlane, constant_curve
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +24,7 @@ def feasible_ensemble():
     # which keeps the self-normalized estimator well conditioned
     eps = 0.2
     return stochastic.sample_conditioned(
-        tl.CircleInPlane(1.0), eps, 0.0, 0.1, eps**2 / 20, 30000, 12345,
+        CircleInPlane(1.0), eps, 0.0, 0.1, eps**2 / 20, 30000, 12345,
         t_record=[0.0, 0.05, 0.1], guided=False,
     )
 
@@ -27,7 +34,7 @@ def guided_ensemble():
     # the same law and horizon through the h-transformed sampler
     eps = 0.2
     return stochastic.sample_conditioned(
-        tl.CircleInPlane(1.0), eps, 0.0, 0.1, eps**2 / 20, 30000, 12345,
+        CircleInPlane(1.0), eps, 0.0, 0.1, eps**2 / 20, 30000, 12345,
         t_record=[0.0, 0.05, 0.1],
     )
 
@@ -59,7 +66,7 @@ class TestSampler:
         assert held <= rows * (len(ens.t_record) + 1) * 8
 
     def test_deterministic_in_seed(self):
-        m = tl.CircleInPlane(1.0)
+        m = CircleInPlane(1.0)
         kw = dict(eps=0.2, theta0=0.0, T=0.05, dt=0.002, n_paths=5000)
         a = stochastic.sample_conditioned(m, seed=7, **kw)
         b = stochastic.sample_conditioned(m, seed=7, **kw)
@@ -73,7 +80,7 @@ class TestSampler:
         # 2**64 - 1 is the largest seed the config accepts; its neighbour
         # draws another stream
         monkeypatch.setattr(stochastic, "BLOCK_SIZE", 300)
-        m = tl.CircleInPlane(1.0)
+        m = CircleInPlane(1.0)
         kw = dict(eps=0.2, theta0=0.0, T=0.05, dt=0.002, n_paths=700,
                   t_record=[0.02, 0.05], guided=guided)
         a = stochastic.sample_conditioned(m, seed=2**64 - 1, **kw)
@@ -88,7 +95,7 @@ class TestSampler:
         # log-survival decays with slope -lambda0 / (2 eps^2)
         eps = 0.2
         ens = stochastic.sample_conditioned(
-            tl.CircleInPlane(1.0), eps, 0.0, 0.1, eps**2 / 20, 20000, 999,
+            CircleInPlane(1.0), eps, 0.0, 0.1, eps**2 / 20, 20000, 999,
             guided=False,
         )
         sv = ens.survival_steps
@@ -99,17 +106,17 @@ class TestSampler:
         assert slope == pytest.approx(theory, rel=0.1)
 
     def test_guards(self):
-        m = tl.CircleInPlane(1.0)
-        with pytest.raises(tl.StepSizeError):
+        m = CircleInPlane(1.0)
+        with pytest.raises(StepSizeError):
             stochastic.sample_conditioned(m, 0.1, 0.0, 1.0, 0.01, 100, 1)
-        with pytest.raises(tl.StepSizeError):
+        with pytest.raises(StepSizeError):
             # horizon not a whole number of steps
             stochastic.sample_conditioned(m, 0.5, 0.0, 0.0105, 0.01, 100, 1)
-        with pytest.raises(tl.EmptyEnsemble):
+        with pytest.raises(EmptyEnsemble):
             stochastic.sample_conditioned(m, 0.5, 0.0, 0.1, 0.01, 0, 1)
         with pytest.raises(NotImplementedError):
             stochastic.sample_conditioned(
-                tl.constant_curve(1.0, 0.0, 6.0), 0.5, 0.0, 0.1, 0.01, 100, 1
+                constant_curve(1.0, 0.0, 6.0), 0.5, 0.0, 0.1, 0.01, 100, 1
             )
 
     @pytest.mark.parametrize("t_record", [[-0.05, 0.1], [0.05, 0.3], [-0.05, 0.3],
@@ -118,7 +125,7 @@ class TestSampler:
         # a time outside [0, T] is an error, not clipped onto 0 or T (a clip
         # would also pass 0.3 off as the horizon T = 0.1); so are a time that
         # is not finite, whose step would be garbage, and no time at all
-        m = tl.CircleInPlane(1.0)
+        m = CircleInPlane(1.0)
         for guided in (False, True):
             with pytest.raises(ValueError, match=r"\[0, T\]"):
                 stochastic.sample_conditioned(
@@ -131,7 +138,7 @@ class TestSampler:
         # one draws its angles at the record times in order, after the
         # step's radial draw: a last record at T follows every other draw
         monkeypatch.setattr(stochastic, "BLOCK_SIZE", 300)
-        m = tl.CircleInPlane(1.0)
+        m = CircleInPlane(1.0)
         kw = dict(eps=0.2, theta0=0.0, T=0.1, dt=0.002, n_paths=700, seed=3,
                   guided=guided)
         a = stochastic.sample_conditioned(m, t_record=[0.02, 0.05], **kw)
@@ -145,17 +152,17 @@ class TestSampler:
         with pytest.raises(ValueError):
             stochastic.marginal_estimate(feasible_ensemble, np.cos, 0.033)
         monkeypatch.setattr(stochastic, "MIN_ESS", 1e9)
-        with pytest.raises(tl.LowEffectiveSampleSize):
+        with pytest.raises(LowEffectiveSampleSize):
             stochastic.marginal_estimate(feasible_ensemble, np.cos, 0.05)
 
     def test_no_survivors_degenerate(self):
         # one path over many steps in a thin tube dies almost surely
         eps = 0.1
         ens = stochastic.sample_conditioned(
-            tl.CircleInPlane(1.0), eps, 0.0, 0.1, eps**2 / 10, 1, 3, guided=False
+            CircleInPlane(1.0), eps, 0.0, 0.1, eps**2 / 10, 1, 3, guided=False
         )
         if ens.survival_fraction() == 0.0:
-            with pytest.raises(tl.DegenerateConditioning):
+            with pytest.raises(DegenerateConditioning):
                 stochastic.marginal_estimate(ens, np.cos, 0.1)
 
     def test_dead_block_stops_stepping(self, monkeypatch):
@@ -163,7 +170,7 @@ class TestSampler:
         # block dies early, leaves no rows, and nothing depends on how long the
         # horizon runs past the last death
         monkeypatch.setattr(stochastic, "BLOCK_SIZE", 200)
-        m = tl.CircleInPlane(1.0)
+        m = CircleInPlane(1.0)
         eps = 0.1
         kw = dict(eps=eps, theta0=0.0, dt=eps**2 / 10, n_paths=600, seed=5,
                   guided=False)
@@ -277,7 +284,7 @@ class TestKilledReference:
         # the sampler's rows are the reference's survivors, in path order
         monkeypatch.setattr(stochastic, "BLOCK_SIZE", 200)
         kw = self.SURVIVORS
-        ens = stochastic.sample_conditioned(tl.CircleInPlane(1.0), guided=False, **kw)
+        ens = stochastic.sample_conditioned(CircleInPlane(1.0), guided=False, **kw)
         want = killed_reference(1.0, block_size=200, **kw)
         s = want["survived"]
         for name in ("theta", "log_weight"):
@@ -293,7 +300,7 @@ class TestKilledReference:
     def test_all_die_matches_full_array_stepper(self, monkeypatch):
         monkeypatch.setattr(stochastic, "BLOCK_SIZE", 200)
         kw = self.ALL_DIE
-        ens = stochastic.sample_conditioned(tl.CircleInPlane(1.0), guided=False, **kw)
+        ens = stochastic.sample_conditioned(CircleInPlane(1.0), guided=False, **kw)
         want = killed_reference(1.0, block_size=200, **kw)
         assert np.array_equal(ens.survival_steps, want["survival_steps"])
         assert ens.theta.shape == (0, 4) and ens.log_weight.shape == (0,)
@@ -316,7 +323,7 @@ class TestBlockParallelism:
     @pytest.mark.parametrize("guided", [False, True])
     def test_worker_count_invariance(self, guided, monkeypatch):
         monkeypatch.setattr(stochastic, "BLOCK_SIZE", 200)
-        m = tl.CircleInPlane(1.0)
+        m = CircleInPlane(1.0)
         # a short switch interval interleaves the block threads finely, so
         # the short last block tends to finish first; summing the survival
         # parts in completion order instead of block order then changes bits
@@ -343,7 +350,7 @@ class TestBlockParallelism:
 
         monkeypatch.setattr(stochastic, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(stochastic, "BLOCK_SIZE", 200)
-        m = tl.CircleInPlane(1.0)
+        m = CircleInPlane(1.0)
         stochastic.sample_conditioned(m, workers=10**6, **self.KW)
         stochastic.sample_conditioned(m, workers=3, **self.KW)
         assert sizes == [4, 3]
@@ -403,7 +410,7 @@ class TestGuidedSampler:
         # (guided) sampler; here each block's paths depend on (seed, block)
         # only, not on how many blocks follow, for either sampler
         monkeypatch.setattr(stochastic, "BLOCK_SIZE", 1000)
-        m = tl.CircleInPlane(1.0)
+        m = CircleInPlane(1.0)
         for guided in (True, False):
             kw = dict(eps=0.2, theta0=0.0, T=0.05, dt=0.002, seed=7,
                       t_record=[0.02, 0.05], guided=guided)
@@ -431,9 +438,9 @@ class TestGuidedSampler:
             assert np.all(np.sign(w) == np.sign(c)), a
 
     def test_tube_reaching_the_centre_rejected(self):
-        m = tl.CircleInPlane(1.0)
+        m = CircleInPlane(1.0)
         for eps in (1.0, 1.5):
-            with pytest.raises(tl.FocalRadiusExceeded):
+            with pytest.raises(FocalRadiusExceeded):
                 stochastic.sample_conditioned(m, eps, 0.0, 0.1, 0.01, 100, 1)
 
 

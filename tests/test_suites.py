@@ -2,8 +2,8 @@
 
 import numpy as np
 
-import tubelab as tl
 from tubelab import discretize, fiber as fiber_mod, suites
+from tubelab.geometry import SyntheticFiberModel
 
 
 def per_field_values(grid, spectrum, eps, f):
@@ -94,7 +94,7 @@ def test_array_suites_match_the_loops(layout_grid):
 
 def test_coupling_suite_matches_the_loop():
     # the per-field loop: one projection, five applies and one H2 norm each
-    grid = discretize.build_grid(tl.SyntheticFiberModel(1.5), 1, 16, 8)
+    grid = discretize.build_grid(SyntheticFiberModel(1.5), 1, 16, 8)
     spectrum = fiber_mod.fiber_spectrum(grid.fiber, n_modes=6)
     fields = discretize.random_fields(grid, 12, 5)
     P = discretize.DiscreteOperator(grid, discretize.assemble_form(grid, "P"))
