@@ -1,10 +1,13 @@
 """Conditioned Brownian motion versus the operator route and the exact limit.
 
-Planar Brownian paths started on the circle are killed on leaving the tube
-and reweighted by the Feynman-Kac potential; the surviving ensemble's angular
-marginal is compared against the two-sided heat-flow ratio at the same tube
-radius and against the free circle heat value it approaches as the tube
-shrinks.  The horizon is kept short so a usable fraction of paths survives.
+Brownian motion started on the circle, killed on leaving the tube and
+reweighted by the Feynman-Kac potential, is sampled through its radius
+alone: a 1-D Brownian radius killed at the walls, weighted by its endpoint,
+with the angle drawn from the integral of r^-2.  The surviving ensemble's
+angular marginal is compared against the two-sided heat-flow ratio at the
+same tube radius and against the free circle heat value it approaches as the
+tube shrinks.  The horizon is kept short so a usable fraction of paths
+survives.
 """
 
 import math

@@ -215,8 +215,12 @@ class FourierBlocks:
         A = self.shifted(shift, ks)
         b = np.ascontiguousarray(np.swapaxes(rhs, 1, 2), dtype=complex)
         if not np.iscomplexobj(A):
-            # real LAPACK: the real and imaginary parts are two real columns
-            return np.swapaxes(np.linalg.solve(A, b.view(float)).view(complex), 1, 2)
+            if b.imag.any():
+                # real LAPACK: the real and imaginary parts are two real columns
+                return np.swapaxes(np.linalg.solve(A, b.view(float)).view(complex), 1, 2)
+            # real right-hand sides (a one-block pencil's): their real parts
+            # alone, beside a zero column when lone (below)
+            b = b.real
         # LAPACK takes another kernel for a lone column, which rounds
         # otherwise: a zero column beside it keeps each row's bits whatever
         # the width of the stack

@@ -5,28 +5,53 @@ started on the circle of radius R, killed on leaving the tube |r - R| < eps
 and weighted by the Feynman-Kac factor exp(1/2 integral U ds), U = -1/(4 r^2).
 The marginal estimator is self-normalized over the ensemble, so the
 conditioned marginal E[f(theta_t)] is the ratio of two weighted sums.  Two
-samplers represent this law.
+samplers represent this law, and both rest on one identity.
 
-Killed sampler (guided=False).  Paths are planar Brownian motion.  A survival
-flag imposes the tube, with a Brownian-bridge exit correction in the radial
-coordinate, and the log-weight is the trapezoid integral of U/2.  Survival
-to T decays like exp(-pi^2 T / (8 eps^2)): about 4e-14 at T = 1, eps = 0.2,
-where no ensemble of practical size keeps a path.  Each step draws for the
-live paths only, in the order of their rows in the block: dx, dy, then one
-uniform that decides survival at both walls at once (see _killed_block).
-A dead path stops there and leaves no record: the estimator reads only the
-paths that survive to T, so the ensemble holds the survivors alone, in
-ascending path order, and its memory scales with the survivors, not with
-n_paths.
+The radius alone.  In polar coordinates the angle is driven by a Brownian
+motion independent of the radius's: dtheta = dB_theta / r, so given the
+radial path theta_t - theta_s ~ N(0, integral_s^t r^-2 du) exactly.  The
+radius of planar Brownian motion is the Bessel process dr = dB_r + dt / (2 r),
+and since Delta(r^(-1/2) g) = r^(-1/2) (g'' + g / (4 r^2)) for a radial g,
+
+    (1/2 Delta + 1/2 U)(phi g) = phi g'' / 2,   phi = r^(-1/2):
+
+conjugating by phi cancels both the potential and the 1/(2r) drift.  In path
+terms (Girsanov), the Bessel law has density (r_T / R)^(1/2)
+exp(integral ds / (8 r^2)) against 1-D Brownian motion started at R, and the
+Feynman-Kac factor is exp(-integral ds / (8 r^2)), so the killed, weighted
+radius is a driftless 1-D Brownian motion rho = r - R killed at +-eps and
+carrying the endpoint weight (r_T / R)^(1/2).  The tube keeps r >= R - eps,
+so sample_conditioned refuses eps >= R for both samplers.  survival_steps is
+the survival probability of that killed 1-D Brownian motion after each step,
+
+    S(t) = sum_n (4 / pi) (-1)^n / (2n + 1) exp(-(2n + 1)^2 pi^2 t / (8 eps^2)),
+
+which decays at exactly lambda0 / (2 eps^2) (lambda0 = pi^2 / 4, the interval
+fiber's ground level at eps = 1).  It is not the survival of the planar
+paths, S(t) E[(r_t / R)^(1/2) exp(integral ds / (8 r^2)) | survival to t].
+
+Killed sampler (guided=False).  Paths are 1-D Brownian radii with exact
+Gaussian steps.  A survival flag imposes the tube, with the Brownian-bridge
+exit test, which is exact for a driftless Brownian motion, and the
+log-weight is (1/2) log(r_T / R).  Survival to T decays like
+exp(-pi^2 T / (8 eps^2)): about 4e-14 at T = 1, eps = 0.2, where no ensemble
+of practical size keeps a path.  Each step draws for the live paths only, in
+the order of their rows in the block: one normal for the radial step, then
+one uniform that decides survival at both walls at once; at a record time
+after 0 it then draws one normal per live path for the angle, whose variance
+is the trapezoid integral of r^-2 along the radial steps since the previous
+record (see _killed_block).  A dead path stops there and leaves no record: the
+estimator reads only the paths that survive to T, so the ensemble holds the
+survivors alone, in ascending path order, and its memory scales with the
+survivors, not with n_paths.
 
 Guided sampler (the default).  Doob's h-transform (Pinsky,
 Positive Harmonic Functions and Diffusion, 1995) with
 
-    h(r) = r^(-1/2) cos(pi (r - R) / (2 eps)),   k = pi / (2 eps).
+    h(r) = r^(-1/2) cos(pi (r - R) / (2 eps)),   k = pi / (2 eps),
 
-Since Delta(r^(-1/2) g) = r^(-1/2) (g'' + g / (4 r^2)) for a radial g,
-(1/2 Delta + 1/2 U) h = -(k^2 / 2) h exactly: the Feynman-Kac potential of the
-killed law is what makes h an eigenfunction.  Under the h-transformed law Q
+the phi-conjugate of the ground state cos(k rho) of the killed 1-D radius, so
+(1/2 Delta + 1/2 U) h = -(k^2 / 2) h exactly.  Under the h-transformed law Q
 the drift grad log h is radial, so
 
     dr     = -k tan(k (r - R)) dt + dB_r   (the 1/(2r) drift of BM cancels),
@@ -39,9 +64,8 @@ of the killed, weighted law to Q over [0, T] is
 
 which is the guided log_weight.  Every path survives; the weights
 depend on the endpoint only and are nearly constant, so the effective sample
-size stays near N at any horizon.  The same identity at each step gives
-survival_steps, the weighted estimate of the killed process's survival
-probability exp(-k^2 t / 2) h(x0) E_Q[exp(integral ds / (8 r^2)) / h(X_t)].
+size stays near N at any horizon.  The same identity for the killed 1-D
+radius gives survival_steps: S(t) = exp(-k^2 t / 2) E_Q[1 / cos(k rho_t)].
 
 Radial stepping is drift-implicit Euler (Neuenkirch and Szpruch, Numer. Math.
 2014) in rho = (r - R) / eps.  With w = tan(pi rho_new / 2) and
@@ -55,10 +79,9 @@ monotonically to the unique root, so rho_new = (2/pi) arctan w lies strictly
 inside (-1, 1) for every draw.  log h is evaluated as
 -1/2 log(r (1 + w^2)), which stays accurate next to the wall.
 
-Given the radial path the angle is Gaussian, theta_t - theta_s ~
-N(0, integral_s^t r^-2 du) exactly; it is drawn only at record times, with a
-trapezoid integral of r^-2 along the radial steps.  The guided sampler draws
-one normal per path per step plus one per path per record time.
+The angle is drawn only at record times, from the trapezoid integral of r^-2
+along the radial steps.  The guided sampler draws one normal per path per
+step plus one per path per record time.
 
 Randomness.  Paths are processed in fixed-size blocks, and block b draws
 from its own stream: an SFC64 generator seeded by SeedSequence([seed, b]),
@@ -116,7 +139,7 @@ class PathEnsemble:
     # path order: every guided path, the killed sampler's survivors only
     theta: np.ndarray        # (rows, n_record) angle at record times
     log_weight: np.ndarray   # (rows,) log-weight over [0, T]
-    survival_steps: np.ndarray  # killed-process survival after each step
+    survival_steps: np.ndarray  # the killed 1-D radius's survival after each step
     seed: int
 
     def survival_fraction(self):
@@ -153,10 +176,10 @@ def sample_conditioned(
     if not (t_record.size and np.all((t_record >= 0) & (t_record <= T))):
         raise ValueError(f"t_record must be nonempty times in [0, T] = [0, {T}]")
     rec_steps = np.round(t_record / dt).astype(int)
-    if guided and eps >= R:
+    if eps >= R:
         raise FocalRadiusExceeded(
             f"eps={eps} reaches the centre of the circle of radius {R}: "
-            "the guiding function is undefined"
+            "the radius must stay positive"
         )
     block = _guided_block if guided else _killed_block
 
@@ -203,21 +226,18 @@ def pool_size(n_paths, workers):
 
 
 def _killed_block(rng, R, eps, theta0, dt, rec_steps, m, alive_count):
-    """Killed, weighted planar Brownian paths of one block of m paths;
-    alive_count[step] gains the block's survivors.  Returns the survivors'
-    (theta, log_weight) in ascending path order.
+    """Killed 1-D Brownian radii of one block of m paths, with their angles
+    at the record times; alive_count[step] gains the block's survivors.
+    Returns the survivors' (theta, log_weight) in ascending path order.
 
-    Each step draws for the n live paths only: n normals dx, n normals dy,
-    then n uniforms, draw i going to live row i.  A path's state is its
-    position, its radius at the previous step, its integral q of r^-2 and
-    its block index, one row of buffers allocated once.  Rows [0, n) hold
-    the live paths.  After a step that leaves k < n survivors, the
-    survivors in rows [k, n) move into the holes the dead left in rows
-    [0, k), so the work is per death and the live rows are in no fixed
-    block order.  A dead path's state is never read again.  Record times
-    write the live rows only, at their block index, so the records of the
-    paths that survive to T are complete and no dead path's are read.  The
-    steps end at the block's last death.
+    Each step draws for the n live paths only: n normals for rho = r - R,
+    then n uniforms, draw i going to live row i.  A path's state is rho, its
+    angle at the last record, its clock q and its block index, one row of
+    buffers allocated once.  Rows [0, n) hold the live paths.  After a step
+    that leaves k < n survivors, the survivors in rows [k, n) move into the
+    holes the dead left in rows [0, k), so the work is per death and the
+    live rows are in no fixed block order.  A dead path's state is never
+    read again.  The steps end at the block's last death.
 
     One uniform u covers both walls: the path survives the step when
 
@@ -228,86 +248,95 @@ def _killed_block(rng, R, eps, theta0, dt, rec_steps, m, alive_count):
     wall before and after the step.  A live path has g > 0 at both walls;
     one that lands outside the tube has b <= 0 at the wall it crossed and
     b > 0 at the other, so the product is <= 0 and the test, which needs
-    no clip at the walls, holds the inside check too."""
+    no clip at the walls, holds the inside check too.
+
+    The clock runs up to the last record step, for the survivors of each
+    step (r > R - eps > 0): q gains f = r^-2, and starts at f / 2 after a
+    record, so q - f / 2 at the next record is the trapezoid sum of r^-2
+    over the steps between.  A record step after 0 with live paths then
+    draws n normals: the angle gains sqrt(dt (q - f / 2)) times draw i, and
+    the record is the angle wrapped into [-pi, pi), written at the live
+    rows' block indices."""
     n_steps = len(alive_count) - 1
-    x = np.full(m, R * math.cos(theta0))
-    y = np.full(m, R * math.sin(theta0))
-    r_prev = np.sqrt(x * x + y * y)
-    q = np.zeros(m)
+    last_record = int(rec_steps.max())
+    rho = np.zeros(m)
+    angle = np.full(m, float(theta0))
+    q = np.full(m, 0.5 / (R * R))
     idx = np.arange(m)
-    r = np.empty(m)
     z = np.empty(m)   # the draws, then scratch
     t1, t2 = np.empty(m), np.empty(m)
     keep = np.empty(m, dtype=bool)
     theta = np.empty((m, len(rec_steps)))
 
     def record(step, n):
-        for k in np.flatnonzero(rec_steps == step):
-            theta[idx[:n], k] = np.arctan2(y[:n], x[:n])
+        ks = np.flatnonzero(rec_steps == step)
+        if not ks.size:
+            return
+        f, qs, zs, ang = t1[:n], q[:n], z[:n], angle[:n]
+        if step:
+            qs -= 0.5 * f
+            qs *= dt
+            np.sqrt(qs, out=qs)
+            rng.standard_normal(out=zs)
+            zs *= qs
+            ang += zs
+            np.multiply(f, 0.5, out=qs)
+        np.add(ang, math.pi, out=zs)
+        np.remainder(zs, 2.0 * math.pi, out=zs)
+        zs -= math.pi
+        for k in ks:
+            theta[idx[:n], k] = zs
 
     record(0, m)
     alive_count[0] += m
     n = m
     sdt = math.sqrt(dt)
     c = -2.0 / dt
-    half_dt = 0.5 * dt
     for step in range(1, n_steps + 1):
-        xs, ys, rp, qs, rs, zs = x[:n], y[:n], r_prev[:n], q[:n], r[:n], z[:n]
-        a, b, ks = t1[:n], t2[:n], keep[:n]
-        for coord in (xs, ys):
-            rng.standard_normal(out=zs)
-            zs *= sdt
-            coord += zs
-        np.multiply(xs, xs, out=rs)
-        np.multiply(ys, ys, out=zs)
+        rs, zs, a, b, ks = rho[:n], z[:n], t1[:n], t2[:n], keep[:n]
+        rng.standard_normal(out=zs)
+        zs *= sdt
+        # the survival probability of the step, wall by wall
+        np.subtract(eps, rs, out=a)         # g_up
+        np.add(rs, eps, out=b)              # g_dn
         rs += zs
-        np.sqrt(rs, out=rs)
-        # trapezoid step of the integral of r^-2
-        np.multiply(rp, rp, out=a)
-        np.divide(1.0, a, out=a)
-        np.multiply(rs, rs, out=b)
-        np.divide(1.0, b, out=b)
-        a += b
-        a *= half_dt
-        qs += a
-        # the survival probability of the step, wall by wall; rp turns
-        # into the distance before the step, d_old, and is rewritten below
-        np.subtract(rs, R, out=a)           # d_new
-        rp -= R
-        np.subtract(eps, a, out=b)
-        np.subtract(eps, rp, out=zs)
+        np.subtract(eps, rs, out=zs)        # b_up
+        a *= zs
+        np.add(rs, eps, out=zs)             # b_dn
         b *= zs
-        b *= c
-        np.expm1(b, out=b)                  # -(1 - p_up)
-        a += eps
-        rp += eps
-        a *= rp
         a *= c
-        np.expm1(a, out=a)                  # -(1 - p_dn)
+        np.expm1(a, out=a)                  # -(1 - p_up)
+        b *= c
+        np.expm1(b, out=b)                  # -(1 - p_dn)
         a *= b
         rng.random(out=zs)
         np.less(zs, a, out=ks)
-        rp[:] = rs
         k = int(np.count_nonzero(ks))
         if k < n:
             # the survivors in rows [k, n) fill the holes of the dead in [0, k)
             holes = np.flatnonzero(~ks[:k])
             movers = k + np.flatnonzero(ks[k:])
-            for buf in (x, y, q, r_prev, idx):
+            for buf in (rho, angle, q, idx):
                 buf[holes] = buf[movers]
             n = k
         alive_count[step] += n
-        record(step, n)
         if n == 0:
             break
+        if step <= last_record:
+            f = t1[:n]
+            np.add(rho[:n], R, out=f)
+            f *= f
+            np.divide(1.0, f, out=f)
+            q[:n] += f
+            record(step, n)
     order = np.argsort(idx[:n])
     rows = idx[order]
-    return theta[rows], -0.125 * q[order]
+    return theta[rows], 0.5 * np.log1p(rho[order] / R)
 
 
 def _guided_block(rng, R, eps, theta0, dt, rec_steps, m, survival):
     """h-transformed paths of one block of m paths; survival[step] gains
-    the block's sum of survival weights.  Returns every path's
+    the block's sum of exp(-k^2 t / 2) / cos(k rho_t).  Returns every path's
     (theta, log_weight) in path order."""
     n_steps = len(survival) - 1
     half_k2 = 0.5 * (math.pi / (2.0 * eps)) ** 2
@@ -317,7 +346,6 @@ def _guided_block(rng, R, eps, theta0, dt, rec_steps, m, survival):
     rho = np.zeros(m)
     angle = np.full(m, float(theta0))
     inv_r2 = np.full(m, 1.0 / (R * R))
-    q_total = np.zeros(m)   # integral of r^-2 over [0, t]
     q_rec = np.zeros(m)     # integral of r^-2 since the last record time
     theta = np.empty((m, len(rec_steps)))
 
@@ -335,12 +363,10 @@ def _guided_block(rng, R, eps, theta0, dt, rec_steps, m, survival):
         rho = c - a * w   # = (2/pi) arctan w at the root
         r = R + eps * rho
         inv_old, inv_r2 = inv_r2, 1.0 / (r * r)
-        dq = 0.5 * dt * (inv_old + inv_r2)
-        q_total += dq
-        q_rec += dq
-        log_h = -0.5 * np.log(r * (1.0 + w * w))
-        shift = log_h0 - half_k2 * step * dt
-        survival[step] += float(np.sum(np.exp(shift + 0.125 * q_total - log_h)))
+        q_rec += 0.5 * dt * (inv_old + inv_r2)
+        sec2 = 1.0 + w * w   # 1 / cos^2(k rho)
+        log_h = -0.5 * np.log(r * sec2)
+        survival[step] += math.exp(-half_k2 * step * dt) * float(np.sum(np.sqrt(sec2)))
         record(step)
     return theta, log_h0 - half_k2 * n_steps * dt - log_h
 

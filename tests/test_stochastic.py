@@ -1,5 +1,6 @@
 """Killed and guided path samplers, marginal estimator, and the circle heat oracle."""
 
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -105,6 +106,34 @@ class TestSampler:
         theory = -((math.pi / 2) ** 2) / (2 * eps**2)
         assert slope == pytest.approx(theory, rel=0.1)
 
+    @pytest.mark.parametrize("guided, n_paths, dt_divisor", [
+        (False, 4_000_000, 20),
+        # drift-implicit Euler biases the guided curve: at the step eps^2 / 20
+        # it lies 2-3% below the series at every time (z -13 at t = 0.01 with
+        # these paths), at eps^2 / 320 about 0.3%
+        (True, 20000, 320),
+    ])
+    def test_survival_matches_the_killed_interval_series(self, guided, n_paths,
+                                                          dt_divisor):
+        # survival_steps is the survival of the radius's killed 1-D Brownian
+        # motion, started at the centre of (R - eps, R + eps):
+        # sum_n (4 / pi) (-1)^n / (2n + 1) exp(-(2n + 1)^2 pi^2 t / (8 eps^2)).
+        # The planar paths survive more often, by the factor
+        # E[(r_t / R)^(1/2) exp(integral ds / (8 r^2)) | survival] = 1.0054 at
+        # t = 0.05, 6.6 SE of the killed curve here
+        eps, times = 0.2, [0.01, 0.02, 0.05, 0.1]
+        dt = eps**2 / dt_divisor
+        ens = stochastic.sample_conditioned(
+            CircleInPlane(1.0), eps, 0.0, 0.1, dt, n_paths, 99, t_record=times,
+            guided=guided, workers=2,
+        )
+        j = 2 * np.arange(50) + 1
+        for t in times:
+            exact = np.sum(4 / math.pi * (-1.0) ** (j // 2) / j
+                           * np.exp(-(j * math.pi) ** 2 * t / (8 * eps**2)))
+            se = math.sqrt(exact * (1.0 - exact) / n_paths)
+            assert abs(ens.survival_steps[round(t / dt)] - exact) < 4.0 * se, t
+
     def test_guards(self):
         m = CircleInPlane(1.0)
         with pytest.raises(StepSizeError):
@@ -134,9 +163,8 @@ class TestSampler:
 
     @pytest.mark.parametrize("guided", [False, True])
     def test_horizon_record_moves_no_draw(self, guided, monkeypatch):
-        # the killed sampler draws nothing at a record time, and the guided
-        # one draws its angles at the record times in order, after the
-        # step's radial draw: a last record at T follows every other draw
+        # both samplers draw the angles at a record time after the step's
+        # radial draws, so a last record at T follows every other draw
         monkeypatch.setattr(stochastic, "BLOCK_SIZE", 300)
         m = CircleInPlane(1.0)
         kw = dict(eps=0.2, theta0=0.0, T=0.1, dt=0.002, n_paths=700, seed=3,
@@ -181,17 +209,19 @@ class TestSampler:
         n_short = len(short.survival_steps)
         assert np.array_equal(long.survival_steps[:n_short], short.survival_steps)
         assert not long.survival_steps[n_short:].any()
-        # a block draws dx, dy and one uniform per step up to the step of its
-        # last death, and no more
+        # a block draws one normal and one uniform per step up to the step of
+        # its last death, and no more, plus one normal for the angles at each
+        # record step after 0 that still has live paths: here step 3, not
+        # step 0 and not the horizon
         n_steps = round(1.0 / kw["dt"])
         alive = np.zeros(n_steps + 1)
         rng = CountingRng(np.random.Generator(np.random.SFC64(5)))
         theta, _ = stochastic._killed_block(
-            rng, 1.0, eps, 0.0, kw["dt"], np.array([n_steps]), 200, alive
+            rng, 1.0, eps, 0.0, kw["dt"], np.array([0, 3, n_steps]), 200, alive
         )
         last_death = np.flatnonzero(alive)[-1] + 1
-        assert theta.shape == (0, 1) and last_death < n_steps // 2
-        assert rng.calls == 3 * last_death
+        assert theta.shape == (0, 3) and 3 < last_death < n_steps // 2
+        assert rng.calls == 2 * last_death + 1
 
 
 class CountingRng:
@@ -211,11 +241,13 @@ class CountingRng:
 
 
 def killed_reference(R, eps, theta0, T, dt, n_paths, seed, t_record, block_size):
-    """The killed sampler as a plain masked stepper.  order[i] is the block
-    index of row i and rows [0, n) are live: each step draws dx, dy and one
-    uniform for order[:n] in row order, then the survivors in rows [k, n)
-    trade places with the dead in rows [0, k).  A dead path stops where it
-    died, so its records keep that position.  The wall products keep their
+    """The killed sampler as a plain masked radial stepper.  order[i] is the
+    block index of row i and rows [0, n) are live: each step draws one normal
+    and one uniform for order[:n] in row order, then the survivors in rows
+    [k, n) trade places with the dead in rows [0, k); a record step after 0
+    then draws one normal per survivor for its angle, from the trapezoid
+    integral of r^-2 since the last record.  A dead path stops where it died,
+    so its records keep that radius and angle.  The wall products keep their
     clips at 0, which the sampler does without."""
     n_steps = round(T / dt)
     rec = np.round(np.asarray(t_record) / dt).astype(int)
@@ -224,45 +256,51 @@ def killed_reference(R, eps, theta0, T, dt, n_paths, seed, t_record, block_size)
     alive_rec = np.empty((n_paths, len(rec)), dtype=bool)
     logw = np.empty(n_paths)
     count = np.zeros(n_steps + 1)
+    c = -2.0 / dt
     for lo in range(0, n_paths, block_size):
         m = min(block_size, n_paths - lo)
         rows = slice(lo, lo + m)
         rng = np.random.Generator(
             np.random.SFC64(np.random.SeedSequence([seed, lo // block_size]))
         )
-        x = np.full(m, R * math.cos(theta0))
-        y = np.full(m, R * math.sin(theta0))
+        rho = np.zeros(m)   # r - R
+        angle = np.full(m, theta0)
         alive = np.ones(m, dtype=bool)
-        r_prev = np.sqrt(x * x + y * y)
-        q = np.zeros(m)   # integral of r^-2 up to the step of death or T
+        # the sum of r^-2 over the steps since the last record, with half
+        # weight at the record's own step
+        q = np.full(m, 0.5 / (R * R))
         order = np.arange(m)
         n = m
         for step in range(n_steps + 1):
             if step > 0:
                 live = order[:n]
-                x[live] += rng.standard_normal(n) * math.sqrt(dt)
-                y[live] += rng.standard_normal(n) * math.sqrt(dt)
-                r = np.sqrt(x[live] ** 2 + y[live] ** 2)
-                d_new, d_old = r - R, r_prev[live] - R
+                old = rho[live]
+                rho[live] = old + rng.standard_normal(n) * math.sqrt(dt)
+                new = rho[live]
                 # minus the probability that the bridge misses each wall
-                miss_up = np.expm1(-2.0 / dt * (np.maximum(eps - d_new, 0.0)
-                                                * np.maximum(eps - d_old, 0.0)))
-                miss_dn = np.expm1(-2.0 / dt * (np.maximum(eps + d_new, 0.0)
-                                                * np.maximum(eps + d_old, 0.0)))
-                keep = rng.random(n) < miss_dn * miss_up
-                q[live] += 0.5 * dt * (1.0 / (r_prev[live] ** 2) + 1.0 / (r * r))
+                miss_up = np.expm1(c * (np.maximum(eps - old, 0.0)
+                                        * np.maximum(eps - new, 0.0)))
+                miss_dn = np.expm1(c * (np.maximum(old + eps, 0.0)
+                                        * np.maximum(new + eps, 0.0)))
+                keep = rng.random(n) < miss_up * miss_dn
                 alive[live[~keep]] = False
-                r_prev[live] = r
                 n = int(np.count_nonzero(keep))
                 holes = np.flatnonzero(~keep[:n])
                 movers = n + np.flatnonzero(keep[n:])
                 order[holes], order[movers] = order[movers], order[holes]
+                live = order[:n]
+                f = 1.0 / (rho[live] + R) ** 2
+                q[live] += f
+                if n and (rec == step).any():
+                    sd = np.sqrt((q[live] - 0.5 * f) * dt)
+                    angle[live] += rng.standard_normal(n) * sd
+                    q[live] = 0.5 * f
             count[step] += np.count_nonzero(alive)
             for k in np.flatnonzero(rec == step):
-                theta[rows, k] = np.arctan2(y, x)
-                rad[rows, k] = np.sqrt(x * x + y * y)
+                theta[rows, k] = np.remainder(angle + math.pi, 2.0 * math.pi) - math.pi
+                rad[rows, k] = R + rho
                 alive_rec[rows, k] = alive
-        logw[rows] = -0.125 * q
+        logw[rows] = 0.5 * np.log1p(rho / R)
     return dict(
         theta=theta, r=rad, alive=alive_rec, survived=alive_rec[:, rec == n_steps][:, 0],
         log_weight=logw, survival_steps=count / n_paths,
@@ -438,10 +476,12 @@ class TestGuidedSampler:
             assert np.all(np.sign(w) == np.sign(c)), a
 
     def test_tube_reaching_the_centre_rejected(self):
+        # both samplers step the radius, which must stay positive
         m = CircleInPlane(1.0)
-        for eps in (1.0, 1.5):
+        for eps, guided in itertools.product((1.0, 1.5), (False, True)):
             with pytest.raises(FocalRadiusExceeded):
-                stochastic.sample_conditioned(m, eps, 0.0, 0.1, 0.01, 100, 1)
+                stochastic.sample_conditioned(m, eps, 0.0, 0.1, 0.01, 100, 1,
+                                              guided=guided)
 
 
 class TestOracles:
